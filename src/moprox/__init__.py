@@ -25,7 +25,6 @@ from .problems import (
     SmoothObjective,
     eval_full,
     eval_smooth,
-    prox_nonsmooth,
 )
 from .subproblem import (
     DirectionResult,
@@ -76,7 +75,7 @@ __all__ = [
     "SingularMetricError", "ConvergenceError", "LineSearchError",
     "InsufficientDataError",
     "SmoothObjective", "NonsmoothTerm", "ProblemInstance", "SmoothEval",
-    "eval_full", "eval_smooth", "prox_nonsmooth",
+    "eval_full", "eval_smooth",
     "DirectionResult", "project_simplex", "model_values", "duality_gap",
     "inner_minimize", "solve_direction",
     "Status", "SolverConfig", "TraceRecord", "SolveTrace",

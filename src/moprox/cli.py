@@ -28,7 +28,6 @@ import json
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -292,7 +291,7 @@ def _bench_cell(cfg: dict, spec: InstanceSpec, x0, variant: str) -> dict:
     }
 
 
-def cmd_bench(cfg: dict, out_dir: Path, seed_override=None, threads: int = 1) -> int:
+def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
     base = build_instance_spec(cfg, seed_override)
     sweep = cfg.get("run", {}).get("sweep")
     if not sweep:
@@ -303,7 +302,7 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None, threads: int = 1) ->
         raise ConfigError("run.sweep.cond must be a nonempty list")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("run.sweep.seeds must be a nonempty list")
-    cells = []
+    rows = []
     for cond in conds:
         for seed in seeds:
             spec = InstanceSpec(family=base.family, n=base.n, m=base.m,
@@ -311,17 +310,7 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None, threads: int = 1) ->
                                 seed=int(seed), lo=base.lo, hi=base.hi)
             x0 = derive_x0(cfg, spec)
             for variant in (VARIANT_NEWTON, VARIANT_GRADIENT):
-                cells.append((spec, x0, variant))
-
-    def run_cell(cell):
-        spec, x0, variant = cell
-        return _bench_cell(cfg, spec, x0, variant)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+                rows.append(_bench_cell(cfg, spec, x0, variant))
     rows.sort(key=lambda r: (r["family"], r["cond"], r["seed"], r["solver"]))
     name = cfg.get("run", {}).get("trace_csv", "bench.csv")
     if not isinstance(name, str) or not name:
@@ -446,8 +435,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace the instance seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for bench sweeps")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -459,9 +446,7 @@ def main(argv=None) -> int:
         if args.verb == "solve":
             return cmd_solve(cfg, out_dir, args.seed_override)
         if args.verb == "bench":
-            if args.threads < 1:
-                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-            return cmd_bench(cfg, out_dir, args.seed_override, args.threads)
+            return cmd_bench(cfg, out_dir, args.seed_override)
         return cmd_check(cfg, out_dir, args.seed_override)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ __all__ = [
     "SmoothEval",
     "eval_full",
     "eval_smooth",
-    "prox_nonsmooth",
 ]
 
 
@@ -294,8 +293,3 @@ def eval_full(problem: ProblemInstance, x) -> np.ndarray:
             )
         out[i] = v + term.value(x)
     return out
-
-
-def prox_nonsmooth(term: NonsmoothTerm, v, c: float) -> np.ndarray:
-    """Proximal map of a nonsmooth term; see NonsmoothTerm.prox."""
-    return term.prox(np.asarray(v, dtype=float), c)

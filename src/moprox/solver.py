@@ -39,6 +39,8 @@ __all__ = [
 VARIANT_NEWTON = "newton"
 VARIANT_GRADIENT = "gradient"
 
+_EPS = np.finfo(float).eps
+
 
 class Status(enum.Enum):
     """Terminal state of a solve."""
@@ -55,6 +57,8 @@ class SolverConfig:
     eps is the direction-norm stopping threshold, sigma the sufficient
     decrease fraction, gamma the backtracking ratio. variant selects the
     metric ("newton" or "gradient"); ell (> 0) is required for "gradient".
+    max_dual_iters caps the iterations of the direction subproblem's dual
+    loop (one face-Newton or supergradient step each).
     """
 
     eps: float = 1e-8
@@ -181,9 +185,14 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     Each iteration solves the direction subproblem in the configured metric,
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
-    and moves. Subproblem or line-search failures are recorded in the trace
-    (status SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer
-    yields MAX_ITERS.
+    and moves. It also stops with CRITICAL_REACHED at the precision limit,
+    when sigma * theta >= -machine_eps * max(1, max_i |F_i(x)|): there even
+    the unit-step decrease bound is below one ulp of F, so a step could only
+    be accepted by rounding. Such a stop records the zero direction
+    (direction norm, theta and gap 0), as the subproblem does for theta > 0.
+    Subproblem or line-search failures are recorded in the trace (status
+    SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer yields
+    MAX_ITERS.
     """
     x = _as_point(x0, problem.n)
     records = []
@@ -215,10 +224,15 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                               config=config, message=str(exc))
 
         dnorm = float(np.linalg.norm(res.direction))
+        theta, gap = res.theta, res.gap
+        if config.sigma * theta >= -_EPS * max(1.0, float(np.max(np.abs(f_x)))):
+            # even the unit-step decrease bound is below one ulp of F, so any
+            # accepted step would pass by rounding: record the zero direction
+            dnorm = theta = gap = 0.0
         if dnorm < config.eps:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
-                                       direction_norm=dnorm, theta=res.theta, step=0.0,
-                                       weights=res.weights.copy(), gap=res.gap))
+                                       direction_norm=dnorm, theta=theta, step=0.0,
+                                       weights=res.weights.copy(), gap=gap))
             return SolveTrace(records=tuple(records), status=Status.CRITICAL_REACHED,
                               config=config)
 

@@ -7,13 +7,13 @@ At a point x the search direction solves
 whose optimal value is nonpositive and is zero exactly at critical points.
 The min-max is solved through its concave dual over the unit simplex: for
 weights w the inner minimization is strongly convex, and the dual function
-phi(w) = min_d sum_i w_i psi_i(d) is maximized by projected supergradient
-ascent. A finishing phase alternates face-aware Newton steps on the dual,
-whose tangent-space Hessian is available in closed form from the inner
-solves, with exact bisection line searches along simplex edges, certifying
-tight duality gaps even at interior dual optima. Gap arithmetic uses
-extended precision internally so that tolerances near 1e-12 remain
-meaningful when model values are large.
+phi(w) = min_d sum_i w_i psi_i(d) is maximized by one loop for every m, an
+active-set projected Newton method on the simplex. Each iteration takes a
+Newton step on the current face, whose tangent-space Hessian is available
+in closed form from the inner solve, and falls back to a projected
+supergradient step only when the Newton step gives no ascent. Gap
+arithmetic uses extended precision internally so that tolerances near
+1e-12 remain meaningful when model values are large.
 """
 
 from __future__ import annotations
@@ -241,13 +241,6 @@ class _Snapshot:
     gap: np.longdouble
 
 
-def _lam_line(lam: np.ndarray, delta: np.ndarray, t: float) -> np.ndarray:
-    out = lam + t * delta
-    np.maximum(out, 0.0, out=out)
-    out /= out.sum()
-    return out
-
-
 def _free_mask(term: NonsmoothTerm, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Coordinates where the model is locally smooth in d at the point x + d.
 
@@ -311,15 +304,15 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                     strong_convexity=None) -> DirectionResult:
     """Solve the direction subproblem at x to a certified duality gap.
 
-    Runs projected supergradient ascent on the dual weights starting from the
-    uniform vector: each iterate solves the weighted inner problem, takes the
-    model values as a supergradient, steps, and projects back; the trial step
-    starts at one (warm-started later) and halves until the dual value does
-    not decrease. When progress stalls, rounds of face-aware Newton polishing
-    (and, for m <= 3, exact bisection searches along simplex edges) finish
-    the job. Terminates once the gap certificate
-    reaches tol_gap; hitting the iteration caps first raises
-    ConvergenceError carrying the best result found.
+    Maximizes the dual over the weight simplex from the uniform vector. Each
+    iteration first takes a Newton step on the current face (the support of
+    the weights plus the outside index with the largest model value, when
+    that value exceeds the dual value), cut back to the simplex boundary and
+    halved until the dual value does not decrease. When the Newton step gives
+    no ascent, a projected supergradient step with a warm-started step length
+    is taken instead. Terminates once the gap certificate reaches tol_gap;
+    when neither step ascends, or max_dual_iters iterations pass first,
+    ConvergenceError is raised carrying the best result found.
 
     Returns a DirectionResult whose theta is nonpositive: if rounding at a
     critical point produces a positive model optimum, the zero direction
@@ -372,198 +365,109 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     best = cur
     history = [float(cur.phi)]
 
-    if m == 1:
-        return finalize(cur)
-
-    def accept(s: _Snapshot) -> None:
-        nonlocal cur
-        cur = s
-        history.append(float(s.phi))
-
-    # phase 1: projected supergradient ascent with a backtracked step
-    s_prev = 1.0
-    stalled = False
-    gap_log = [cur.gap]
-    steps = 0
-    while best.gap > tol_gap and steps < max_dual_iters and not stalled:
-        if len(gap_log) >= 11 and gap_log[-1] > 0.5 * gap_log[-11]:
-            break  # slow progress; hand over to the polishing phase
-        psi64 = cur.psi.astype(float)
-        s = min(1.0, 4.0 * s_prev)
-        accepted = None
-        for _ in range(60):
-            lam_t = project_simplex(cur.lam + s * psi64)
-            if np.array_equal(lam_t, cur.lam):
-                break  # projection no longer moves: dual-stationary here
-            cand = snap(lam_t, cur.d.copy())
-            if cand.gap < best.gap:
-                best = cand
-            if cand.phi >= cur.phi:
-                accepted = cand
-                s_prev = s
-                break
-            s *= 0.5
-        if accepted is None:
-            stalled = True
-        else:
-            accept(accepted)
-            gap_log.append(cur.gap)
-            steps += 1
-
-    # phase 2, part a: face-aware Newton steps on the dual. On the current
-    # face the dual Hessian restricted to zero-sum directions is -Q' W^-1 Q
-    # with Q the per-objective model gradients on the free coordinates and W
-    # the free block of the weighted Hessian, so each step costs one small
-    # Cholesky solve and converges quadratically near interior optima.
-    def newton_polish(frm: _Snapshot) -> _Snapshot:
+    def trial(lam: np.ndarray, frm: _Snapshot) -> _Snapshot:
         nonlocal best
-        here = frm
-        for _ in range(40):
-            if best.gap <= tol_gap:
-                return here
-            lam = here.lam
-            support = np.flatnonzero(lam > 0.0)
-            outside = np.setdiff1d(np.arange(m), support)
-            if outside.size:
-                psi_out = here.psi[outside]
-                j = int(outside[np.argmax(psi_out)])
-                if here.psi[j] > here.phi:
-                    support = np.sort(np.append(support, j))
-            if support.size == 1:
-                return here  # vertex-optimal face; nothing to polish
-            free = _free_mask(terms[0], x, here.d)
-            if not free.any():
-                # the model no longer responds to d; the best vertex is exact
-                j = int(np.argmax(here.psi))
-                unit = np.zeros(m)
-                unit[j] = 1.0
-                cand = snap(unit, here.d.copy())
-                if cand.gap < best.gap:
-                    best = cand
-                return cand
-            h_lam = np.tensordot(lam, se.hessians, axes=1)
-            try:
-                factor = cho_factor(h_lam[np.ix_(free, free)])
-            except np.linalg.LinAlgError:
-                return here
-            grads_d = se.gradients[support] + se.hessians[support] @ here.d
-            q = grads_d[:, free]
-            curv = q @ cho_solve(factor, q.T)
-            curv = 0.5 * (curv + curv.T)
-            s_len = support.size
-            basis = np.vstack([np.eye(s_len - 1), -np.ones(s_len - 1)])
-            h_red = basis.T @ curv @ basis
-            g_red = (here.psi[support[:-1]] - here.psi[support[-1]]).astype(float)
-            try:
-                du = np.linalg.solve(h_red, g_red)
-            except np.linalg.LinAlgError:
-                du, *_ = np.linalg.lstsq(h_red, g_red, rcond=None)
-            if not np.all(np.isfinite(du)):
-                return here
-            move = np.zeros(m)
-            move[support] = basis @ du
-            neg = move < 0.0
-            t_full = 1.0
-            if np.any(neg):
-                t_full = min(1.0, float(np.min(lam[neg] / -move[neg])))
-            if t_full <= 0.0:
-                return here
-            t = t_full
-            cand = None
-            for _ in range(8):
-                lam_new = lam + t * move
-                np.maximum(lam_new, 0.0, out=lam_new)
-                lam_new[lam_new < 1e-15] = 0.0
-                total = lam_new.sum()
-                if total <= 0.0:
-                    return here
-                lam_new /= total
-                if np.array_equal(lam_new, lam):
-                    return here
-                cand = snap(lam_new, here.d.copy())
-                if cand.gap < best.gap:
-                    best = cand
-                if cand.phi >= here.phi:
-                    break
-                t *= 0.5
-            if cand is None or cand.phi < here.phi:
-                return here
-            accept(cand)
-            here = cand
-        return here
-
-    # phase 2, part b: exact bisection line searches along simplex edges with
-    # a net-displacement direction per sweep to break zigzag patterns (small m)
-    def exact_line(frm: _Snapshot, delta: np.ndarray) -> _Snapshot:
-        # maximize phi along lam + t * delta (delta sums to zero); by
-        # concavity the directional derivative delta . psi(d(t)) is
-        # nonincreasing in t, so bisection pins its sign change
-        nonlocal best
-        slope0 = float(delta.astype(np.longdouble) @ frm.psi)
-        if slope0 > 0.0:
-            shrink = delta < 0.0
-        elif slope0 < 0.0:
-            delta = -delta
-            shrink = delta < 0.0
-        else:
-            return frm
-        if not np.any(shrink):
-            return frm
-        t_hi = float(np.min(frm.lam[shrink] / -delta[shrink]))
-        if t_hi <= 0.0:
-            return frm
-        cand = snap(_lam_line(frm.lam, delta, t_hi), frm.d.copy())
+        cand = snap(lam, frm.d)
         if cand.gap < best.gap:
             best = cand
-        if float(delta.astype(np.longdouble) @ cand.psi) >= 0.0:
-            return cand  # maximum sits on the boundary of the segment
-        a, b = 0.0, t_hi
-        out = frm
-        for _ in range(80):
-            t_mid = 0.5 * (a + b)
-            mid = snap(_lam_line(frm.lam, delta, t_mid), out.d.copy())
-            if mid.gap < best.gap:
-                best = mid
-            out = mid
-            if best.gap <= tol_gap:
-                break
-            if float(delta.astype(np.longdouble) @ mid.psi) > 0.0:
-                a = t_mid
-            else:
-                b = t_mid
-            if b - a <= 1e-18 * max(1.0, t_hi):
-                break
-        return out
+        return cand
 
-    def line_sweep(frm: _Snapshot) -> _Snapshot:
-        here = frm
-        lam_start = here.lam.copy()
-        for i in range(m):
-            for j in range(i + 1, m):
-                if best.gap <= tol_gap:
-                    return here
-                edge = np.zeros(m)
-                edge[i] = 1.0
-                edge[j] = -1.0
-                here = exact_line(here, edge)
-        net = here.lam - lam_start
-        scale = float(np.max(np.abs(net)))
-        if scale > 0.0 and best.gap > tol_gap:
-            here = exact_line(here, net / scale)
-        return here
+    # On a face the dual Hessian restricted to zero-sum directions is
+    # -Q' W^-1 Q with Q the per-objective model gradients on the free
+    # coordinates and W the free block of the weighted Hessian, so each step
+    # costs one small Cholesky solve and converges quadratically near
+    # optima interior to the face.
+    def newton_step(here: _Snapshot):
+        lam = here.lam
+        support = np.flatnonzero(lam > 0.0)
+        outside = np.flatnonzero(lam == 0.0)
+        if outside.size:
+            j = int(outside[np.argmax(here.psi[outside])])
+            if here.psi[j] > here.phi:
+                support = np.sort(np.append(support, j))
+        if support.size == 1:
+            return None  # vertex-optimal face; no Newton direction
+        free = _free_mask(terms[0], x, here.d)
+        if not free.any():
+            # the model no longer responds to d, so the dual is linear in the
+            # weights and the best vertex is exact
+            unit = np.zeros(m)
+            unit[int(np.argmax(here.psi))] = 1.0
+            if np.array_equal(unit, lam):
+                return None
+            cand = trial(unit, here)
+            return cand if cand.phi >= here.phi else None
+        h_lam = np.tensordot(lam, se.hessians, axes=1)
+        try:
+            factor = cho_factor(h_lam[np.ix_(free, free)])
+        except np.linalg.LinAlgError:
+            return None
+        grads_d = se.gradients[support] + se.hessians[support] @ here.d
+        q = grads_d[:, free]
+        curv = q @ cho_solve(factor, q.T)
+        curv = 0.5 * (curv + curv.T)
+        s_len = support.size
+        basis = np.vstack([np.eye(s_len - 1), -np.ones(s_len - 1)])
+        h_red = basis.T @ curv @ basis
+        g_red = (here.psi[support[:-1]] - here.psi[support[-1]]).astype(float)
+        try:
+            du = np.linalg.solve(h_red, g_red)
+        except np.linalg.LinAlgError:
+            du, *_ = np.linalg.lstsq(h_red, g_red, rcond=None)
+        if not np.all(np.isfinite(du)):
+            return None
+        move = np.zeros(m)
+        move[support] = basis @ du
+        neg = move < 0.0
+        t = 1.0
+        if np.any(neg):
+            t = min(1.0, float(np.min(lam[neg] / -move[neg])))
+        if t <= 0.0:
+            return None
+        for _ in range(8):
+            lam_new = lam + t * move
+            np.maximum(lam_new, 0.0, out=lam_new)
+            lam_new[lam_new < 1e-15] = 0.0
+            total = lam_new.sum()
+            if total <= 0.0:
+                return None
+            lam_new /= total
+            if np.array_equal(lam_new, lam):
+                return None
+            cand = trial(lam_new, here)
+            if cand.phi >= here.phi:
+                return cand
+            t *= 0.5
+        return None
 
-    if best.gap > tol_gap:
-        for _round in range(12):
-            round_start_gap = best.gap
-            cur = newton_polish(cur)
-            if best.gap <= tol_gap:
-                break
-            if m <= 3:
-                cur = line_sweep(cur)
-                if best.gap <= tol_gap:
-                    break
-            if best.gap > 0.99 * round_start_gap:
-                break  # neither polish is improving the certificate
+    # safeguard: projected supergradient step with a backtracked step length
+    s_prev = 1.0
+
+    def supergradient_step(here: _Snapshot):
+        nonlocal s_prev
+        psi64 = here.psi.astype(float)
+        s = min(1.0, 4.0 * s_prev)
+        for _ in range(60):
+            lam_t = project_simplex(here.lam + s * psi64)
+            if np.array_equal(lam_t, here.lam):
+                return None  # projection no longer moves: dual-stationary here
+            cand = trial(lam_t, here)
+            if cand.phi >= here.phi:
+                s_prev = s
+                return cand
+            s *= 0.5
+        return None
+
+    for _ in range(max_dual_iters):
+        if best.gap <= tol_gap:
+            break
+        nxt = newton_step(cur)
+        if nxt is None:
+            nxt = supergradient_step(cur)
+        if nxt is None:
+            break
+        cur = nxt
+        history.append(float(cur.phi))
 
     if best.gap <= tol_gap:
         return finalize(best)

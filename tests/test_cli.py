@@ -139,22 +139,6 @@ class TestBenchVerb:
                    if r["seed"] == "0"}
         assert by_cond[50.0] > by_cond[5.0] > 1
 
-    def test_bench_threads_match_serial(self, tmp_path):
-        cfg_path = _write_config(tmp_path / "cfg.json", self._bench_config())
-        main(["bench", "--config", cfg_path, "--out", str(tmp_path / "s")])
-        main(["bench", "--config", cfg_path, "--out", str(tmp_path / "p"),
-              "--threads", "4"])
-
-        def strip_wall(path):
-            with open(path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            for r in rows:
-                r.pop("wall_ms")
-            return rows
-
-        assert strip_wall(tmp_path / "s" / "bench.csv") == \
-            strip_wall(tmp_path / "p" / "bench.csv")
-
     def test_bench_requires_sweep(self, tmp_path, capsys):
         cfg = self._bench_config()
         del cfg["run"]["sweep"]

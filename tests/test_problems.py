@@ -10,7 +10,6 @@ from moprox import (
     SmoothObjective,
     eval_full,
     eval_smooth,
-    prox_nonsmooth,
 )
 from moprox.zoo import logsumexp_objective, quadratic_objective
 
@@ -151,10 +150,6 @@ class TestNonsmoothTerm:
         b1 = NonsmoothTerm.box(-np.ones(2), np.ones(2))
         b2 = NonsmoothTerm.box(-np.ones(2), 2.0 * np.ones(2))
         assert not b1.same_as(b2)
-
-    def test_prox_nonsmooth_wrapper(self):
-        t = NonsmoothTerm.scaled_l1(1.0)
-        assert np.allclose(prox_nonsmooth(t, [2.0, -0.5], 1.0), [1.0, 0.0])
 
 
 def _quad_instance(m=2, n=3, seed=5):

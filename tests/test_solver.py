@@ -11,6 +11,7 @@ from moprox import (
     SolverConfig,
     Status,
     armijo_backtrack,
+    criticality_measure,
     eval_full,
     generate_instance,
     solve,
@@ -235,6 +236,19 @@ class TestSolveGradientVariant:
         assert tr_n.status is Status.CRITICAL_REACHED
         assert tr_g.status is Status.CRITICAL_REACHED
         assert tr_g.steps_taken > 5 * tr_n.steps_taken
+
+    def test_precision_limit_stops_as_critical(self):
+        # near the critical point the unit-step decrease bound falls below one
+        # ulp of F; the run must stop there as critical, not fail the search
+        spec = InstanceSpec(family="quadratic", n=10, m=2, cond=100.0, seed=5)
+        prob = generate_instance(spec)
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(1005)).standard_normal(10)
+        tr = solve(prob, SolverConfig(variant="gradient", ell=prob.lip_grad,
+                                      eps=1e-9, tol_gap=1e-12, max_outer=2000), x0)
+        assert tr.status is Status.CRITICAL_REACHED, tr.message
+        last = tr.records[-1]
+        assert last.direction_norm == 0.0 and last.theta == 0.0
+        assert criticality_measure(prob, tr.final_x, tol_gap=1e-12) <= 1e-5
 
     def test_descent_bound_uses_ell_modulus(self):
         spec = InstanceSpec(family="quadratic", n=6, m=2, cond=50.0, seed=9)
