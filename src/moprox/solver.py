@@ -58,7 +58,9 @@ class SolverConfig:
     decrease fraction, gamma the backtracking ratio. variant selects the
     metric ("newton" or "gradient"); ell (> 0) is required for "gradient".
     max_dual_iters caps the iterations of the direction subproblem's dual
-    loop (one face-Newton or supergradient step each).
+    loop (one face-Newton or supergradient step each); max_inner_iters caps
+    the passes of each exact inner active-set solve (one Cholesky solve
+    each), a guard against cycling at degenerate ratio steps.
     """
 
     eps: float = 1e-8
@@ -189,7 +191,9 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     when sigma * theta >= -machine_eps * max(1, max_i |F_i(x)|): there even
     the unit-step decrease bound is below one ulp of F, so a step could only
     be accepted by rounding. Such a stop records the zero direction
-    (direction norm, theta and gap 0), as the subproblem does for theta > 0.
+    (direction norm, theta and gap 0), as the subproblem does for theta > 0,
+    and, when the direction norm was still >= eps, sets the trace message to
+    name the stop with sigma * theta and the ulp bound.
     Subproblem or line-search failures are recorded in the trace (status
     SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer yields
     MAX_ITERS.
@@ -208,16 +212,13 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
             if ell_eye is not None:
                 se = SmoothEval(values=se.values, gradients=se.gradients,
                                 hessians=np.broadcast_to(ell_eye, se.hessians.shape))
-                strong = config.ell
-            else:
-                strong = problem.mu
             f_x = _full_values(problem, se, x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap,
                                   max_dual_iters=config.max_dual_iters,
                                   max_inner_iters=config.max_inner_iters,
-                                  smooth_eval=se, strong_convexity=strong)
+                                  smooth_eval=se)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
             records.append(_nan_record(k, x, _safe_objectives(problem, x, m), m))
             return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
@@ -225,16 +226,22 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
         dnorm = float(np.linalg.norm(res.direction))
         theta, gap = res.theta, res.gap
-        if config.sigma * theta >= -_EPS * max(1.0, float(np.max(np.abs(f_x)))):
+        message = ""
+        ulp_bound = -_EPS * max(1.0, float(np.max(np.abs(f_x))))
+        if config.sigma * theta >= ulp_bound:
             # even the unit-step decrease bound is below one ulp of F, so any
             # accepted step would pass by rounding: record the zero direction
+            if dnorm >= config.eps:
+                message = (f"stopped at the precision limit: sigma*theta = "
+                           f"{config.sigma * theta:.3e} >= {ulp_bound:.3e} = "
+                           f"-eps_mach*max(1, max|F_i|), with dnorm {dnorm:.3e}")
             dnorm = theta = gap = 0.0
         if dnorm < config.eps:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                        direction_norm=dnorm, theta=theta, step=0.0,
                                        weights=res.weights.copy(), gap=gap))
             return SolveTrace(records=tuple(records), status=Status.CRITICAL_REACHED,
-                              config=config)
+                              config=config, message=message)
 
         try:
             t = armijo_backtrack(problem, x, res.direction, res.theta, config.sigma,

@@ -6,26 +6,30 @@ At a point x the search direction solves
 
 whose optimal value is nonpositive and is zero exactly at critical points.
 The min-max is solved through its concave dual over the unit simplex: for
-weights w the inner minimization is strongly convex, and the dual function
-phi(w) = min_d sum_i w_i psi_i(d) is maximized by one loop for every m, an
-active-set projected Newton method on the simplex. Each iteration takes a
-Newton step on the current face, whose tangent-space Hessian is available
-in closed form from the inner solve, and falls back to a projected
-supergradient step only when the Newton step gives no ascent. Gap
-arithmetic uses extended precision internally so that tolerances near
-1e-12 remain meaningful when model values are large.
+weights w the inner minimization is a strongly convex piecewise quadratic,
+solved exactly (up to rounding) by a primal active-set loop of Cholesky
+solves on the coordinates that sit on smooth pieces of the nonsmooth term.
+The dual function phi(w) = min_d sum_i w_i psi_i(d) is maximized by one
+loop for every m, an active-set projected Newton method on the simplex.
+Each iteration takes a Newton step on the current face, whose
+tangent-space Hessian is available in closed form from the inner solve's
+free coordinates, and falls back to a projected supergradient step only
+when the Newton step gives no ascent. Gap arithmetic uses extended
+precision internally so that tolerances near 1e-12 remain meaningful when
+model values are large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, InputError, SingularMetricError
 from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _as_point
+
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "DirectionResult",
@@ -53,8 +57,8 @@ class DirectionResult:
     gap : float
         Duality gap certificate max_i psi_i(d) - sum_i w_i psi_i(d).
     inner_iters, dual_iters : int
-        Total inner prox-gradient/Newton-solve iterations and number of dual
-        weight vectors visited.
+        Total passes of the inner active-set solve (one Cholesky solve each)
+        and number of dual weight vectors visited.
     dual_history : tuple of float
         Dual objective values of the accepted ascent iterates, nondecreasing.
     """
@@ -148,87 +152,109 @@ def duality_gap(weights, model_vals) -> float:
     return float(np.max(psi) - w @ psi)
 
 
-def _power_lambda_max(M: np.ndarray, iters: int = 30) -> float:
-    n = M.shape[0]
-    v = np.ones(n) + 0.01 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M @ v
-        lam = float(np.linalg.norm(w))
-        if lam <= 0.0:
-            return 0.0
-        v = w / lam
-    return lam
+def _cholesky(block: np.ndarray):
+    try:
+        return cho_factor(block, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(f"weighted Hessian is not positive definite: {exc}") from exc
 
 
-def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, tol,
-                   *, d0=None, max_iters: int = 10000, strong_convexity=None):
-    """Minimize the weighted model sum_i w_i psi_i(d) for fixed weights.
+def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
+                   *, max_iters: int = 10000):
+    """Minimize the weighted model sum_i w_i psi_i(d) for fixed weights, exactly.
 
-    With a zero nonsmooth term the minimizer solves the symmetric positive
-    definite system H_w d = -grad_w exactly (Cholesky). Otherwise an
-    accelerated proximal gradient iteration runs with step 1/L, where L is a
-    30-step power-iteration estimate of the top eigenvalue of H_w inflated by
-    a 1.1 safety factor; the proximal map is evaluated at the shifted point
-    x + d and the result shifted back. Iterations stop once the fixed-point
-    residual ||d - T(d)|| falls to tol, which bounds the distance from the
-    stationarity inclusion by a metric-dependent constant.
+    A primal active-set loop on u = x + d, started from d = 0. Each
+    coordinate is free, on a smooth piece of the term (fixed l1 sign, or
+    strictly inside the box), or held at a kink (0 for l1) or a bound. One
+    pass solves the weighted Hessian's free block by Cholesky with the held
+    coordinates fixed. If that solve would carry a free coordinate across its
+    kink or bound, a ratio test stops the step there and holds it. Otherwise
+    the step is taken in full and the held coordinate whose multiplier
+    r = grad_w + H_w d breaks optimality the most (|r_j| <= rho for l1,
+    r_j >= 0 at lo, r_j <= 0 at hi, up to a few ulps of |grad_w|, |H_w||d|
+    and rho) is released; with none left the solve is exact. With nothing
+    held, as always for the zero term, a pass is the plain Cholesky solve
+    H_w d = -grad_w.
 
-    Returns (d, iterations). Raises SingularMetricError if the metric is not
-    positive definite and ConvergenceError if the cap is hit first.
+    Returns (d, free, passes) with free the mask of free coordinates. Raises
+    SingularMetricError if a free block is not positive definite and
+    ConvergenceError if max_iters passes do not certify optimality.
     """
     lam = np.asarray(weights, dtype=float)
     x = np.asarray(x, dtype=float)
     v = lam @ smooth_eval.gradients
     M = np.tensordot(lam, smooth_eval.hessians, axes=1)
     M = 0.5 * (M + M.T)
-
-    if term.kind == NonsmoothTerm.KIND_ZERO:
-        try:
-            factor = cho_factor(M, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetricError(f"weighted Hessian is not positive definite: {exc}") from exc
-        d = cho_solve(factor, -v, check_finite=False)
-        return d, 1
-
-    tol = float(tol)
-    if not np.isfinite(tol) or tol <= 0:
-        raise InputError(f"inner tolerance must be finite and > 0, got {tol}")
-    lam_max = _power_lambda_max(M)
-    if lam_max <= 0.0:
-        raise SingularMetricError("weighted Hessian has no positive curvature")
-    step = 1.0 / (1.1 * lam_max)
-
-    mu = None if strong_convexity is None else float(strong_convexity)
-    if mu is not None and mu > 0:
-        q = min(mu * step, 1.0)
-        beta_const = (1.0 - sqrt(q)) / (1.0 + sqrt(q))
+    l1 = term.kind == NonsmoothTerm.KIND_L1
+    rho = term.rho if l1 else 0.0
+    d = np.zeros_like(x)
+    if l1:
+        side = np.sign(x)  # sign of u on free coordinates
+        free = x != 0.0
+    elif term.kind == NonsmoothTerm.KIND_BOX:
+        lo, hi = term._bounds_for(x)
+        side = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))  # held bound
+        free = side == 0.0
+        d[~free] = np.where(side < 0.0, lo, hi)[~free] - x[~free]
     else:
-        beta_const = None
+        free = np.ones(x.size, dtype=bool)
+    c = v + rho * side if l1 else v  # linear coefficients on free coordinates
 
-    d = np.zeros_like(v) if d0 is None else np.array(d0, dtype=float, copy=True)
-    y = d.copy()
-    t_mom = 1.0
-    res = np.inf
     for it in range(1, max_iters + 1):
-        grad_y = v + M @ y
-        d_new = term.prox(x + (y - step * grad_y), step) - x
-        res = float(np.linalg.norm(y - d_new))
-        if res <= tol:
-            # T is nonexpansive, so the fixed-point residual of d_new is <= res
-            return d_new, it
-        if beta_const is None:
-            t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t_mom * t_mom))
-            beta = (t_mom - 1.0) / t_next
-            t_mom = t_next
+        if free.all():
+            d_new = cho_solve(_cholesky(M), -c, check_finite=False)
+            if term.kind == NonsmoothTerm.KIND_ZERO:
+                return d_new, free, it
         else:
-            beta = beta_const
-        y = d_new + beta * (d_new - d)
+            d_new = d.copy()
+            if free.any():
+                rhs = -c[free] - M[np.ix_(free, ~free)] @ d[~free]
+                d_new[free] = cho_solve(_cholesky(M[np.ix_(free, free)]), rhs,
+                                        check_finite=False)
+
+        # ratio test: the fraction of the step at which each free coordinate
+        # reaches its kink or bound (0 for one already past it)
+        p = d_new - d
+        u = x + d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if l1:
+                reach = np.where(side * p < 0.0, -u / p, np.inf)
+            else:
+                reach = np.where(p < 0.0, (lo - u) / p,
+                                 np.where(p > 0.0, (hi - u) / p, np.inf))
+        reach = np.where(free, np.maximum(reach, 0.0), np.inf)
+        j = int(np.argmin(reach))
+        if reach[j] < 1.0:
+            d += reach[j] * p
+            free[j] = False
+            if l1:
+                d[j] = -x[j]
+            else:
+                side[j] = np.sign(p[j])
+                d[j] = (lo[j] if p[j] < 0.0 else hi[j]) - x[j]
+            continue
         d = d_new
+
+        held = np.flatnonzero(~free)
+        if not held.size:
+            return d, free, it
+        r = v[held] + M[held] @ d
+        slack = 4.0 * _EPS * (np.abs(v[held]) + np.abs(M[held]) @ np.abs(d) + rho)
+        if l1:
+            viol = np.abs(r) - rho
+        else:
+            viol = side[held] * r
+        k = int(np.argmax(viol - slack))
+        if viol[k] <= slack[k]:
+            return d, free, it
+        j = held[k]
+        free[j] = True
+        if l1:
+            side[j] = -np.sign(r[k])
+            c[j] = v[j] + rho * side[j]
     raise ConvergenceError(
-        f"inner solver residual {res:.3e} above tolerance {tol:.3e} after {max_iters} iterations",
-        residual=res,
+        f"inner active-set solve not certified after {max_iters} passes",
+        residual=float(np.linalg.norm(p)),
     )
 
 
@@ -236,72 +262,15 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, tol
 class _Snapshot:
     lam: np.ndarray
     d: np.ndarray
+    free: np.ndarray
     psi: np.ndarray  # extended precision
     phi: np.longdouble
     gap: np.longdouble
 
 
-def _free_mask(term: NonsmoothTerm, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Coordinates where the model is locally smooth in d at the point x + d.
-
-    A few ulps of slack absorb the x + (u - x) round trip of prox outputs.
-    """
-    u = x + d
-    if term.kind == NonsmoothTerm.KIND_L1:
-        return np.abs(u) > 4.0 * np.finfo(float).eps * (np.abs(x) + np.abs(d))
-    if term.kind == NonsmoothTerm.KIND_BOX:
-        lo, hi = term._bounds_for(u)
-        slack = term._bound_slack(u, lo, hi)
-        return (u - lo > slack) & (hi - u > slack)
-    return np.ones(x.size, dtype=bool)
-
-
-def _face_refine(lam, se: SmoothEval, term: NonsmoothTerm, x, d):
-    """Exact reduced solve of the weighted inner problem on the active pattern
-    of d, or None when no refinement applies.
-
-    The first-order inner solver identifies which coordinates sit at a kink or
-    bound; fixing those and solving the remaining smooth block by Cholesky
-    removes its residual error entirely. The caller accepts the result only if
-    it does not increase the weighted model value, so a wrong pattern guess is
-    harmless.
-    """
-    if term.kind == NonsmoothTerm.KIND_ZERO:
-        return None
-    free = _free_mask(term, x, d)
-    act = ~free
-    u = x + d
-    d_new = np.empty_like(d)
-    if term.kind == NonsmoothTerm.KIND_L1:
-        d_new[act] = -x[act]
-    else:
-        lo, hi = term._bounds_for(u)
-        at_lo = act & (u - lo <= hi - u)
-        at_hi = act & ~at_lo
-        d_new[at_lo] = lo[at_lo] - x[at_lo]
-        d_new[at_hi] = hi[at_hi] - x[at_hi]
-    if not free.any():
-        return d_new
-    h_lam = np.tensordot(lam, se.hessians, axes=1)
-    g_lam = lam @ se.gradients
-    rhs = -g_lam[free]
-    if term.kind == NonsmoothTerm.KIND_L1:
-        rhs = rhs - term.rho * np.sign(u[free])
-    if act.any():
-        rhs = rhs - h_lam[np.ix_(free, act)] @ d_new[act]
-    try:
-        d_new[free] = cho_solve(cho_factor(h_lam[np.ix_(free, free)]), rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(d_new)):
-        return None
-    return d_new
-
-
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
-                    max_dual_iters: int = 500, *, inner_tol=None,
-                    max_inner_iters: int = 10000, smooth_eval=None,
-                    strong_convexity=None) -> DirectionResult:
+                    max_dual_iters: int = 500, *, max_inner_iters: int = 10000,
+                    smooth_eval=None) -> DirectionResult:
     """Solve the direction subproblem at x to a certified duality gap.
 
     Maximizes the dual over the weight simplex from the uniform vector. Each
@@ -324,27 +293,16 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
     terms = problem.nonsmooth
-    mu = problem.mu if strong_convexity is None else float(strong_convexity)
-    if inner_tol is None:
-        inner_tol = tol_gap / 10.0
     m = problem.m
     counts = {"inner": 0, "dual": 0}
 
-    def snap(lam: np.ndarray, warm) -> _Snapshot:
-        d, its = inner_minimize(lam, se, terms[0], x, inner_tol, d0=warm,
-                                max_iters=max_inner_iters, strong_convexity=mu)
-        counts["inner"] += its
+    def snap(lam: np.ndarray) -> _Snapshot:
+        d, free, passes = inner_minimize(lam, se, terms[0], x, max_iters=max_inner_iters)
+        counts["inner"] += passes
         counts["dual"] += 1
         psi = _model_values_hi(d, se, terms, x)
-        lam_ld = lam.astype(np.longdouble)
-        refined = _face_refine(lam, se, terms[0], x, d)
-        if refined is not None:
-            psi_r = _model_values_hi(refined, se, terms, x)
-            if np.all(np.isfinite(psi_r)) and lam_ld @ psi_r <= lam_ld @ psi:
-                d, psi = refined, psi_r
-        phi = lam_ld @ psi
-        gap = np.max(psi) - phi
-        return _Snapshot(lam=lam, d=d, psi=psi, phi=phi, gap=gap)
+        phi = lam.astype(np.longdouble) @ psi
+        return _Snapshot(lam=lam, d=d, free=free, psi=psi, phi=phi, gap=np.max(psi) - phi)
 
     def finalize(s: _Snapshot) -> DirectionResult:
         psi64 = model_values(s.d, se, terms, x)
@@ -361,13 +319,13 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                                inner_iters=counts["inner"], dual_iters=counts["dual"],
                                dual_history=tuple(history))
 
-    cur = snap(np.full(m, 1.0 / m), None)
+    cur = snap(np.full(m, 1.0 / m))
     best = cur
     history = [float(cur.phi)]
 
-    def trial(lam: np.ndarray, frm: _Snapshot) -> _Snapshot:
+    def trial(lam: np.ndarray) -> _Snapshot:
         nonlocal best
-        cand = snap(lam, frm.d)
+        cand = snap(lam)
         if cand.gap < best.gap:
             best = cand
         return cand
@@ -387,7 +345,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                 support = np.sort(np.append(support, j))
         if support.size == 1:
             return None  # vertex-optimal face; no Newton direction
-        free = _free_mask(terms[0], x, here.d)
+        free = here.free
         if not free.any():
             # the model no longer responds to d, so the dual is linear in the
             # weights and the best vertex is exact
@@ -395,7 +353,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
             unit[int(np.argmax(here.psi))] = 1.0
             if np.array_equal(unit, lam):
                 return None
-            cand = trial(unit, here)
+            cand = trial(unit)
             return cand if cand.phi >= here.phi else None
         h_lam = np.tensordot(lam, se.hessians, axes=1)
         try:
@@ -434,7 +392,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
             lam_new /= total
             if np.array_equal(lam_new, lam):
                 return None
-            cand = trial(lam_new, here)
+            cand = trial(lam_new)
             if cand.phi >= here.phi:
                 return cand
             t *= 0.5
@@ -451,7 +409,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
             lam_t = project_simplex(here.lam + s * psi64)
             if np.array_equal(lam_t, here.lam):
                 return None  # projection no longer moves: dual-stationary here
-            cand = trial(lam_t, here)
+            cand = trial(lam_t)
             if cand.phi >= here.phi:
                 s_prev = s
                 return cand

@@ -45,6 +45,15 @@ class TestSolveVerb:
         b = (tmp_path / "b" / "trace.csv").read_bytes()
         assert a == b
 
+    def test_rewrite_over_longer_file_leaves_no_tail(self, tmp_path):
+        cfg_path = _write_config(tmp_path / "cfg.json", _base_solve_config())
+        main(["solve", "--config", cfg_path, "--out", str(tmp_path / "a")])
+        fresh = (tmp_path / "a" / "trace.csv").read_bytes()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "trace.csv").write_bytes(b"stale\n" * (len(fresh) // 3))
+        main(["solve", "--config", cfg_path, "--out", str(tmp_path / "b")])
+        assert (tmp_path / "b" / "trace.csv").read_bytes() == fresh
+
     def test_explicit_x0_list(self, tmp_path):
         cfg = _base_solve_config()
         cfg["run"] = {"x0": [1.0, -1.0, 0.5, 0.0], "trace_csv": "run.csv"}
@@ -74,6 +83,16 @@ class TestSolveVerb:
         cfg["instance"]["cond"] = 1e4
         cfg_path = _write_config(tmp_path / "cfg.json", cfg)
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+
+    def test_box_default_start_clipped_into_box(self, tmp_path, capsys):
+        cfg = {"instance": {"family": "quadratic_box", "n": 10, "m": 2,
+                            "cond": 100.0, "seed": 0}}
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert "status=critical_reached" in capsys.readouterr().out
+        data = read_trace_csv(tmp_path / "trace.csv")
+        x0 = np.array([data[f"x_{j + 1}"][0] for j in range(10)])
+        assert np.all(np.abs(x0) <= 1.0)
 
     def test_gradient_ell_filled_from_instance(self, tmp_path, capsys):
         cfg = _base_solve_config()
@@ -138,6 +157,17 @@ class TestBenchVerb:
         by_cond = {float(r["cond"]): int(r["iters"]) for r in gradient
                    if r["seed"] == "0"}
         assert by_cond[50.0] > by_cond[5.0] > 1
+        assert all(r["status"] == "critical_reached" for r in rows)
+
+    def test_bench_cap_exits_two_with_status(self, tmp_path, capsys):
+        cfg = self._bench_config()
+        cfg["solver"]["max_outer"] = 1
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        with open(tmp_path / "bench.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        assert all(r["status"] == "max_iters" for r in rows)
 
     def test_bench_requires_sweep(self, tmp_path, capsys):
         cfg = self._bench_config()

@@ -14,26 +14,13 @@ from moprox import InstanceSpec, SolverConfig, Status, generate_instance, solve
 FAMILIES = ("quadratic", "quadratic_l1", "quadratic_box", "logsumexp")
 MS = (2, 3, 4, 5, 8)
 
-# newton-metric cells whose duality gap stalls between 1e-12 and 5e-11: the
-# floor set by the inexact accelerated prox-gradient inner solve
-INNER_FLOOR = {
-    ("quadratic_l1", 2, 3), ("quadratic_l1", 3, 3), ("quadratic_l1", 4, 3),
-    ("quadratic_l1", 5, 1), ("quadratic_l1", 5, 3), ("quadratic_l1", 8, 3),
-    ("quadratic_box", 2, 1),
-}
-INNER_FLOOR_REASON = ("gap floor of the inexact prox-gradient inner solve; "
-                      "ROADMAP item 3 (exact active-set inner solver)")
-
 
 def _cells():
     for variant, seeds in (("newton", range(6)), ("gradient", range(2))):
         for family in FAMILIES:
             for m in MS:
                 for seed in seeds:
-                    marks = ()
-                    if variant == "newton" and (family, m, seed) in INNER_FLOOR:
-                        marks = pytest.mark.xfail(strict=True, reason=INNER_FLOOR_REASON)
-                    yield pytest.param(variant, family, m, seed, marks=marks,
+                    yield pytest.param(variant, family, m, seed,
                                        id=f"{variant}-{family}-m{m}-s{seed}")
 
 

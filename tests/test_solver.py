@@ -169,6 +169,7 @@ class TestSolveNewton:
         assert tr.status is Status.CRITICAL_REACHED
         assert tr.steps_taken == 0
         assert len(tr.records) == 1
+        assert tr.message == ""
 
     def test_subproblem_failure_recorded_not_raised(self, l1_scalar):
         cfg = SolverConfig(eps=1e-10, tol_gap=1e-12, max_inner_iters=1)
@@ -248,6 +249,8 @@ class TestSolveGradientVariant:
         assert tr.status is Status.CRITICAL_REACHED, tr.message
         last = tr.records[-1]
         assert last.direction_norm == 0.0 and last.theta == 0.0
+        assert tr.message.startswith("stopped at the precision limit")
+        assert "sigma*theta" in tr.message and "eps_mach" in tr.message
         assert criticality_measure(prob, tr.final_x, tol_gap=1e-12) <= 1e-5
 
     def test_descent_bound_uses_ell_modulus(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from moprox import (
     ConvergenceError,
@@ -112,7 +113,7 @@ class TestInnerMinimize:
         x = np.zeros(4)
         se = eval_smooth(prob, x)
         lam = np.array([0.4, 0.6])
-        d, _ = inner_minimize(lam, se, prob.nonsmooth[0], x, 1e-12)
+        d, _, _ = inner_minimize(lam, se, prob.nonsmooth[0], x)
         H = np.einsum("i,ijk->jk", lam, se.hessians)
         g = lam @ se.gradients
         assert np.max(np.abs(H @ d + g)) < 1e-9
@@ -120,8 +121,7 @@ class TestInnerMinimize:
     def test_l1_scalar_matches_soft_threshold(self, l1_scalar):
         x = np.array([3.0])
         se = eval_smooth(l1_scalar, x)
-        d, _ = inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth[0], x,
-                              1e-12, strong_convexity=1.0)
+        d, _, _ = inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth[0], x)
         # argmin 3d + 0.5 d^2 + |3 + d| - 3 sits at the kink 3 + d = 0
         assert abs(d[0] + 3.0) < 1e-10
 
@@ -131,8 +131,7 @@ class TestInnerMinimize:
         prob = generate_instance(spec)
         x = np.zeros(3)
         se = eval_smooth(prob, x)
-        d, _ = inner_minimize(np.array([1.0]), se, prob.nonsmooth[0], x, 1e-12,
-                              strong_convexity=prob.mu)
+        d, _, _ = inner_minimize(np.array([1.0]), se, prob.nonsmooth[0], x)
         assert np.all(x + d <= 0.2 + 1e-12)
         assert np.all(x + d >= -0.2 - 1e-12)
         inside = np.abs(np.abs(x + d) - 0.2) > 1e-9
@@ -140,12 +139,54 @@ class TestInnerMinimize:
             resid = se.hessians[0] @ d + se.gradients[0]
             assert np.max(np.abs(resid[inside])) < 1e-8
 
+    def test_zero_term_is_one_plain_cholesky_solve(self):
+        spec = InstanceSpec(family="quadratic", n=12, m=3, cond=100.0, seed=5)
+        prob = generate_instance(spec)
+        rng = np.random.Generator(np.random.PCG64(5))
+        x = rng.standard_normal(12)
+        se = eval_smooth(prob, x)
+        lam = rng.dirichlet(np.ones(3))
+        d, free, passes = inner_minimize(lam, se, prob.nonsmooth[0], x)
+        M = np.tensordot(lam, se.hessians, axes=1)
+        M = 0.5 * (M + M.T)
+        want = cho_solve(cho_factor(M, lower=True), -(lam @ se.gradients))
+        assert np.array_equal(d, want)
+        assert free.all() and passes == 1
+
+    @pytest.mark.parametrize("family", ["quadratic_l1", "quadratic_box"])
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_exact_on_kinks_and_bounds(self, family, n, m):
+        for seed in range(5):
+            spec = InstanceSpec(family=family, n=n, m=m, cond=100.0, rho=0.1,
+                                seed=seed)
+            prob = generate_instance(spec)
+            term = prob.nonsmooth[0]
+            rng = np.random.Generator(np.random.PCG64(100 + seed))
+            x = 2.0 * rng.standard_normal(n)
+            if family == "quadratic_l1":
+                x[rng.random(n) < 0.3] = 0.0
+            else:
+                x = np.clip(x, spec.lo, spec.hi)
+            se = eval_smooth(prob, x)
+            lam = rng.dirichlet(np.ones(m))
+            d, free, _ = inner_minimize(lam, se, term, x)
+            v = lam @ se.gradients
+            M = np.tensordot(lam, se.hessians, axes=1)
+            resid = term.subdiff_residual(x + d, v + M @ d)
+            assert resid <= 1e-13 * max(1.0, float(np.max(np.abs(v)))), (seed, resid)
+            held = ~free
+            if family == "quadratic_l1":
+                assert np.all((x + d)[held] == 0.0)
+            else:
+                at_bound = (d == spec.lo - x) | (d == spec.hi - x)
+                assert np.all(at_bound[held])
+
     def test_iteration_cap_raises(self, l1_scalar):
         x = np.array([3.0])
         se = eval_smooth(l1_scalar, x)
         with pytest.raises(ConvergenceError) as exc:
-            inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth[0], x, 1e-14,
-                           max_iters=1)
+            inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth[0], x, max_iters=1)
         assert exc.value.residual is not None
 
     def test_convergence_error_carries_payload(self):
