@@ -43,7 +43,6 @@ from .solver import (
     solve,
 )
 from .analysis import (
-    RateReport,
     Verdict,
     check_descent_bound,
     check_fundamental_inequality_quadratic,
@@ -52,7 +51,6 @@ from .analysis import (
     decreasing_tail,
     estimate_order,
     iterate_errors,
-    rate_report,
     refine_reference,
     tau_bracket,
     tau_check,
@@ -80,10 +78,10 @@ __all__ = [
     "inner_minimize", "solve_direction",
     "Status", "SolverConfig", "TraceRecord", "SolveTrace",
     "armijo_backtrack", "solve",
-    "Verdict", "RateReport", "criticality_measure", "refine_reference",
+    "Verdict", "criticality_measure", "refine_reference",
     "iterate_errors", "decreasing_tail", "estimate_order", "tau_sequence",
     "tau_bracket",
-    "tau_check", "rate_report", "check_quadratic_termination",
+    "tau_check", "check_quadratic_termination",
     "check_fundamental_inequality_quadratic", "check_descent_bound",
     "InstanceSpec", "gen_quadratic", "gen_logsumexp_reg", "attach_nonsmooth",
     "generate_instance", "quadratic_objective", "logsumexp_objective",

@@ -21,7 +21,6 @@ from .subproblem import solve_direction
 
 __all__ = [
     "Verdict",
-    "RateReport",
     "criticality_measure",
     "refine_reference",
     "iterate_errors",
@@ -30,7 +29,6 @@ __all__ = [
     "tau_sequence",
     "tau_bracket",
     "tau_check",
-    "rate_report",
     "check_quadratic_termination",
     "check_fundamental_inequality_quadratic",
     "check_descent_bound",
@@ -230,42 +228,6 @@ def tau_check(trace: SolveTrace, x_star, mu: float, eps_list) -> list:
                                 detail="errors span fewer than four orders of magnitude",
                                 applicable=False))
     return verdicts
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Rate diagnostics for one solve trace against a reference point."""
-
-    errors: np.ndarray
-    order: Optional[float]
-    constant: Optional[float]
-    tau_ks: np.ndarray
-    taus: np.ndarray
-    brackets: dict
-    verdicts: tuple
-
-
-def rate_report(trace: SolveTrace, x_star, mu: Optional[float] = None,
-                eps_list=(), noise_floor: Optional[float] = None) -> RateReport:
-    """Assemble error sequence, order fit, and ratio verdicts for a trace."""
-    x_star = np.asarray(x_star, dtype=float)
-    errors = iterate_errors(trace, x_star)
-    if noise_floor is None:
-        noise_floor = 1e-13 * (1.0 + float(np.linalg.norm(x_star)))
-    try:
-        order, constant = estimate_order(errors, noise_floor=noise_floor)
-    except InsufficientDataError:
-        order, constant = None, None
-    ks, taus = tau_sequence(trace, x_star)
-    brackets = {}
-    verdicts = []
-    if mu is not None and len(tuple(eps_list)):
-        sigma = trace.config.sigma
-        for eps in eps_list:
-            brackets[float(eps)] = tau_bracket(mu, eps, sigma)
-        verdicts = tau_check(trace, x_star, mu, eps_list)
-    return RateReport(errors=errors, order=order, constant=constant,
-                      tau_ks=ks, taus=taus, brackets=brackets, verdicts=tuple(verdicts))
 
 
 def check_quadratic_termination(problem: ProblemInstance, config: SolverConfig,

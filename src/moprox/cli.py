@@ -312,15 +312,16 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
         raise ConfigError("run.sweep.cond must be a nonempty list")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("run.sweep.seeds must be a nonempty list")
+    # every spec is validated before any cell is solved
+    specs = [InstanceSpec(family=base.family, n=base.n, m=base.m,
+                          cond=float(cond), mu=base.mu, rho=base.rho,
+                          seed=int(seed), lo=base.lo, hi=base.hi)
+             for cond in conds for seed in seeds]
     rows = []
-    for cond in conds:
-        for seed in seeds:
-            spec = InstanceSpec(family=base.family, n=base.n, m=base.m,
-                                cond=float(cond), mu=base.mu, rho=base.rho,
-                                seed=int(seed), lo=base.lo, hi=base.hi)
-            x0 = derive_x0(cfg, spec)
-            for variant in (VARIANT_NEWTON, VARIANT_GRADIENT):
-                rows.append(_bench_cell(cfg, spec, x0, variant))
+    for spec in specs:
+        x0 = derive_x0(cfg, spec)
+        for variant in (VARIANT_NEWTON, VARIANT_GRADIENT):
+            rows.append(_bench_cell(cfg, spec, x0, variant))
     rows.sort(key=lambda r: (r["family"], r["cond"], r["seed"], r["solver"]))
     name = cfg.get("run", {}).get("trace_csv", "bench.csv")
     if not isinstance(name, str) or not name:

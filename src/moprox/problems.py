@@ -125,12 +125,16 @@ class NonsmoothTerm:
         mag = np.maximum(np.abs(x), np.maximum(np.abs(lo), np.abs(hi)))
         return 4.0 * np.finfo(float).eps * (1.0 + mag)
 
-    def value(self, x: np.ndarray) -> float:
-        """Extended-real value of the term; +inf outside a box."""
+    def value(self, x: np.ndarray):
+        """Extended-real value of the term; +inf outside a box.
+
+        The l1 sum keeps the precision of x, so an extended-precision point
+        gives an extended-precision value; box and zero values are 0 or inf.
+        """
         if self.kind == self.KIND_ZERO:
             return 0.0
         if self.kind == self.KIND_L1:
-            return self.rho * float(np.sum(np.abs(x)))
+            return self.rho * np.sum(np.abs(x))
         lo, hi = self._bounds_for(x)
         slack = self._bound_slack(x, lo, hi)
         if np.all(x >= lo - slack) and np.all(x <= hi + slack):

@@ -14,9 +14,11 @@ loop for every m, an active-set projected Newton method on the simplex.
 Each iteration takes a Newton step on the current face, whose
 tangent-space Hessian is available in closed form from the inner solve's
 free coordinates, and falls back to a projected supergradient step only
-when the Newton step gives no ascent. Gap arithmetic uses extended
-precision internally so that tolerances near 1e-12 remain meaningful when
-model values are large.
+when the Newton step gives no ascent. Every model value comes from one
+extended-precision evaluation per snap (one inner solve at fixed weights),
+with the gradients and Hessians cast once per direction: it gives the dual
+value phi, the gap certificate and theta, so tolerances near 1e-12 remain
+meaningful when model values are large.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class DirectionResult:
     direction : ndarray
         Minimizing direction d, shape (n,).
     theta : float
-        Optimal model value max_i psi_i(d); nonpositive, and zero only at
-        (numerically) critical points.
+        Optimal model value max_i psi_i(d), rounded from the same
+        extended-precision values that certify the gap; nonpositive, and
+        zero only at (numerically) critical points.
     weights : ndarray
         Dual simplex weights at termination, shape (m,).
     gap : float
@@ -97,50 +100,33 @@ def project_simplex(v) -> np.ndarray:
 def model_values(d, smooth_eval: SmoothEval, terms, x) -> np.ndarray:
     """Per-objective model values psi_i(d) at the base point x.
 
-    psi_i(d) = grad f_i' d + g_i(x + d) - g_i(x) + 0.5 d' H_i d. Entries may
-    be +inf when x + d leaves the domain of an indicator term; x itself must
-    lie inside every domain.
+    psi_i(d) = grad f_i' d + g(x + d) - g(x) + 0.5 d' H_i d, the float
+    rounding of the extended-precision values the direction solver takes
+    phi, the gap and theta from. Entries may be +inf when x + d leaves the
+    domain of an indicator term; x itself must lie inside it.
     """
-    d = np.asarray(d, dtype=float)
-    x = np.asarray(x, dtype=float)
-    xd = x + d
-    m = smooth_eval.values.size
-    hd = smooth_eval.hessians @ d
-    psi = np.empty(m)
-    for i in range(m):
-        at_x = terms[i].value(x)
-        if not np.isfinite(at_x):
-            raise InputError("base point lies outside the domain of the nonsmooth term")
-        shift = terms[i].value(xd) - at_x
-        psi[i] = float(smooth_eval.gradients[i] @ d) + 0.5 * float(d @ hd[i]) + shift
-    return psi
+    return _model_values_hi(d, smooth_eval.gradients, smooth_eval.hessians,
+                            terms[0], x).astype(float)
 
 
-def _term_value_hi(term: NonsmoothTerm, u: np.ndarray):
-    if term.kind == NonsmoothTerm.KIND_ZERO:
-        return np.longdouble(0.0)
-    if term.kind == NonsmoothTerm.KIND_L1:
-        return np.longdouble(term.rho) * np.sum(np.abs(u))
-    if term.value(np.asarray(u, dtype=float)) == 0.0:
-        return np.longdouble(0.0)
-    return np.longdouble(np.inf)
+def _model_values_hi(d, gradients, hessians, term: NonsmoothTerm, x) -> np.ndarray:
+    """All m model values in extended precision, as one vectorized expression.
 
-
-def _model_values_hi(d, smooth_eval: SmoothEval, terms, x) -> np.ndarray:
-    """Model values in extended precision; keeps tiny duality gaps resolvable."""
-    dl = np.asarray(d).astype(np.longdouble)
-    xl = np.asarray(x).astype(np.longdouble)
-    m = smooth_eval.values.size
-    psi = np.empty(m, dtype=np.longdouble)
-    for i in range(m):
-        g = smooth_eval.gradients[i].astype(np.longdouble)
-        h = smooth_eval.hessians[i].astype(np.longdouble)
-        at_x = _term_value_hi(terms[i], xl)
-        if not np.isfinite(at_x):
-            raise InputError("base point lies outside the domain of the nonsmooth term")
-        shift = _term_value_hi(terms[i], xl + dl) - at_x
-        psi[i] = g @ dl + np.longdouble(0.5) * (dl @ (h @ dl)) + shift
-    return psi
+    gradients (m, n) and hessians (m, n, n) are cast to extended precision
+    unless they already are (solve_direction casts them once per call). The
+    nonsmooth shift g(x + d) - g(x) is common to every objective, because
+    all terms are equal. Extended precision keeps duality gaps near 1e-12
+    resolvable when the model values are large.
+    """
+    dl = np.asarray(d, dtype=np.longdouble)
+    xl = np.asarray(x, dtype=np.longdouble)
+    at_x = term.value(xl)
+    if not np.isfinite(at_x):
+        raise InputError("base point lies outside the domain of the nonsmooth term")
+    shift = term.value(xl + dl) - at_x
+    grads = np.asarray(gradients, dtype=np.longdouble)
+    hess = np.asarray(hessians, dtype=np.longdouble)
+    return grads @ dl + 0.5 * ((hess @ dl) @ dl) + shift
 
 
 def duality_gap(weights, model_vals) -> float:
@@ -263,9 +249,9 @@ class _Snapshot:
     lam: np.ndarray
     d: np.ndarray
     free: np.ndarray
-    psi: np.ndarray  # extended precision
-    phi: np.longdouble
-    gap: np.longdouble
+    psi: np.ndarray  # extended precision, as are phi and gap
+    phi: np.floating
+    gap: np.floating
 
 
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
@@ -292,21 +278,22 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     if not np.isfinite(tol_gap) or tol_gap <= 0:
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
-    terms = problem.nonsmooth
+    term = problem.nonsmooth[0]
+    grads_hi = se.gradients.astype(np.longdouble)
+    hess_hi = se.hessians.astype(np.longdouble)
     m = problem.m
     counts = {"inner": 0, "dual": 0}
 
     def snap(lam: np.ndarray) -> _Snapshot:
-        d, free, passes = inner_minimize(lam, se, terms[0], x, max_iters=max_inner_iters)
+        d, free, passes = inner_minimize(lam, se, term, x, max_iters=max_inner_iters)
         counts["inner"] += passes
         counts["dual"] += 1
-        psi = _model_values_hi(d, se, terms, x)
-        phi = lam.astype(np.longdouble) @ psi
+        psi = _model_values_hi(d, grads_hi, hess_hi, term, x)
+        phi = lam @ psi
         return _Snapshot(lam=lam, d=d, free=free, psi=psi, phi=phi, gap=np.max(psi) - phi)
 
     def finalize(s: _Snapshot) -> DirectionResult:
-        psi64 = model_values(s.d, se, terms, x)
-        theta = float(np.max(psi64))
+        theta = float(np.max(s.psi))
         d = s.d.copy()
         gap = float(s.gap)
         if theta > 0.0:

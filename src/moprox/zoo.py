@@ -32,7 +32,8 @@ class InstanceSpec:
     """Declarative description of a generated instance.
 
     rho is the l1 weight for the quadratic_l1 family; lo/hi are scalar box
-    bounds for quadratic_box.
+    bounds for quadratic_box. cond sets the quadratic families' Hessian
+    condition number; logsumexp does not read it and accepts only cond = 1.
     """
 
     family: str
@@ -52,6 +53,9 @@ class InstanceSpec:
             raise ConfigError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
         if not (np.isfinite(self.cond) and self.cond >= 1.0):
             raise ConfigError(f"cond must be finite and >= 1, got {self.cond}")
+        if self.family == "logsumexp" and self.cond != 1.0:
+            raise ConfigError(f"cond must be 1 for logsumexp, which does not use it; "
+                              f"got {self.cond}")
         if not (np.isfinite(self.mu) and self.mu > 0.0):
             raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
         if not (np.isfinite(self.rho) and self.rho >= 0.0):

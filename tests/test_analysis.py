@@ -16,7 +16,6 @@ from moprox import (
     estimate_order,
     generate_instance,
     iterate_errors,
-    rate_report,
     refine_reference,
     solve,
     tau_bracket,
@@ -142,15 +141,6 @@ class TestTauDiagnostics:
         assert tr.records[1].step < 1.0
         verdicts = tau_check(tr, np.zeros(10), prob.mu, [0.5 * prob.mu])
         assert all(not v.applicable for v in verdicts)
-
-    def test_rate_report_bundles_everything(self):
-        prob, tr = _quad_trace(seed=10, n=6, m=2, cond=100.0)
-        x_star = refine_reference(prob, tr.final_x, eps=1e-13)
-        rep = rate_report(tr, x_star, mu=prob.mu, eps_list=[0.5 * prob.mu])
-        assert rep.errors.size == len(tr.records)
-        assert rep.taus.size == rep.tau_ks.size
-        assert 0.5 * prob.mu in rep.brackets
-        assert len(rep.verdicts) >= 1
 
 
 class TestCheckFunctions:

@@ -169,6 +169,15 @@ class TestBenchVerb:
         assert len(rows) == 8
         assert all(r["status"] == "max_iters" for r in rows)
 
+    def test_bench_rejects_cond_sweep_for_logsumexp(self, tmp_path, capsys):
+        cfg = self._bench_config()
+        cfg["instance"]["family"] = "logsumexp"
+        cfg["run"]["sweep"]["cond"] = [1.0, 100.0]
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 64
+        assert "cond must be 1 for logsumexp" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_bench_requires_sweep(self, tmp_path, capsys):
         cfg = self._bench_config()
         del cfg["run"]["sweep"]

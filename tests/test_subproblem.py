@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -6,6 +8,7 @@ from moprox import (
     ConvergenceError,
     InputError,
     InstanceSpec,
+    NonsmoothTerm,
     eval_smooth,
     gen_quadratic,
     generate_instance,
@@ -80,6 +83,47 @@ class TestModelValues:
         se = eval_smooth(prob, x)
         with pytest.raises(InputError):
             model_values(np.zeros(2), se, prob.nonsmooth, x)
+
+    @staticmethod
+    def _exact_model(d, se, rho, x):
+        dq = [Fraction(v) for v in d]
+        xq = [Fraction(v) for v in x]
+        shift = Fraction(rho) * (sum(abs(a + b) for a, b in zip(xq, dq))
+                                 - sum(abs(a) for a in xq))
+        out = []
+        for g, H in zip(se.gradients, se.hessians):
+            lin = sum(Fraction(gj) * dj for gj, dj in zip(g, dq))
+            quad = sum(dj * Fraction(H[j, k]) * dk
+                       for j, dj in enumerate(dq) for k, dk in enumerate(dq))
+            out.append(lin + quad / 2 + shift)
+        return out
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_correctly_rounded_at_large_base_point(self, seed):
+        # a short step from a far point: the l1 shift cancels |x + d| - |x|
+        # at |x| ~ 1e6, where float arithmetic alone loses about 4e-15
+        spec = InstanceSpec(family="quadratic_l1", n=10, m=3, cond=100.0,
+                            rho=0.1, seed=seed)
+        prob = generate_instance(spec)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = 1e6 * rng.standard_normal(10)
+        d = 1e-3 * rng.standard_normal(10)
+        se = eval_smooth(prob, x)
+        psi = model_values(d, se, prob.nonsmooth, x)
+        assert psi.dtype == np.float64
+        exact = self._exact_model(d, se, prob.nonsmooth[0].rho, x)
+        for got, want in zip(psi, exact):
+            assert abs(Fraction(got) - want) <= Fraction(2.2e-16) * abs(want)
+
+    def test_term_value_keeps_extended_precision(self):
+        u = np.array([1.0, -2.0, 0.5], dtype=np.longdouble) + np.longdouble(2.0) ** -60
+        l1 = NonsmoothTerm.scaled_l1(0.5).value(u)
+        assert isinstance(l1, np.longdouble)
+        assert l1 == np.longdouble(0.5) * np.sum(np.abs(u))
+        assert l1 != 0.5 * float(np.sum(np.abs(u.astype(float))))
+        box = NonsmoothTerm.box(-3.0 * np.ones(3), 3.0 * np.ones(3))
+        assert box.value(u) == 0.0
+        assert box.value(u + np.longdouble(3.0)) == np.inf
 
 
 class TestDualityGap:

@@ -37,6 +37,13 @@ class TestInstanceSpec:
         with pytest.raises(ConfigError):
             InstanceSpec(family="quadratic_box", n=2, m=1, lo=1.0, hi=-1.0)
 
+    def test_logsumexp_rejects_cond(self):
+        # gen_logsumexp_reg never reads cond, so a cond sweep would repeat
+        # one instance; only the default cond = 1 is accepted
+        with pytest.raises(ConfigError, match="cond"):
+            InstanceSpec(family="logsumexp", n=2, m=1, cond=100.0)
+        assert InstanceSpec(family="logsumexp", n=2, m=1, cond=1.0).cond == 1.0
+
 
 class TestGenQuadratic:
     def test_deterministic(self):
