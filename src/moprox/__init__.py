@@ -28,7 +28,7 @@ from .problems import (
 )
 from .subproblem import (
     DirectionResult,
-    duality_gap,
+    Metric,
     inner_minimize,
     model_values,
     project_simplex,
@@ -74,7 +74,7 @@ __all__ = [
     "InsufficientDataError",
     "SmoothObjective", "NonsmoothTerm", "ProblemInstance", "SmoothEval",
     "eval_full", "eval_smooth",
-    "DirectionResult", "project_simplex", "model_values", "duality_gap",
+    "DirectionResult", "Metric", "project_simplex", "model_values",
     "inner_minimize", "solve_direction",
     "Status", "SolverConfig", "TraceRecord", "SolveTrace",
     "armijo_backtrack", "solve",

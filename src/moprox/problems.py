@@ -259,18 +259,17 @@ class ProblemInstance:
             object.__setattr__(self, "reference_solution", ref)
 
 
-def eval_smooth(problem: ProblemInstance, x) -> SmoothEval:
-    """Evaluate all smooth oracles at x; Hessians come back exactly symmetric.
+def _checked_stack(outputs, m: int, n: int) -> SmoothEval:
+    """Stack per-objective oracle outputs (value, gradient, Hessian) in order.
 
-    Raises EvaluationError (with the objective index) if any oracle returns a
-    non-finite value, gradient, or Hessian.
+    Raises EvaluationError (with the objective index) at the first output
+    with a non-finite value, gradient, or Hessian; a lazy iterable is checked
+    before its next output is drawn.
     """
-    x = _as_point(x, problem.n)
-    values = np.empty(problem.m)
-    grads = np.empty((problem.m, problem.n))
-    hesses = np.empty((problem.m, problem.n, problem.n))
-    for i, obj in enumerate(problem.smooth):
-        v, g, h = obj.evaluate(x)
+    values = np.empty(m)
+    grads = np.empty((m, n))
+    hesses = np.empty((m, n, n))
+    for i, (v, g, h) in enumerate(outputs):
         if not np.isfinite(v) or not np.all(np.isfinite(g)) or not np.all(np.isfinite(h)):
             raise EvaluationError(
                 f"smooth objective {i} returned non-finite output", objective_index=i
@@ -281,19 +280,35 @@ def eval_smooth(problem: ProblemInstance, x) -> SmoothEval:
     return SmoothEval(values=values, gradients=grads, hessians=hesses)
 
 
-def eval_full(problem: ProblemInstance, x) -> np.ndarray:
+def eval_smooth(problem: ProblemInstance, x) -> SmoothEval:
+    """Evaluate all smooth oracles at x; Hessians come back exactly symmetric.
+
+    Raises EvaluationError (with the objective index) if any oracle returns a
+    non-finite value, gradient, or Hessian.
+    """
+    x = _as_point(x, problem.n)
+    return _checked_stack((obj.evaluate(x) for obj in problem.smooth),
+                          problem.m, problem.n)
+
+
+def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None) -> np.ndarray:
     """Componentwise full objective values F_i(x) = f_i(x) + g_i(x), shape (m,).
 
     Values may be +inf when a box indicator is violated; smooth parts must be
-    finite or EvaluationError is raised.
+    finite or EvaluationError is raised. When keep is a list, each
+    objective's oracle output (value, gradient, Hessian) is appended to it in
+    order; only the values are checked here.
     """
     x = _as_point(x, problem.n)
     out = np.empty(problem.m)
     for i, (obj, term) in enumerate(zip(problem.smooth, problem.nonsmooth)):
-        v, _, _ = obj.evaluate(x)
+        output = obj.evaluate(x)
+        v = output[0]
         if not np.isfinite(v):
             raise EvaluationError(
                 f"smooth objective {i} returned non-finite value", objective_index=i
             )
         out[i] = v + term.value(x)
+        if keep is not None:
+            keep.append(output)
     return out

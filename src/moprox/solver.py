@@ -1,10 +1,14 @@
 """Outer loop: direction solve, backtracking line search, step, repeat.
 
-One driver serves two variants that differ only in the metric handed to the
-direction subproblem: ``newton`` uses the true Hessians, ``gradient``
+One driver serves two variants that differ only in the metric object handed
+to the direction subproblem, built once per solve from the config's
+``variant`` and ``ell``: ``newton`` uses the true Hessians, ``gradient``
 replaces every Hessian by ell times the identity (a scaled-identity
-majorization). Iterations stop when the direction norm falls below eps; the
-full iteration history is recorded in a trace for offline verification.
+majorization, solved in closed form by one proximal map per snap). Each
+iterate sweeps the smooth oracles once: the line search keeps the oracle
+output at the step it accepts, and the next iteration uses it. Iterations
+stop when the direction norm falls below eps; the full iteration history is
+recorded in a trace for offline verification.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .errors import (
     MoproxError,
     SingularMetricError,
 )
-from .problems import ProblemInstance, SmoothEval, eval_smooth, _as_point
-from .subproblem import solve_direction
+from .problems import ProblemInstance, SmoothEval, eval_smooth, _as_point, _checked_stack
+from .subproblem import Metric, solve_direction
 
 __all__ = [
     "Status",
@@ -55,8 +59,10 @@ class SolverConfig:
     """Outer-loop parameters.
 
     eps is the direction-norm stopping threshold, sigma the sufficient
-    decrease fraction, gamma the backtracking ratio. variant selects the
-    metric ("newton" or "gradient"); ell (> 0) is required for "gradient".
+    decrease fraction, gamma the backtracking ratio. variant and ell only
+    select the metric object that solve() builds once and hands to every
+    direction solve: "newton" for the true Hessians, "gradient" for ell
+    times the identity, which requires ell > 0.
     max_dual_iters caps the iterations of the direction subproblem's dual
     loop (one face-Newton or supergradient step each); max_inner_iters caps
     the passes of each exact inner active-set solve (one Cholesky solve
@@ -140,14 +146,20 @@ def _full_values(problem: ProblemInstance, se: SmoothEval, x: np.ndarray) -> np.
 
 
 def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
-                     gamma: float, max_halvings: int = 60, f_x=None) -> float:
+                     gamma: float, max_halvings: int = 60, f_x=None,
+                     keep: Optional[list] = None) -> float:
     """Largest step t = gamma^j with componentwise sufficient decrease.
 
     Accepts t when F_i(x + t d) - F_i(x) <= t * sigma * theta for every i.
     Comparisons involving +inf (an infeasible trial point) fail the test and
-    trigger further backtracking. Raises LineSearchError if no power of gamma
-    up to max_halvings works, and InputError when d is zero or theta >= 0
-    (the test is meaningless without a descent prediction).
+    trigger further backtracking. A trial point is judged on its values
+    only. When keep is a list, on return it holds the oracle output at the
+    accepted point x + t * d (value, gradient and Hessian per objective, in
+    order), with its gradients and Hessians unchecked; a caller that forms
+    its next iterate by the same expression gets the same bits. Raises
+    LineSearchError if no power of gamma up to max_halvings works, and
+    InputError when d is zero or theta >= 0 (the test is meaningless without
+    a descent prediction).
     """
     x = _as_point(x, problem.n)
     d = np.asarray(d, dtype=float)
@@ -164,7 +176,9 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
         raise InputError("line search requires finite objective values at x")
     t = 1.0
     for _ in range(max_halvings + 1):
-        trial = eval_full(problem, x + t * d)
+        if keep is not None:
+            keep.clear()
+        trial = eval_full(problem, x + t * d, keep)
         decrease = trial - f_x
         bound = t * sigma * theta
         # nan/inf-robust acceptance: all decreases must provably satisfy the bound
@@ -187,13 +201,15 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     Each iteration solves the direction subproblem in the configured metric,
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
-    and moves. It also stops with CRITICAL_REACHED at the precision limit,
-    when sigma * theta >= -machine_eps * max(1, max_i |F_i(x)|): there even
-    the unit-step decrease bound is below one ulp of F, so a step could only
-    be accepted by rounding. Such a stop records the zero direction
-    (direction norm, theta and gap 0), as the subproblem does for theta > 0,
-    and, when the direction norm was still >= eps, sets the trace message to
-    name the stop with sigma * theta and the ulp bound.
+    and moves. The oracle output the line search keeps at the accepted point
+    is the next iteration's evaluation; its finiteness is checked there, as
+    a fresh evaluation's would be. It also stops with CRITICAL_REACHED at the
+    precision limit, when sigma * theta >= -machine_eps * max(1, max_i
+    |F_i(x)|): there even the unit-step decrease bound is below one ulp of
+    F, so a step could only be accepted by rounding. Such a stop records the
+    zero direction (direction norm, theta and gap 0), as the subproblem does
+    for theta > 0, and, when the direction norm was still >= eps, sets the
+    trace message to name the stop with sigma * theta and the ulp bound.
     Subproblem or line-search failures are recorded in the trace (status
     SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer yields
     MAX_ITERS.
@@ -202,23 +218,20 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     records = []
     m = problem.m
 
-    ell_eye = None
-    if config.variant == VARIANT_GRADIENT:
-        ell_eye = config.ell * np.eye(problem.n)
+    metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
+              else Metric.hessian())
+    accepted = []  # oracle output at the last accepted step, filled by the line search
 
     for k in range(config.max_outer):
         try:
-            se = eval_smooth(problem, x)
-            if ell_eye is not None:
-                se = SmoothEval(values=se.values, gradients=se.gradients,
-                                hessians=np.broadcast_to(ell_eye, se.hessians.shape))
+            se = _checked_stack(accepted, m, problem.n) if accepted else eval_smooth(problem, x)
             f_x = _full_values(problem, se, x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap,
                                   max_dual_iters=config.max_dual_iters,
                                   max_inner_iters=config.max_inner_iters,
-                                  smooth_eval=se)
+                                  smooth_eval=se, metric=metric)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
             records.append(_nan_record(k, x, _safe_objectives(problem, x, m), m))
             return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
@@ -245,7 +258,8 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
         try:
             t = armijo_backtrack(problem, x, res.direction, res.theta, config.sigma,
-                                 config.gamma, config.max_halvings, f_x=f_x)
+                                 config.gamma, config.max_halvings, f_x=f_x,
+                                 keep=accepted)
         except (LineSearchError, InputError, EvaluationError) as exc:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                        direction_norm=dnorm, theta=res.theta, step=0.0,

@@ -2,13 +2,17 @@
 
 At a point x the search direction solves
 
-    min_d  max_i  grad f_i(x)' d + g_i(x + d) - g_i(x) + 0.5 d' H_i(x) d,
+    min_d  max_i  grad f_i(x)' d + g_i(x + d) - g_i(x) + 0.5 d' H_i d,
 
 whose optimal value is nonpositive and is zero exactly at critical points.
-The min-max is solved through its concave dual over the unit simplex: for
-weights w the inner minimization is a strongly convex piecewise quadratic,
-solved exactly (up to rounding) by a primal active-set loop of Cholesky
-solves on the coordinates that sit on smooth pieces of the nonsmooth term.
+The metric H_i is either the Hessian of f_i at x (the proximal Newton-type
+model) or ell times the identity for every objective (the multiobjective
+proximal gradient model). The min-max is solved through its concave dual
+over the unit simplex: for weights w the inner minimization is a strongly
+convex piecewise quadratic. Under the Hessian metric it is solved exactly
+(up to rounding) by a primal active-set loop of Cholesky solves on the
+coordinates that sit on smooth pieces of the nonsmooth term; under ell I it
+is one proximal map, with no Hessian algebra anywhere.
 The dual function phi(w) = min_d sum_i w_i psi_i(d) is maximized by one
 loop for every m, an active-set projected Newton method on the simplex.
 Each iteration takes a Newton step on the current face, whose
@@ -16,28 +20,29 @@ tangent-space Hessian is available in closed form from the inner solve's
 free coordinates, and falls back to a projected supergradient step only
 when the Newton step gives no ascent. Every model value comes from one
 extended-precision evaluation per snap (one inner solve at fixed weights),
-with the gradients and Hessians cast once per direction: it gives the dual
-value phi, the gap certificate and theta, so tolerances near 1e-12 remain
-meaningful when model values are large.
+with the gradients, the Hessians and g(x) evaluated once per direction: it
+gives the dual value phi, the gap certificate and theta, so tolerances near
+1e-12 remain meaningful when model values are large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConvergenceError, InputError, SingularMetricError
+from .errors import ConfigError, ConvergenceError, InputError, SingularMetricError
 from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _as_point
 
 _EPS = np.finfo(float).eps
 
 __all__ = [
     "DirectionResult",
+    "Metric",
     "project_simplex",
     "model_values",
-    "duality_gap",
     "inner_minimize",
     "solve_direction",
 ]
@@ -75,6 +80,54 @@ class DirectionResult:
     dual_history: tuple = ()
 
 
+@dataclass(frozen=True)
+class Metric:
+    """The curvature H_i of the direction model, shared by every snap.
+
+    Build it with :meth:`hessian` (H_i is the Hessian of f_i at the base
+    point, the proximal Newton-type model) or :meth:`scaled_identity`
+    (H_i = ell I for every objective, the multiobjective proximal gradient
+    model); ell is None for the former.
+    """
+
+    ell: Optional[float] = None
+
+    @classmethod
+    def hessian(cls) -> "Metric":
+        return cls()
+
+    @classmethod
+    def scaled_identity(cls, ell: float) -> "Metric":
+        ell = float(ell)
+        if not (np.isfinite(ell) and ell > 0):
+            raise ConfigError(f"ell must be finite and > 0, got {ell}")
+        return cls(ell=ell)
+
+    def minimize(self, weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
+                 *, max_iters: int = 10000):
+        """Minimize the weighted model at fixed weights; returns (d, free, passes).
+
+        Under the Hessian metric this is :func:`inner_minimize`. Under ell I
+        the minimizer is one proximal map, u = prox_{g/ell}(x - grad_w/ell)
+        and d = u - x, counted as one pass; free marks the coordinates where
+        g is smooth at u (u != 0 for l1, lo < u < hi for the box, all of
+        them for the zero term). smooth_eval's Hessians are not read then.
+        """
+        if self.ell is None:
+            return inner_minimize(weights, smooth_eval, term, x, max_iters=max_iters)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(weights, dtype=float) @ smooth_eval.gradients
+        u = term.prox(x - v / self.ell, 1.0 / self.ell)
+        if term.kind == NonsmoothTerm.KIND_L1:
+            free = u != 0.0
+        elif term.kind == NonsmoothTerm.KIND_BOX:
+            lo, hi = term._bounds_for(u)
+            free = (lo < u) & (u < hi)
+        else:
+            free = np.ones(u.size, dtype=bool)
+        return u - x, free, 1
+
+
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of v onto the unit simplex {w >= 0, sum w = 1}.
 
@@ -105,37 +158,34 @@ def model_values(d, smooth_eval: SmoothEval, terms, x) -> np.ndarray:
     phi, the gap and theta from. Entries may be +inf when x + d leaves the
     domain of an indicator term; x itself must lie inside it.
     """
-    return _model_values_hi(d, smooth_eval.gradients, smooth_eval.hessians,
-                            terms[0], x).astype(float)
+    term = terms[0]
+    return _model_values_hi(d, smooth_eval.gradients, smooth_eval.hessians, term, x,
+                            _term_at(term, x)).astype(float)
 
 
-def _model_values_hi(d, gradients, hessians, term: NonsmoothTerm, x) -> np.ndarray:
-    """All m model values in extended precision, as one vectorized expression.
-
-    gradients (m, n) and hessians (m, n, n) are cast to extended precision
-    unless they already are (solve_direction casts them once per call). The
-    nonsmooth shift g(x + d) - g(x) is common to every objective, because
-    all terms are equal. Extended precision keeps duality gaps near 1e-12
-    resolvable when the model values are large.
-    """
-    dl = np.asarray(d, dtype=np.longdouble)
-    xl = np.asarray(x, dtype=np.longdouble)
-    at_x = term.value(xl)
+def _term_at(term: NonsmoothTerm, x):
+    """g(x) in extended precision; raises InputError outside the term's domain."""
+    at_x = term.value(np.asarray(x, dtype=np.longdouble))
     if not np.isfinite(at_x):
         raise InputError("base point lies outside the domain of the nonsmooth term")
-    shift = term.value(xl + dl) - at_x
+    return at_x
+
+
+def _model_values_hi(d, gradients, hessians, term: NonsmoothTerm, x, at_x) -> np.ndarray:
+    """All m model values in extended precision, as one vectorized expression.
+
+    gradients (m, n), hessians (m, n, n) and x are cast to extended precision
+    unless they already are (solve_direction casts them once per call), and
+    at_x is g(x) from :func:`_term_at`. The nonsmooth shift g(x + d) - g(x)
+    is common to every objective, because all terms are equal. Extended
+    precision keeps duality gaps near 1e-12 resolvable when the model values
+    are large.
+    """
+    dl = np.asarray(d, dtype=np.longdouble)
+    shift = term.value(np.asarray(x, dtype=np.longdouble) + dl) - at_x
     grads = np.asarray(gradients, dtype=np.longdouble)
     hess = np.asarray(hessians, dtype=np.longdouble)
     return grads @ dl + 0.5 * ((hess @ dl) @ dl) + shift
-
-
-def duality_gap(weights, model_vals) -> float:
-    """Gap max_i psi_i - sum_i w_i psi_i; nonnegative up to roundoff."""
-    w = np.asarray(weights, dtype=float)
-    psi = np.asarray(model_vals, dtype=float)
-    if w.shape != psi.shape:
-        raise InputError("weights and model values must have matching shapes")
-    return float(np.max(psi) - w @ psi)
 
 
 def _cholesky(block: np.ndarray):
@@ -256,8 +306,14 @@ class _Snapshot:
 
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                     max_dual_iters: int = 500, *, max_inner_iters: int = 10000,
-                    smooth_eval=None) -> DirectionResult:
+                    smooth_eval=None, metric: Optional[Metric] = None) -> DirectionResult:
     """Solve the direction subproblem at x to a certified duality gap.
+
+    metric defaults to the Hessian metric. smooth_eval, the oracle output at
+    x, is evaluated here when not given; the line search of the outer loop
+    keeps the output at the step it accepts and passes it in, so each
+    iterate sweeps the oracles once. Under the scaled-identity metric its
+    Hessians are not read.
 
     Maximizes the dual over the weight simplex from the uniform vector. Each
     iteration first takes a Newton step on the current face (the support of
@@ -278,17 +334,26 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     if not np.isfinite(tol_gap) or tol_gap <= 0:
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
+    metric = Metric.hessian() if metric is None else metric
+    ell = metric.ell
     term = problem.nonsmooth[0]
+    x_hi = x.astype(np.longdouble)
+    at_x = _term_at(term, x_hi)
     grads_hi = se.gradients.astype(np.longdouble)
-    hess_hi = se.hessians.astype(np.longdouble)
+    if ell is None:
+        hess_hi = se.hessians.astype(np.longdouble)
     m = problem.m
     counts = {"inner": 0, "dual": 0}
 
     def snap(lam: np.ndarray) -> _Snapshot:
-        d, free, passes = inner_minimize(lam, se, term, x, max_iters=max_inner_iters)
+        d, free, passes = metric.minimize(lam, se, term, x, max_iters=max_inner_iters)
         counts["inner"] += passes
         counts["dual"] += 1
-        psi = _model_values_hi(d, grads_hi, hess_hi, term, x)
+        if ell is None:
+            psi = _model_values_hi(d, grads_hi, hess_hi, term, x_hi, at_x)
+        else:
+            dl = d.astype(np.longdouble)
+            psi = grads_hi @ dl + (0.5 * ell) * (dl @ dl) + (term.value(x_hi + dl) - at_x)
         phi = lam @ psi
         return _Snapshot(lam=lam, d=d, free=free, psi=psi, phi=phi, gap=np.max(psi) - phi)
 
@@ -320,8 +385,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     # On a face the dual Hessian restricted to zero-sum directions is
     # -Q' W^-1 Q with Q the per-objective model gradients on the free
     # coordinates and W the free block of the weighted Hessian, so each step
-    # costs one small Cholesky solve and converges quadratically near
-    # optima interior to the face.
+    # costs one small Cholesky solve (none under ell I, where W^-1 = I/ell)
+    # and converges quadratically near optima interior to the face.
     def newton_step(here: _Snapshot):
         lam = here.lam
         support = np.flatnonzero(lam > 0.0)
@@ -342,14 +407,17 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                 return None
             cand = trial(unit)
             return cand if cand.phi >= here.phi else None
-        h_lam = np.tensordot(lam, se.hessians, axes=1)
-        try:
-            factor = cho_factor(h_lam[np.ix_(free, free)])
-        except np.linalg.LinAlgError:
-            return None
-        grads_d = se.gradients[support] + se.hessians[support] @ here.d
-        q = grads_d[:, free]
-        curv = q @ cho_solve(factor, q.T)
+        if ell is None:
+            h_lam = np.tensordot(lam, se.hessians, axes=1)
+            try:
+                factor = cho_factor(h_lam[np.ix_(free, free)])
+            except np.linalg.LinAlgError:
+                return None
+            q = (se.gradients[support] + se.hessians[support] @ here.d)[:, free]
+            curv = q @ cho_solve(factor, q.T)
+        else:
+            q = (se.gradients[support] + ell * here.d)[:, free]
+            curv = q @ q.T / ell
         curv = 0.5 * (curv + curv.T)
         s_len = support.size
         basis = np.vstack([np.eye(s_len - 1), -np.ones(s_len - 1)])

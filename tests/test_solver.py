@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from moprox import (
     LineSearchError,
     NonsmoothTerm,
     ProblemInstance,
+    SmoothObjective,
     SolverConfig,
     Status,
     armijo_backtrack,
@@ -264,3 +267,53 @@ class TestSolveGradientVariant:
         for rec in tr.records:
             if rec.step > 0.0:
                 assert rec.theta <= -0.5 * ell * rec.direction_norm ** 2 + 1e-10
+
+
+class TestOracleSweeps:
+    def test_one_sweep_per_step(self):
+        # with ell >= L every unit step passes the Armijo test, so the
+        # oracles are swept once at the start and once per accepted step
+        spec = InstanceSpec(family="quadratic", n=6, m=3, cond=10.0, seed=3)
+        prob = generate_instance(spec)
+        calls = [0] * prob.m
+
+        def counting(i, fn):
+            def oracle(x):
+                calls[i] += 1
+                return fn(x)
+            return SmoothObjective(oracle)
+
+        prob = dataclasses.replace(prob, smooth=tuple(
+            counting(i, obj.fn) for i, obj in enumerate(prob.smooth)))
+        x0 = np.random.Generator(np.random.PCG64(3)).standard_normal(6)
+        tr = solve(prob, SolverConfig(variant="gradient", ell=prob.lip_grad, eps=1e-6,
+                                      tol_gap=1e-12, max_outer=2000), x0)
+        assert tr.status is Status.CRITICAL_REACHED
+        steps = [r.step for r in tr.records[:-1]]
+        assert len(steps) > 10 and all(t == 1.0 for t in steps)
+        assert calls == [len(steps) + 1] * prob.m
+
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_nonfinite_gradient_at_accepted_point(self, variant):
+        # f(x) = 0.5 x^2 with a nan gradient below x = 0.75: the first step
+        # (to 0 or 0.5) is judged on values only and accepted; the kept
+        # gradient fails its check at the next iteration
+        def oracle(x):
+            grad = x.copy() if x[0] >= 0.75 else np.full(1, np.nan)
+            return 0.5 * float(x @ x), grad, np.eye(1)
+
+        prob = ProblemInstance(n=1, m=1, smooth=(SmoothObjective(oracle),),
+                               nonsmooth=(NonsmoothTerm.zero(),), mu=1.0)
+        extra = {"variant": "gradient", "ell": 2.0} if variant == "gradient" else {}
+        tr = solve(prob, SolverConfig(eps=1e-10, tol_gap=1e-12, **extra), np.array([1.0]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message == "smooth objective 0 returned non-finite output"
+        assert len(tr.records) == 2
+        first, last = tr.records
+        assert first.step == 1.0
+        x1 = 0.5 if variant == "gradient" else 0.0
+        assert last.k == 1 and last.step == 0.0
+        assert last.x[0] == pytest.approx(x1, abs=1e-15)
+        assert last.objectives[0] == 0.5 * last.x[0] ** 2
+        assert np.isnan(last.direction_norm) and np.isnan(last.theta)
+        assert np.isnan(last.gap) and np.all(np.isnan(last.weights))

@@ -5,16 +5,18 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from moprox import (
+    ConfigError,
     ConvergenceError,
     InputError,
     InstanceSpec,
     NonsmoothTerm,
+    SmoothEval,
     eval_smooth,
     gen_quadratic,
     generate_instance,
 )
 from moprox.subproblem import (
-    duality_gap,
+    Metric,
     inner_minimize,
     model_values,
     project_simplex,
@@ -59,6 +61,14 @@ class TestModelValues:
         d = np.array([-1.0])
         psi = model_values(d, se, biquadratic.nonsmooth, x)
         assert np.allclose(psi, [-0.5, -2.5])
+
+    def test_vertex_step_by_hand(self, biquadratic):
+        x = np.array([2.0])
+        se = eval_smooth(biquadratic, x)
+        # the exact inner step at weights (0, 1): weighted gradient 3,
+        # curvature 1, so d = -3
+        psi = model_values(np.array([-3.0]), se, biquadratic.nonsmooth, x)
+        assert np.allclose(psi, [1.5, -4.5])
 
     def test_l1_shift_included(self, l1_scalar):
         x = np.array([3.0])
@@ -124,30 +134,6 @@ class TestModelValues:
         box = NonsmoothTerm.box(-3.0 * np.ones(3), 3.0 * np.ones(3))
         assert box.value(u) == 0.0
         assert box.value(u + np.longdouble(3.0)) == np.inf
-
-
-class TestDualityGap:
-    def test_frozen_vertex_gap(self, biquadratic):
-        x = np.array([2.0])
-        se = eval_smooth(biquadratic, x)
-        lam = np.array([0.0, 1.0])
-        # weighted gradient 3, curvature 1: exact inner step d = -3
-        d = np.array([-3.0])
-        psi = model_values(d, se, biquadratic.nonsmooth, x)
-        assert np.allclose(psi, [1.5, -4.5])
-        assert duality_gap(lam, psi) == pytest.approx(6.0, abs=1e-12)
-
-    def test_gap_zero_at_saddle(self, biquadratic):
-        x = np.array([2.0])
-        se = eval_smooth(biquadratic, x)
-        lam = np.array([1.0, 0.0])
-        d = np.array([-1.0])
-        psi = model_values(d, se, biquadratic.nonsmooth, x)
-        assert duality_gap(lam, psi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            duality_gap(np.zeros(3), np.zeros(2))
 
 
 class TestInnerMinimize:
@@ -340,3 +326,63 @@ class TestSolveDirection:
             solve_direction(l1_scalar, np.array([3.0]), tol_gap=1e-12,
                             max_inner_iters=1)
         assert exc.value.residual is not None
+
+
+class TestScaledIdentityMetric:
+    """The closed form under ell I against the dense path fed an ell I stack."""
+
+    @staticmethod
+    def _case(family, n, m, seed):
+        spec = InstanceSpec(family=family, n=n, m=m, cond=100.0,
+                            rho=0.1 if family == "quadratic_l1" else 0.0, seed=seed)
+        prob = generate_instance(spec)
+        rng = np.random.Generator(np.random.PCG64(200 + seed))
+        x = 2.0 * rng.standard_normal(n)
+        if family == "quadratic_l1":
+            x[rng.random(n) < 0.3] = 0.0
+        elif family == "quadratic_box":
+            x = np.clip(x, spec.lo, spec.hi)
+        se = eval_smooth(prob, x)
+        ell = prob.lip_grad
+        # the dense reference: every Hessian replaced by a broadcast ell I
+        dense = SmoothEval(values=se.values, gradients=se.gradients,
+                           hessians=np.broadcast_to(ell * np.eye(n), (m, n, n)))
+        return prob, x, se, dense, ell, rng
+
+    @pytest.mark.parametrize("family", ["quadratic", "quadratic_l1", "quadratic_box"])
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_matches_dense_path(self, family, n, m):
+        for seed in range(5):
+            prob, x, se, dense, ell, rng = self._case(family, n, m, seed)
+            metric = Metric.scaled_identity(ell)
+            term = prob.nonsmooth[0]
+            lam = rng.dirichlet(np.ones(m))
+            d, free, passes = metric.minimize(lam, se, term, x)
+            d_ref, free_ref, _ = inner_minimize(lam, dense, term, x)
+            assert passes == 1
+            assert np.array_equal(free, free_ref), seed
+            assert np.max(np.abs(d - d_ref)) <= 1e-12 * max(1.0, np.linalg.norm(d_ref))
+
+            res = solve_direction(prob, x, tol_gap=1e-12, smooth_eval=se, metric=metric)
+            ref = solve_direction(prob, x, tol_gap=1e-12, smooth_eval=dense)
+            scale = max(1.0, float(np.linalg.norm(ref.direction)))
+            assert np.max(np.abs(res.direction - ref.direction)) <= 1e-12 * scale, seed
+            assert abs(res.theta - ref.theta) <= 1e-13 * max(1.0, abs(ref.theta)), seed
+            assert res.inner_iters == res.dual_iters
+
+    def test_hessians_not_read(self):
+        prob, x, se, _, ell, _ = self._case("quadratic_l1", 10, 3, 0)
+        nan_hessians = SmoothEval(values=se.values, gradients=se.gradients,
+                                  hessians=np.full_like(se.hessians, np.nan))
+        metric = Metric.scaled_identity(ell)
+        want = solve_direction(prob, x, tol_gap=1e-12, smooth_eval=se, metric=metric)
+        got = solve_direction(prob, x, tol_gap=1e-12, smooth_eval=nan_hessians,
+                              metric=metric)
+        assert np.array_equal(got.direction, want.direction)
+        assert got.theta == want.theta
+
+    def test_rejects_bad_ell(self):
+        for ell in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                Metric.scaled_identity(ell)
