@@ -1,11 +1,12 @@
 """Multiobjective composite optimization with a proximal Newton-type solver.
 
-Minimizes vector objectives F(x) whose components are F_i = f_i + g_i with
-smooth f_i and simple convex g_i. The search direction at each iterate
-solves a min-max model built from gradients and Hessians (or a scaled
-identity for the first-order variant); a backtracking line search enforces
-componentwise sufficient decrease. Diagnostics verify criticality,
-convergence order, and step-to-error ratios from recorded traces.
+Minimizes vector objectives F(x) whose components are F_i = f_i + g with
+smooth f_i and one simple convex g shared by every objective. The search
+direction at each iterate solves a min-max model built from gradients and
+Hessians (or a scaled identity for the first-order variant); a backtracking
+line search enforces componentwise sufficient decrease. Diagnostics verify
+criticality, convergence order, and step-to-error ratios from recorded
+traces.
 """
 
 from .errors import (

@@ -273,13 +273,9 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
         return Verdict(name="fundamental_ineq_quadratic", passed=True, margin=0.0,
                        detail="no unit steps in trace", applicable=False)
     def weighted_full(lam, z):
+        # one shared g: outside dom g every F_i is +inf
         vals = eval_full(problem, z)
-        if np.any(np.isinf(vals)):
-            mask = lam > 0.0
-            if np.any(np.isinf(vals[mask])):
-                return float("inf")
-            return float(lam[mask] @ vals[mask])
-        return float(lam @ vals)
+        return float("inf") if np.isinf(vals[0]) else float(lam @ vals)
 
     worst = float("inf")
     for i in unit_idx:

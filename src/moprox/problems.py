@@ -1,9 +1,10 @@
 """Problem model for multiobjective composite optimization.
 
-A problem bundles m objectives F_i = f_i + g_i on R^n. Each f_i is twice
+A problem bundles m objectives F_i = f_i + g on R^n. Each f_i is twice
 continuously differentiable and is accessed through a single oracle that
-returns value, gradient, and Hessian at a point. Each g_i is one of three
-closed proper convex terms with a closed-form proximal map:
+returns value, gradient, and Hessian at a point. The nonsmooth term g is
+shared by every objective, stored once and evaluated once per point; it is
+one of three closed proper convex terms with a closed-form proximal map:
 
 * ``zero``: identically zero,
 * ``l1``: a nonnegatively scaled l1 norm, rho * ||x||_1,
@@ -113,18 +114,6 @@ class NonsmoothTerm:
             raise ConfigError("box requires lo <= hi componentwise")
         return cls(kind=cls.KIND_BOX, lo=lo, hi=hi)
 
-    def _bounds_for(self, x: np.ndarray):
-        lo = np.broadcast_to(self.lo, x.shape)
-        hi = np.broadcast_to(self.hi, x.shape)
-        return lo, hi
-
-    @staticmethod
-    def _bound_slack(x, lo, hi):
-        # membership tolerance of a few ulps: points produced by the proximal
-        # map must stay feasible after the x + (u - x) floating round trip
-        mag = np.maximum(np.abs(x), np.maximum(np.abs(lo), np.abs(hi)))
-        return 4.0 * np.finfo(float).eps * (1.0 + mag)
-
     def value(self, x: np.ndarray):
         """Extended-real value of the term; +inf outside a box.
 
@@ -135,9 +124,11 @@ class NonsmoothTerm:
             return 0.0
         if self.kind == self.KIND_L1:
             return self.rho * np.sum(np.abs(x))
-        lo, hi = self._bounds_for(x)
-        slack = self._bound_slack(x, lo, hi)
-        if np.all(x >= lo - slack) and np.all(x <= hi + slack):
+        # membership tolerance of a few ulps: points produced by the proximal
+        # map must stay feasible after the x + (u - x) floating round trip
+        mag = np.maximum(np.abs(x), np.maximum(np.abs(self.lo), np.abs(self.hi)))
+        slack = 4.0 * np.finfo(float).eps * (1.0 + mag)
+        if np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack):
             return 0.0
         return float("inf")
 
@@ -152,46 +143,7 @@ class NonsmoothTerm:
         if self.kind == self.KIND_L1:
             thr = c * self.rho
             return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-        lo, hi = self._bounds_for(v)
-        return np.clip(v, lo, hi)
-
-    def subdiff_residual(self, u: np.ndarray, r: np.ndarray) -> float:
-        """Distance from -r to the subdifferential of the term at u.
-
-        Returns min over s in the subdifferential of ||r + s||. Used to verify
-        that a candidate direction satisfies the subproblem's stationarity
-        condition to a tolerance.
-        """
-        u = np.asarray(u, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if self.kind == self.KIND_ZERO:
-            return float(np.linalg.norm(r))
-        if self.kind == self.KIND_L1:
-            res = np.where(
-                u != 0.0,
-                r + self.rho * np.sign(u),
-                np.sign(r) * np.maximum(np.abs(r) - self.rho, 0.0),
-            )
-            return float(np.linalg.norm(res))
-        lo, hi = self._bounds_for(u)
-        slack = self._bound_slack(u, lo, hi)
-        res = r.copy()
-        at_lo = u <= lo + slack
-        at_hi = u >= hi - slack
-        # normal cone: (-inf, 0] at the lower bound, [0, inf) at the upper
-        res[at_lo] = np.maximum(-r[at_lo], 0.0)
-        res[at_hi] = np.maximum(r[at_hi], 0.0)
-        res[at_lo & at_hi] = 0.0
-        return float(np.linalg.norm(res))
-
-    def same_as(self, other: "NonsmoothTerm") -> bool:
-        if self.kind != other.kind:
-            return False
-        if self.kind == self.KIND_L1:
-            return self.rho == other.rho
-        if self.kind == self.KIND_BOX:
-            return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
-        return True
+        return np.clip(v, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -205,7 +157,7 @@ class SmoothEval:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """An instance min F(x), F_i = f_i + g_i, with metadata used by diagnostics.
+    """An instance min F(x), F_i = f_i + g, with metadata used by diagnostics.
 
     Parameters
     ----------
@@ -213,9 +165,10 @@ class ProblemInstance:
         Ambient dimension and number of objectives.
     smooth : tuple of SmoothObjective
         One oracle per objective.
-    nonsmooth : tuple of NonsmoothTerm
-        One term per objective. For m > 1 all terms must share kind and
-        parameters; mixed terms are rejected at construction.
+    nonsmooth : NonsmoothTerm
+        The one term g shared by every objective. Anything else, a tuple of
+        terms included, is rejected at construction, as are box bounds whose
+        length is neither 1 nor n.
     mu : float
         Strong-convexity modulus: every smooth Hessian is assumed >= mu * I.
     lip_grad, lip_hess : float, optional
@@ -227,7 +180,7 @@ class ProblemInstance:
     n: int
     m: int
     smooth: tuple
-    nonsmooth: tuple
+    nonsmooth: NonsmoothTerm
     mu: float
     lip_grad: Optional[float] = None
     lip_hess: Optional[float] = None
@@ -240,20 +193,18 @@ class ProblemInstance:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if len(self.smooth) != self.m:
             raise ConfigError(f"expected {self.m} smooth objectives, got {len(self.smooth)}")
-        if len(self.nonsmooth) != self.m:
-            raise ConfigError(f"expected {self.m} nonsmooth terms, got {len(self.nonsmooth)}")
+        if not isinstance(self.nonsmooth, NonsmoothTerm):
+            raise ConfigError("nonsmooth must be one NonsmoothTerm, shared by every objective")
+        lo = self.nonsmooth.lo  # None unless g is a box
+        if lo is not None and lo.shape not in ((1,), (self.n,)):
+            raise ConfigError(f"box bounds must have length 1 or n={self.n}, "
+                              f"got shape {lo.shape}")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
         for name in ("lip_grad", "lip_hess"):
             v = getattr(self, name)
             if v is not None and (not np.isfinite(v) or v < 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        first = self.nonsmooth[0]
-        for term in self.nonsmooth[1:]:
-            if not first.same_as(term):
-                raise ConfigError(
-                    "all nonsmooth terms must share kind and parameters when m > 1"
-                )
         if self.reference_solution is not None:
             ref = _as_point(self.reference_solution, self.n)
             object.__setattr__(self, "reference_solution", ref)
@@ -292,23 +243,25 @@ def eval_smooth(problem: ProblemInstance, x) -> SmoothEval:
 
 
 def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None) -> np.ndarray:
-    """Componentwise full objective values F_i(x) = f_i(x) + g_i(x), shape (m,).
+    """Componentwise full objective values F_i(x) = f_i(x) + g(x), shape (m,).
 
-    Values may be +inf when a box indicator is violated; smooth parts must be
-    finite or EvaluationError is raised. When keep is a list, each
-    objective's oracle output (value, gradient, Hessian) is appended to it in
-    order; only the values are checked here.
+    g(x) is evaluated once and added to every smooth value, so all values
+    are +inf when a box indicator is violated; smooth parts must be finite or
+    EvaluationError is raised. When keep is a list, each objective's oracle
+    output (value, gradient, Hessian) is appended to it in order; only the
+    values are checked here.
     """
     x = _as_point(x, problem.n)
+    g = problem.nonsmooth.value(x)
     out = np.empty(problem.m)
-    for i, (obj, term) in enumerate(zip(problem.smooth, problem.nonsmooth)):
+    for i, obj in enumerate(problem.smooth):
         output = obj.evaluate(x)
         v = output[0]
         if not np.isfinite(v):
             raise EvaluationError(
                 f"smooth objective {i} returned non-finite value", objective_index=i
             )
-        out[i] = v + term.value(x)
+        out[i] = v + g
         if keep is not None:
             keep.append(output)
     return out

@@ -28,7 +28,7 @@ from .errors import (
     MoproxError,
     SingularMetricError,
 )
-from .problems import ProblemInstance, SmoothEval, eval_smooth, _as_point, _checked_stack
+from .problems import ProblemInstance, eval_smooth, _as_point, _checked_stack
 from .subproblem import Metric, solve_direction
 
 __all__ = [
@@ -138,13 +138,6 @@ class SolveTrace:
         return np.vstack([r.x for r in self.records])
 
 
-def _full_values(problem: ProblemInstance, se: SmoothEval, x: np.ndarray) -> np.ndarray:
-    vals = se.values.copy()
-    for i, term in enumerate(problem.nonsmooth):
-        vals[i] += term.value(x)
-    return vals
-
-
 def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
                      gamma: float, max_halvings: int = 60, f_x=None,
                      keep: Optional[list] = None) -> float:
@@ -225,7 +218,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     for k in range(config.max_outer):
         try:
             se = _checked_stack(accepted, m, problem.n) if accepted else eval_smooth(problem, x)
-            f_x = _full_values(problem, se, x)
+            f_x = se.values + problem.nonsmooth.value(x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap,

@@ -2,7 +2,7 @@
 
 At a point x the search direction solves
 
-    min_d  max_i  grad f_i(x)' d + g_i(x + d) - g_i(x) + 0.5 d' H_i d,
+    min_d  max_i  grad f_i(x)' d + g(x + d) - g(x) + 0.5 d' H_i d,
 
 whose optimal value is nonpositive and is zero exactly at critical points.
 The metric H_i is either the Hessian of f_i at x (the proximal Newton-type
@@ -121,8 +121,7 @@ class Metric:
         if term.kind == NonsmoothTerm.KIND_L1:
             free = u != 0.0
         elif term.kind == NonsmoothTerm.KIND_BOX:
-            lo, hi = term._bounds_for(u)
-            free = (lo < u) & (u < hi)
+            free = (term.lo < u) & (u < term.hi)
         else:
             free = np.ones(u.size, dtype=bool)
         return u - x, free, 1
@@ -150,7 +149,7 @@ def project_simplex(v) -> np.ndarray:
     return w
 
 
-def model_values(d, smooth_eval: SmoothEval, terms, x) -> np.ndarray:
+def model_values(d, smooth_eval: SmoothEval, term: NonsmoothTerm, x) -> np.ndarray:
     """Per-objective model values psi_i(d) at the base point x.
 
     psi_i(d) = grad f_i' d + g(x + d) - g(x) + 0.5 d' H_i d, the float
@@ -158,7 +157,6 @@ def model_values(d, smooth_eval: SmoothEval, terms, x) -> np.ndarray:
     phi, the gap and theta from. Entries may be +inf when x + d leaves the
     domain of an indicator term; x itself must lie inside it.
     """
-    term = terms[0]
     return _model_values_hi(d, smooth_eval.gradients, smooth_eval.hessians, term, x,
                             _term_at(term, x)).astype(float)
 
@@ -177,7 +175,7 @@ def _model_values_hi(d, gradients, hessians, term: NonsmoothTerm, x, at_x) -> np
     gradients (m, n), hessians (m, n, n) and x are cast to extended precision
     unless they already are (solve_direction casts them once per call), and
     at_x is g(x) from :func:`_term_at`. The nonsmooth shift g(x + d) - g(x)
-    is common to every objective, because all terms are equal. Extended
+    is common to every objective, because g is shared. Extended
     precision keeps duality gaps near 1e-12 resolvable when the model values
     are large.
     """
@@ -228,7 +226,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
         side = np.sign(x)  # sign of u on free coordinates
         free = x != 0.0
     elif term.kind == NonsmoothTerm.KIND_BOX:
-        lo, hi = term._bounds_for(x)
+        lo, hi = np.broadcast_to(term.lo, x.shape), np.broadcast_to(term.hi, x.shape)
         side = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))  # held bound
         free = side == 0.0
         d[~free] = np.where(side < 0.0, lo, hi)[~free] - x[~free]
@@ -336,7 +334,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
     metric = Metric.hessian() if metric is None else metric
     ell = metric.ell
-    term = problem.nonsmooth[0]
+    term = problem.nonsmooth
     x_hi = x.astype(np.longdouble)
     at_x = _term_at(term, x_hi)
     grads_hi = se.gradients.astype(np.longdouble)

@@ -113,7 +113,7 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
-    """Strongly convex quadratics f_i = 0.5 x'A_i x - b_i'x with zero terms.
+    """Strongly convex quadratics f_i = 0.5 x'A_i x - b_i'x with g = 0.
 
     Each A_i = Q_i D_i Q_i' where Q_i is a seeded random orthogonal factor
     and D_i holds eigenvalues log-uniform in [mu, mu*cond] with the interval
@@ -144,8 +144,7 @@ def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
     lip = spec.mu if spec.n == 1 else spec.mu * spec.cond
     return ProblemInstance(
         n=spec.n, m=spec.m, smooth=tuple(smooth),
-        nonsmooth=tuple(NonsmoothTerm.zero() for _ in range(spec.m)),
-        mu=spec.mu, lip_grad=lip, lip_hess=0.0,
+        nonsmooth=NonsmoothTerm.zero(), mu=spec.mu, lip_grad=lip, lip_hess=0.0,
     )
 
 
@@ -185,22 +184,19 @@ def gen_logsumexp_reg(spec: InstanceSpec, rows_per_objective: int = 5,
             slices.append(float(np.linalg.norm((h_plus - h_minus) / (2.0 * h), 2)))
     return ProblemInstance(
         n=spec.n, m=spec.m, smooth=tuple(smooth),
-        nonsmooth=tuple(NonsmoothTerm.zero() for _ in range(spec.m)),
-        mu=spec.mu,
+        nonsmooth=NonsmoothTerm.zero(), mu=spec.mu,
         lip_grad=spec.mu + max_row_sq,
         lip_hess=float(np.median(slices)),
     )
 
 
 def attach_nonsmooth(instance: ProblemInstance, term: NonsmoothTerm) -> ProblemInstance:
-    """Replace every nonsmooth term with the given one (uniform across objectives).
+    """Replace the instance's shared nonsmooth term g with the given one.
 
-    Clears reference_solution, which describes the original instance only.
+    ProblemInstance validates the term. Clears reference_solution, which
+    describes the original instance only.
     """
-    if not isinstance(term, NonsmoothTerm):
-        raise ConfigError("attach_nonsmooth expects a NonsmoothTerm")
-    return replace(instance, nonsmooth=tuple(term for _ in range(instance.m)),
-                   reference_solution=None)
+    return replace(instance, nonsmooth=term, reference_solution=None)
 
 
 def generate_instance(spec: InstanceSpec, shifts=None) -> ProblemInstance:

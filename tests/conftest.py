@@ -42,6 +42,38 @@ def fd_hessian(evaluate, x, h=1e-5):
     return 0.5 * (H + H.T)
 
 
+def subdiff_residual(term: NonsmoothTerm, u, r) -> float:
+    """Distance from -r to the subdifferential of the term at u.
+
+    Returns min over s in the subdifferential of ||r + s||. Used to verify
+    that a candidate direction satisfies the subproblem's stationarity
+    condition to a tolerance. A box coordinate within a few ulps of a bound
+    counts as sitting on it.
+    """
+    u = np.asarray(u, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if term.kind == NonsmoothTerm.KIND_ZERO:
+        return float(np.linalg.norm(r))
+    if term.kind == NonsmoothTerm.KIND_L1:
+        res = np.where(
+            u != 0.0,
+            r + term.rho * np.sign(u),
+            np.sign(r) * np.maximum(np.abs(r) - term.rho, 0.0),
+        )
+        return float(np.linalg.norm(res))
+    lo, hi = term.lo, term.hi
+    slack = 4.0 * np.finfo(float).eps * (
+        1.0 + np.maximum(np.abs(u), np.maximum(np.abs(lo), np.abs(hi))))
+    res = r.copy()
+    at_lo = u <= lo + slack
+    at_hi = u >= hi - slack
+    # normal cone: (-inf, 0] at the lower bound, [0, inf) at the upper
+    res[at_lo] = np.maximum(-r[at_lo], 0.0)
+    res[at_hi] = np.maximum(r[at_hi], 0.0)
+    res[at_lo & at_hi] = 0.0
+    return float(np.linalg.norm(res))
+
+
 def simplex_projection_oracle(v):
     """Exact simplex projection by enumerating supports (m small).
 
@@ -81,7 +113,7 @@ def grid_min_theta(problem: ProblemInstance, x, rounds=10, pts=41):
     n = problem.n
     assert n <= 2
     se = eval_smooth(problem, x)
-    terms = problem.nonsmooth
+    term = problem.nonsmooth
     base_abs = float(np.abs(x).sum())
 
     def psi_max(D):
@@ -90,12 +122,11 @@ def grid_min_theta(problem: ProblemInstance, x, rounds=10, pts=41):
         for i in range(problem.m):
             lin = D @ se.gradients[i]
             quad = 0.5 * np.einsum("ij,ij->i", D @ se.hessians[i], D)
-            term = terms[i]
             if term.kind == NonsmoothTerm.KIND_L1:
                 shift = term.rho * (np.abs(XD).sum(axis=1) - base_abs)
             elif term.kind == NonsmoothTerm.KIND_BOX:
-                lo, hi = term._bounds_for(x)
-                ok = np.all(XD >= lo - 1e-9, axis=1) & np.all(XD <= hi + 1e-9, axis=1)
+                ok = (np.all(XD >= term.lo - 1e-9, axis=1)
+                      & np.all(XD <= term.hi + 1e-9, axis=1))
                 shift = np.where(ok, 0.0, np.inf)
             else:
                 shift = 0.0
@@ -136,4 +167,4 @@ def l1_scalar():
 
     return ProblemInstance(
         n=1, m=1, smooth=(SmoothObjective(f),),
-        nonsmooth=(NonsmoothTerm.scaled_l1(1.0),), mu=1.0)
+        nonsmooth=NonsmoothTerm.scaled_l1(1.0), mu=1.0)

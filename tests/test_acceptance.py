@@ -281,7 +281,7 @@ def test_a09_criticality_classifier():
         rho = 1.5 * float(np.max(np.abs(b)))
         prob = ProblemInstance(
             n=3, m=1, smooth=(quadratic_objective(a, b),),
-            nonsmooth=(NonsmoothTerm.scaled_l1(rho),),
+            nonsmooth=NonsmoothTerm.scaled_l1(rho),
             mu=float(np.linalg.eigvalsh(a).min()))
         crit_vals.append(criticality_measure(prob, np.zeros(3)))
     assert len(crit_vals) == 10

@@ -13,7 +13,7 @@ from moprox import (
 )
 from moprox.zoo import logsumexp_objective, quadratic_objective
 
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, subdiff_residual
 
 
 RNG = np.random.Generator(np.random.PCG64(101))
@@ -128,28 +128,19 @@ class TestNonsmoothTerm:
     def test_subdiff_residual_l1(self):
         t = NonsmoothTerm.scaled_l1(1.0)
         # at u > 0 the subdifferential is {rho}; residual |r + rho|
-        assert t.subdiff_residual(np.array([2.0]), np.array([-1.0])) == pytest.approx(0.0)
-        assert t.subdiff_residual(np.array([2.0]), np.array([0.5])) == pytest.approx(1.5)
+        assert subdiff_residual(t, np.array([2.0]), np.array([-1.0])) == pytest.approx(0.0)
+        assert subdiff_residual(t, np.array([2.0]), np.array([0.5])) == pytest.approx(1.5)
         # at u = 0 the subdifferential is [-rho, rho]
-        assert t.subdiff_residual(np.array([0.0]), np.array([0.7])) == pytest.approx(0.0)
-        assert t.subdiff_residual(np.array([0.0]), np.array([1.7])) == pytest.approx(0.7)
+        assert subdiff_residual(t, np.array([0.0]), np.array([0.7])) == pytest.approx(0.0)
+        assert subdiff_residual(t, np.array([0.0]), np.array([1.7])) == pytest.approx(0.7)
 
     def test_subdiff_residual_box(self):
         t = NonsmoothTerm.box(-np.ones(1), np.ones(1))
         # interior: subdifferential {0}
-        assert t.subdiff_residual(np.array([0.2]), np.array([0.4])) == pytest.approx(0.4)
+        assert subdiff_residual(t, np.array([0.2]), np.array([0.4])) == pytest.approx(0.4)
         # residual is dist(-r, normal cone); the upper cone [0, inf) absorbs r <= 0
-        assert t.subdiff_residual(np.array([1.0]), np.array([-2.0])) == pytest.approx(0.0)
-        assert t.subdiff_residual(np.array([1.0]), np.array([3.0])) == pytest.approx(3.0)
-
-    def test_same_as(self):
-        assert NonsmoothTerm.zero().same_as(NonsmoothTerm.zero())
-        assert NonsmoothTerm.scaled_l1(1.0).same_as(NonsmoothTerm.scaled_l1(1.0))
-        assert not NonsmoothTerm.scaled_l1(1.0).same_as(NonsmoothTerm.scaled_l1(2.0))
-        assert not NonsmoothTerm.zero().same_as(NonsmoothTerm.scaled_l1(0.0))
-        b1 = NonsmoothTerm.box(-np.ones(2), np.ones(2))
-        b2 = NonsmoothTerm.box(-np.ones(2), 2.0 * np.ones(2))
-        assert not b1.same_as(b2)
+        assert subdiff_residual(t, np.array([1.0]), np.array([-2.0])) == pytest.approx(0.0)
+        assert subdiff_residual(t, np.array([1.0]), np.array([3.0])) == pytest.approx(3.0)
 
 
 def _quad_instance(m=2, n=3, seed=5):
@@ -160,17 +151,22 @@ def _quad_instance(m=2, n=3, seed=5):
         A = M @ M.T + n * np.eye(n)
         smooth.append(quadratic_objective(A, rng.standard_normal(n)))
     return ProblemInstance(n=n, m=m, smooth=tuple(smooth),
-                           nonsmooth=tuple(NonsmoothTerm.zero() for _ in range(m)),
-                           mu=1.0)
+                           nonsmooth=NonsmoothTerm.zero(), mu=1.0)
 
 
 class TestProblemInstance:
-    def test_mixed_nonsmooth_terms_rejected(self):
+    def test_nonsmooth_must_be_one_term_of_matching_length(self):
         base = _quad_instance()
-        with pytest.raises(ConfigError):
-            ProblemInstance(n=base.n, m=2, smooth=base.smooth,
-                            nonsmooth=(NonsmoothTerm.zero(), NonsmoothTerm.scaled_l1(1.0)),
+        zero = NonsmoothTerm.zero()
+        with pytest.raises(ConfigError, match="one NonsmoothTerm"):
+            ProblemInstance(n=base.n, m=2, smooth=base.smooth, nonsmooth=(zero, zero),
                             mu=1.0)
+        with pytest.raises(ConfigError, match="length 1 or n=3"):
+            ProblemInstance(n=base.n, m=2, smooth=base.smooth,
+                            nonsmooth=NonsmoothTerm.box(-np.ones(2), np.ones(2)), mu=1.0)
+        for bound in (0.5, 0.5 * np.ones(3)):
+            ProblemInstance(n=base.n, m=2, smooth=base.smooth,
+                            nonsmooth=NonsmoothTerm.box(-bound, bound), mu=1.0)
 
     def test_count_and_mu_validation(self):
         base = _quad_instance()
@@ -198,7 +194,7 @@ class TestProblemInstance:
             return np.inf, np.zeros(1), np.eye(1)
 
         prob = ProblemInstance(n=1, m=1, smooth=(SmoothObjective(bad),),
-                               nonsmooth=(NonsmoothTerm.zero(),), mu=1.0)
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
         with pytest.raises(EvaluationError) as exc:
             eval_smooth(prob, np.zeros(1))
         assert exc.value.objective_index == 0
@@ -206,12 +202,29 @@ class TestProblemInstance:
     def test_eval_full_adds_indicator(self):
         prob = _quad_instance()
         box = NonsmoothTerm.box(-0.5 * np.ones(3), 0.5 * np.ones(3))
-        prob = ProblemInstance(n=3, m=2, smooth=prob.smooth,
-                               nonsmooth=(box, box), mu=1.0)
+        prob = ProblemInstance(n=3, m=2, smooth=prob.smooth, nonsmooth=box, mu=1.0)
         inside = eval_full(prob, np.zeros(3))
         assert np.all(np.isfinite(inside))
         outside = eval_full(prob, np.ones(3))
         assert np.all(np.isinf(outside))
+
+    def test_eval_full_evaluates_g_once(self, monkeypatch):
+        prob = _quad_instance(m=3)
+        prob = ProblemInstance(n=3, m=3, smooth=prob.smooth,
+                               nonsmooth=NonsmoothTerm.scaled_l1(0.5), mu=1.0)
+        calls = []
+        value = NonsmoothTerm.value
+
+        def counted(term, x):
+            calls.append(1)
+            return value(term, x)
+
+        monkeypatch.setattr(NonsmoothTerm, "value", counted)
+        x = RNG.standard_normal(3)
+        full = eval_full(prob, x)
+        assert len(calls) == 1
+        g = 0.5 * np.sum(np.abs(x))
+        assert np.array_equal(full, eval_smooth(prob, x).values + g)
 
     def test_point_validation(self):
         prob = _quad_instance()

@@ -19,14 +19,14 @@ from moprox import (
     generate_instance,
     solve,
 )
-from moprox.zoo import quadratic_objective
+from moprox.zoo import attach_nonsmooth, quadratic_objective
 
 
 def _single_quadratic(a=1.0, b=0.0):
     return ProblemInstance(
         n=1, m=1,
         smooth=(quadratic_objective(np.array([[a]]), np.array([b])),),
-        nonsmooth=(NonsmoothTerm.zero(),), mu=a)
+        nonsmooth=NonsmoothTerm.zero(), mu=a)
 
 
 class TestSolverConfig:
@@ -74,7 +74,7 @@ class TestArmijoBacktrack:
         smooth = (quadratic_objective(np.array([[10.0]]), np.array([0.0])),
                   quadratic_objective(np.array([[8.0]]), np.array([6.0])))
         prob = ProblemInstance(n=1, m=2, smooth=smooth,
-                               nonsmooth=(NonsmoothTerm.zero(),) * 2, mu=8.0)
+                               nonsmooth=NonsmoothTerm.zero(), mu=8.0)
         x = np.array([1.0])
         d = np.array([-1.0])
         t = armijo_backtrack(prob, x, d, -0.5, sigma=0.1, gamma=0.5)
@@ -91,7 +91,7 @@ class TestArmijoBacktrack:
         prob = ProblemInstance(
             n=1, m=1,
             smooth=(quadratic_objective(np.array([[1.0]]), np.array([0.0])),),
-            nonsmooth=(box,), mu=1.0)
+            nonsmooth=box, mu=1.0)
         # full step leaves the box; halved step stays inside
         t = armijo_backtrack(prob, np.array([1.0]), np.array([-1.5]), -0.4,
                              sigma=0.1, gamma=0.5)
@@ -220,7 +220,7 @@ class TestSolveGradientVariant:
         prob = ProblemInstance(
             n=2, m=1,
             smooth=(quadratic_objective(ell * np.eye(2), np.array([1.0, -2.0])),),
-            nonsmooth=(NonsmoothTerm.zero(),), mu=ell)
+            nonsmooth=NonsmoothTerm.zero(), mu=ell)
         x0 = np.array([2.0, 2.0])
         tr_n = solve(prob, SolverConfig(eps=1e-12, tol_gap=1e-13), x0)
         tr_g = solve(prob, SolverConfig(variant="gradient", ell=ell, eps=1e-12,
@@ -303,7 +303,7 @@ class TestOracleSweeps:
             return 0.5 * float(x @ x), grad, np.eye(1)
 
         prob = ProblemInstance(n=1, m=1, smooth=(SmoothObjective(oracle),),
-                               nonsmooth=(NonsmoothTerm.zero(),), mu=1.0)
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
         extra = {"variant": "gradient", "ell": 2.0} if variant == "gradient" else {}
         tr = solve(prob, SolverConfig(eps=1e-10, tol_gap=1e-12, **extra), np.array([1.0]))
         assert tr.status is Status.SUBPROBLEM_FAILURE
@@ -317,3 +317,29 @@ class TestOracleSweeps:
         assert last.objectives[0] == 0.5 * last.x[0] ** 2
         assert np.isnan(last.direction_norm) and np.isnan(last.theta)
         assert np.isnan(last.gap) and np.all(np.isnan(last.weights))
+
+
+class TestScalarBoxBounds:
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_scalar_bounds_match_length_n_bounds(self, m, variant):
+        # length-1 bounds broadcast against every point of an n = 10 problem
+        n = 10
+        base = generate_instance(InstanceSpec(family="quadratic", n=n, m=m, cond=10.0,
+                                              seed=m))
+        config = SolverConfig(eps=1e-9, tol_gap=1e-12, variant=variant,
+                              ell=base.lip_grad, max_outer=2000)
+        x0 = np.clip(2.0 * np.random.Generator(np.random.PCG64(m)).standard_normal(n),
+                     -0.3, 0.3)
+        traces = [solve(attach_nonsmooth(base, term), config, x0)
+                  for term in (NonsmoothTerm.box(-0.3, 0.3),
+                               NonsmoothTerm.box(-0.3 * np.ones(n), 0.3 * np.ones(n)))]
+        scalar, full = traces
+        assert scalar.status is Status.CRITICAL_REACHED
+        assert np.any(np.abs(scalar.final_x) == 0.3)  # the box is active
+        assert (scalar.status, scalar.message) == (full.status, full.message)
+        assert len(scalar.records) == len(full.records)
+        for a, b in zip(scalar.records, full.records):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name),
+                                      equal_nan=True), (a.k, f.name)

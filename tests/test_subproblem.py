@@ -23,7 +23,7 @@ from moprox.subproblem import (
     solve_direction,
 )
 
-from conftest import grid_min_theta, simplex_projection_oracle
+from conftest import grid_min_theta, simplex_projection_oracle, subdiff_residual
 
 
 class TestProjectSimplex:
@@ -121,7 +121,7 @@ class TestModelValues:
         se = eval_smooth(prob, x)
         psi = model_values(d, se, prob.nonsmooth, x)
         assert psi.dtype == np.float64
-        exact = self._exact_model(d, se, prob.nonsmooth[0].rho, x)
+        exact = self._exact_model(d, se, prob.nonsmooth.rho, x)
         for got, want in zip(psi, exact):
             assert abs(Fraction(got) - want) <= Fraction(2.2e-16) * abs(want)
 
@@ -143,7 +143,7 @@ class TestInnerMinimize:
         x = np.zeros(4)
         se = eval_smooth(prob, x)
         lam = np.array([0.4, 0.6])
-        d, _, _ = inner_minimize(lam, se, prob.nonsmooth[0], x)
+        d, _, _ = inner_minimize(lam, se, prob.nonsmooth, x)
         H = np.einsum("i,ijk->jk", lam, se.hessians)
         g = lam @ se.gradients
         assert np.max(np.abs(H @ d + g)) < 1e-9
@@ -151,7 +151,7 @@ class TestInnerMinimize:
     def test_l1_scalar_matches_soft_threshold(self, l1_scalar):
         x = np.array([3.0])
         se = eval_smooth(l1_scalar, x)
-        d, _, _ = inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth[0], x)
+        d, _, _ = inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth, x)
         # argmin 3d + 0.5 d^2 + |3 + d| - 3 sits at the kink 3 + d = 0
         assert abs(d[0] + 3.0) < 1e-10
 
@@ -161,7 +161,7 @@ class TestInnerMinimize:
         prob = generate_instance(spec)
         x = np.zeros(3)
         se = eval_smooth(prob, x)
-        d, _, _ = inner_minimize(np.array([1.0]), se, prob.nonsmooth[0], x)
+        d, _, _ = inner_minimize(np.array([1.0]), se, prob.nonsmooth, x)
         assert np.all(x + d <= 0.2 + 1e-12)
         assert np.all(x + d >= -0.2 - 1e-12)
         inside = np.abs(np.abs(x + d) - 0.2) > 1e-9
@@ -176,7 +176,7 @@ class TestInnerMinimize:
         x = rng.standard_normal(12)
         se = eval_smooth(prob, x)
         lam = rng.dirichlet(np.ones(3))
-        d, free, passes = inner_minimize(lam, se, prob.nonsmooth[0], x)
+        d, free, passes = inner_minimize(lam, se, prob.nonsmooth, x)
         M = np.tensordot(lam, se.hessians, axes=1)
         M = 0.5 * (M + M.T)
         want = cho_solve(cho_factor(M, lower=True), -(lam @ se.gradients))
@@ -191,7 +191,7 @@ class TestInnerMinimize:
             spec = InstanceSpec(family=family, n=n, m=m, cond=100.0, rho=0.1,
                                 seed=seed)
             prob = generate_instance(spec)
-            term = prob.nonsmooth[0]
+            term = prob.nonsmooth
             rng = np.random.Generator(np.random.PCG64(100 + seed))
             x = 2.0 * rng.standard_normal(n)
             if family == "quadratic_l1":
@@ -203,7 +203,7 @@ class TestInnerMinimize:
             d, free, _ = inner_minimize(lam, se, term, x)
             v = lam @ se.gradients
             M = np.tensordot(lam, se.hessians, axes=1)
-            resid = term.subdiff_residual(x + d, v + M @ d)
+            resid = subdiff_residual(term, x + d, v + M @ d)
             assert resid <= 1e-13 * max(1.0, float(np.max(np.abs(v)))), (seed, resid)
             held = ~free
             if family == "quadratic_l1":
@@ -216,7 +216,7 @@ class TestInnerMinimize:
         x = np.array([3.0])
         se = eval_smooth(l1_scalar, x)
         with pytest.raises(ConvergenceError) as exc:
-            inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth[0], x, max_iters=1)
+            inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth, x, max_iters=1)
         assert exc.value.residual is not None
 
     def test_convergence_error_carries_payload(self):
@@ -356,7 +356,7 @@ class TestScaledIdentityMetric:
         for seed in range(5):
             prob, x, se, dense, ell, rng = self._case(family, n, m, seed)
             metric = Metric.scaled_identity(ell)
-            term = prob.nonsmooth[0]
+            term = prob.nonsmooth
             lam = rng.dirichlet(np.ones(m))
             d, free, passes = metric.minimize(lam, se, term, x)
             d_ref, free_ref, _ = inner_minimize(lam, dense, term, x)

@@ -135,19 +135,19 @@ class TestGenLogsumexp:
 class TestDispatchAndAttach:
     def test_quadratic_gets_zero_terms(self):
         prob = generate_instance(InstanceSpec(family="quadratic", n=2, m=2, seed=0))
-        assert all(t.kind == NonsmoothTerm.KIND_ZERO for t in prob.nonsmooth)
+        assert prob.nonsmooth.kind == NonsmoothTerm.KIND_ZERO
 
     def test_l1_family_carries_rho(self):
         prob = generate_instance(
             InstanceSpec(family="quadratic_l1", n=2, m=2, rho=0.3, seed=0))
-        assert all(t.kind == NonsmoothTerm.KIND_L1 for t in prob.nonsmooth)
-        assert prob.nonsmooth[0].rho == 0.3
+        assert prob.nonsmooth.kind == NonsmoothTerm.KIND_L1
+        assert prob.nonsmooth.rho == 0.3
 
     def test_box_family_carries_bounds(self):
         prob = generate_instance(
             InstanceSpec(family="quadratic_box", n=3, m=2, seed=0,
                          lo=-0.25, hi=0.75))
-        t = prob.nonsmooth[0]
+        t = prob.nonsmooth
         assert t.kind == NonsmoothTerm.KIND_BOX
         assert np.allclose(t.lo, -0.25)
         assert np.allclose(t.hi, 0.75)
@@ -156,7 +156,7 @@ class TestDispatchAndAttach:
         prob = generate_instance(InstanceSpec(family="quadratic", n=2, m=3, seed=0))
         term = NonsmoothTerm.scaled_l1(0.9)
         out = attach_nonsmooth(prob, term)
-        assert all(t.same_as(term) for t in out.nonsmooth)
+        assert out.nonsmooth is term
         assert out.reference_solution is None
         with pytest.raises(ConfigError):
             attach_nonsmooth(prob, "l1")
