@@ -27,7 +27,6 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -103,13 +102,12 @@ def _reject_unknown(section: dict, allowed: set, path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key}")
 
 
-def _dotted(msg: str, keys: set, prefix: str) -> str:
-    # point the message at the offending field, longest key first so e.g.
-    # "cond" wins over "n"
-    for key in sorted(keys, key=len, reverse=True):
-        if re.search(rf"\b{key}\b", msg):
-            return re.sub(rf"\b{key}\b", f"{prefix}.{key}", msg, count=1)
-    return msg
+def _within(exc: Exception, section: str) -> ConfigError:
+    """exc as a ConfigError whose field path starts with the section."""
+    field = getattr(exc, "field", None)
+    if field is None:
+        return ConfigError(f"{section}: {exc}")
+    return ConfigError(exc.detail, field=f"{section}.{field}")
 
 
 def load_config(path) -> dict:
@@ -156,7 +154,7 @@ def build_instance_spec(cfg: dict, seed_override=None) -> InstanceSpec:
     try:
         return InstanceSpec(**section)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(_dotted(str(exc), _INSTANCE_KEYS, "instance")) from exc
+        raise _within(exc, "instance") from exc
 
 
 def build_solver_config(cfg: dict, overrides=None, default_ell=None) -> SolverConfig:
@@ -178,7 +176,7 @@ def build_solver_config(cfg: dict, overrides=None, default_ell=None) -> SolverCo
     try:
         return SolverConfig(**section)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(_dotted(str(exc), _SOLVER_KEYS, "solver")) from exc
+        raise _within(exc, "solver") from exc
 
 
 def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
@@ -313,10 +311,13 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("run.sweep.seeds must be a nonempty list")
     # every spec is validated before any cell is solved
-    specs = [InstanceSpec(family=base.family, n=base.n, m=base.m,
-                          cond=float(cond), mu=base.mu, rho=base.rho,
-                          seed=int(seed), lo=base.lo, hi=base.hi)
-             for cond in conds for seed in seeds]
+    try:
+        specs = [InstanceSpec(family=base.family, n=base.n, m=base.m,
+                              cond=float(cond), mu=base.mu, rho=base.rho,
+                              seed=int(seed), lo=base.lo, hi=base.hi)
+                 for cond in conds for seed in seeds]
+    except (TypeError, ValueError) as exc:
+        raise _within(exc, "run.sweep") from exc
     rows = []
     for spec in specs:
         x0 = derive_x0(cfg, spec)

@@ -6,7 +6,16 @@ class MoproxError(Exception):
 
 
 class ConfigError(MoproxError, ValueError):
-    """Invalid configuration, instance specification, or config document."""
+    """Invalid configuration, instance specification, or config document.
+
+    An error about one field carries its name in field, and its message is
+    the field name followed by detail, e.g. "cond must be finite and >= 1".
+    """
+
+    def __init__(self, detail, field=None):
+        super().__init__(detail if field is None else f"{field} {detail}")
+        self.field = field
+        self.detail = detail
 
 
 class InputError(MoproxError, ValueError):

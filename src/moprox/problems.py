@@ -114,6 +114,19 @@ class NonsmoothTerm:
             raise ConfigError("box requires lo <= hi componentwise")
         return cls(kind=cls.KIND_BOX, lo=lo, hi=hi)
 
+    def _key(self) -> tuple:
+        bounds = tuple(None if b is None else tuple(b.tolist()) for b in (self.lo, self.hi))
+        return self.kind, self.rho, bounds
+
+    def __eq__(self, other):
+        """Equal kind, weight and bounds; box bounds compare by value and length."""
+        if not isinstance(other, NonsmoothTerm):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def value(self, x: np.ndarray):
         """Extended-real value of the term; +inf outside a box.
 

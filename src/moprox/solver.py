@@ -14,7 +14,7 @@ recorded in a trace for offline verification.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -82,22 +82,25 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+            raise ConfigError(f"must be finite and > 0, got {self.eps}", "eps")
         if not (0.0 < self.sigma < 1.0):
-            raise ConfigError(f"sigma must lie in (0, 1), got {self.sigma}")
+            raise ConfigError(f"must lie in (0, 1), got {self.sigma}", "sigma")
         if not (0.0 < self.gamma < 1.0):
-            raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
+            raise ConfigError(f"must lie in (0, 1), got {self.gamma}", "gamma")
         if self.max_outer < 0:
-            raise ConfigError(f"max_outer must be >= 0, got {self.max_outer}")
+            raise ConfigError(f"must be >= 0, got {self.max_outer}", "max_outer")
         if not (np.isfinite(self.tol_gap) and self.tol_gap > 0):
-            raise ConfigError(f"tol_gap must be finite and > 0, got {self.tol_gap}")
+            raise ConfigError(f"must be finite and > 0, got {self.tol_gap}", "tol_gap")
         if self.variant not in (VARIANT_NEWTON, VARIANT_GRADIENT):
-            raise ConfigError(f"variant must be 'newton' or 'gradient', got {self.variant!r}")
+            raise ConfigError(f"must be 'newton' or 'gradient', got {self.variant!r}",
+                              "variant")
         if self.variant == VARIANT_GRADIENT:
             if self.ell is None or not (np.isfinite(self.ell) and self.ell > 0):
-                raise ConfigError("variant 'gradient' requires ell > 0")
-        if self.max_dual_iters < 1 or self.max_inner_iters < 1 or self.max_halvings < 1:
-            raise ConfigError("iteration caps must be >= 1")
+                raise ConfigError(f"must be finite and > 0 for the gradient variant, "
+                                  f"got {self.ell}", "ell")
+        for name in ("max_dual_iters", "max_inner_iters", "max_halvings"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"must be >= 1, got {getattr(self, name)}", name)
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,12 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     zero direction (direction norm, theta and gap 0), as the subproblem does
     for theta > 0, and, when the direction norm was still >= eps, sets the
     trace message to name the stop with sigma * theta and the ulp bound.
-    Subproblem or line-search failures are recorded in the trace (status
+    When the direction subproblem stops short of its gap tolerance, its best
+    dual value phi still bounds the exact direction, ||d*||^2 <= -2 phi / mu
+    for the metric's modulus mu (problem.mu, or ell): with phi >= -mu eps^2
+    / 2 the run stops CRITICAL_REACHED, recorded like the precision-limit
+    stop with a message giving phi and the bound. Other subproblem or
+    line-search failures are recorded in the trace (status
     SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer yields
     MAX_ITERS.
     """
@@ -216,15 +224,19 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     accepted = []  # oracle output at the last accepted step, filled by the line search
 
     for k in range(config.max_outer):
+        message = ""
         try:
             se = _checked_stack(accepted, m, problem.n) if accepted else eval_smooth(problem, x)
             f_x = se.values + problem.nonsmooth.value(x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
-            res = solve_direction(problem, x, tol_gap=config.tol_gap,
-                                  max_dual_iters=config.max_dual_iters,
-                                  max_inner_iters=config.max_inner_iters,
-                                  smooth_eval=se, metric=metric)
+            try:
+                res = solve_direction(problem, x, tol_gap=config.tol_gap,
+                                      max_dual_iters=config.max_dual_iters,
+                                      max_inner_iters=config.max_inner_iters,
+                                      smooth_eval=se, metric=metric)
+            except ConvergenceError as exc:
+                res, message = _dual_bound_stop(exc, metric.modulus(problem), config.eps)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
             records.append(_nan_record(k, x, _safe_objectives(problem, x, m), m))
             return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
@@ -232,7 +244,6 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
         dnorm = float(np.linalg.norm(res.direction))
         theta, gap = res.theta, res.gap
-        message = ""
         ulp_bound = -_EPS * max(1.0, float(np.max(np.abs(f_x))))
         if config.sigma * theta >= ulp_bound:
             # even the unit-step decrease bound is below one ulp of F, so any
@@ -267,6 +278,24 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     records.append(_nan_record(config.max_outer, x, _safe_objectives(problem, x, m), m))
     return SolveTrace(records=tuple(records), status=Status.MAX_ITERS, config=config)
+
+
+def _dual_bound_stop(exc: ConvergenceError, mu: float, eps: float):
+    """The zero direction and a message when the dual value certifies ||d*|| <= eps.
+
+    Every model is mu-strongly convex with value 0 at d = 0, so the optimal
+    direction satisfies ||d*||^2 <= -2 phi / mu for every dual value phi.
+    Re-raises exc when its best result's last dual value is below
+    -mu * eps^2 / 2, or when it carries none.
+    """
+    best = exc.best
+    bound = -0.5 * mu * eps * eps
+    if best is None or not best.dual_history or best.dual_history[-1] < bound:
+        raise exc
+    phi = best.dual_history[-1]
+    res = replace(best, direction=np.zeros_like(best.direction), theta=0.0, gap=0.0)
+    return res, (f"certified critical by the dual bound: phi = {phi:.3e} >= {bound:.3e} "
+                 f"= -mu*eps^2/2, so ||d*|| <= eps ({exc})")
 
 
 def _safe_objectives(problem: ProblemInstance, x: np.ndarray, m: int) -> np.ndarray:

@@ -6,29 +6,26 @@ At a point x the search direction solves
 
 whose optimal value is nonpositive and is zero exactly at critical points.
 The metric H_i is either the Hessian of f_i at x (the proximal Newton-type
-model) or ell times the identity for every objective (the multiobjective
-proximal gradient model). The min-max is solved through its concave dual
-over the unit simplex: for weights w the inner minimization is a strongly
-convex piecewise quadratic. Under the Hessian metric it is solved exactly
-(up to rounding) by a primal active-set loop of Cholesky solves on the
-coordinates that sit on smooth pieces of the nonsmooth term; under ell I it
-is one proximal map, with no Hessian algebra anywhere.
-The dual function phi(w) = min_d sum_i w_i psi_i(d) is maximized by one
-loop for every m, an active-set projected Newton method on the simplex.
-Each iteration takes a Newton step on the current face, whose
-tangent-space Hessian is available in closed form from the inner solve's
-free coordinates, and falls back to a projected supergradient step only
-when the Newton step gives no ascent. Every model value comes from one
-extended-precision evaluation per snap (one inner solve at fixed weights),
-with the gradients, the Hessians and g(x) evaluated once per direction: it
-gives the dual value phi, the gap certificate and theta, so tolerances near
-1e-12 remain meaningful when model values are large.
+model) or ell times the identity (the multiobjective proximal gradient model),
+and :class:`Metric` is the only code that tells them apart. The min-max is
+solved through its concave dual over the unit simplex. At fixed weights (one
+snap) the weighted model is minimized exactly, by an active-set loop of
+Cholesky solves under the Hessians and by one proximal map under ell I. The
+dual is maximized by one loop for every m, a projected Newton method on the
+faces of the simplex with a supergradient safeguard. Under both metrics the
+face Hessian is -Q W^-1 Q', with W the free block of the weighted metric and
+rows q_i = grad f_i + H_i d on its free coordinates; each snap keeps W's
+factor (division by ell under ell I) and H_i d, so the Newton step reuses
+them. Every model value comes from one extended-precision evaluation per snap:
+it gives phi, the gap certificate and theta, so tolerances near 1e-12 remain
+meaningful when model values are large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -103,15 +100,26 @@ class Metric:
             raise ConfigError(f"ell must be finite and > 0, got {ell}")
         return cls(ell=ell)
 
+    def modulus(self, problem: ProblemInstance) -> float:
+        """Strong-convexity modulus of every model psi_i: problem.mu, or ell."""
+        return problem.mu if self.ell is None else self.ell
+
+    def products(self, smooth_eval: SmoothEval) -> Callable:
+        """d -> H_i d in extended precision: a row per objective, or ell d shared."""
+        if self.ell is None:
+            return partial(np.matmul, smooth_eval.hessians.astype(np.longdouble))
+        return partial(np.multiply, np.longdouble(self.ell))
+
     def minimize(self, weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
                  *, max_iters: int = 10000):
-        """Minimize the weighted model at fixed weights; returns (d, free, passes).
+        """Minimize the weighted model at fixed weights; (d, free, solve_free, passes).
 
+        solve_free applies the inverse of the weighted metric's free block.
         Under the Hessian metric this is :func:`inner_minimize`. Under ell I
-        the minimizer is one proximal map, u = prox_{g/ell}(x - grad_w/ell)
-        and d = u - x, counted as one pass; free marks the coordinates where
-        g is smooth at u (u != 0 for l1, lo < u < hi for the box, all of
-        them for the zero term). smooth_eval's Hessians are not read then.
+        it is one proximal map, u = prox_{g/ell}(x - grad_w/ell), d = u - x,
+        counted as one pass; free marks where g is smooth at u (u != 0 for
+        l1, lo < u < hi for the box, everywhere for the zero term),
+        solve_free divides by ell, and smooth_eval's Hessians are not read.
         """
         if self.ell is None:
             return inner_minimize(weights, smooth_eval, term, x, max_iters=max_iters)
@@ -124,7 +132,10 @@ class Metric:
             free = (term.lo < u) & (u < term.hi)
         else:
             free = np.ones(u.size, dtype=bool)
-        return u - x, free, 1
+        return u - x, free, self._divide, 1
+
+    def _divide(self, rhs):
+        return rhs / self.ell
 
 
 def project_simplex(v) -> np.ndarray:
@@ -157,8 +168,9 @@ def model_values(d, smooth_eval: SmoothEval, term: NonsmoothTerm, x) -> np.ndarr
     phi, the gap and theta from. Entries may be +inf when x + d leaves the
     domain of an indicator term; x itself must lie inside it.
     """
-    return _model_values_hi(d, smooth_eval.gradients, smooth_eval.hessians, term, x,
-                            _term_at(term, x)).astype(float)
+    products = Metric.hessian().products(smooth_eval)
+    psi, _ = _model_values_hi(d, smooth_eval.gradients, products, term, x, _term_at(term, x))
+    return psi.astype(float)
 
 
 def _term_at(term: NonsmoothTerm, x):
@@ -169,28 +181,27 @@ def _term_at(term: NonsmoothTerm, x):
     return at_x
 
 
-def _model_values_hi(d, gradients, hessians, term: NonsmoothTerm, x, at_x) -> np.ndarray:
-    """All m model values in extended precision, as one vectorized expression.
+def _model_values_hi(d, gradients, products, term: NonsmoothTerm, x, at_x):
+    """All m model values in extended precision, and the products H_i d.
 
-    gradients (m, n), hessians (m, n, n) and x are cast to extended precision
-    unless they already are (solve_direction casts them once per call), and
-    at_x is g(x) from :func:`_term_at`. The nonsmooth shift g(x + d) - g(x)
-    is common to every objective, because g is shared. Extended
-    precision keeps duality gaps near 1e-12 resolvable when the model values
-    are large.
+    products is :meth:`Metric.products`, at_x is g(x) from :func:`_term_at`,
+    and gradients (m, n) and x are promoted to the precision of d. Returns
+    (psi, products(d)). The shift g(x + d) - g(x) is common to every
+    objective, because g is shared. Extended precision keeps duality gaps
+    near 1e-12 resolvable when the model values are large.
     """
     dl = np.asarray(d, dtype=np.longdouble)
-    shift = term.value(np.asarray(x, dtype=np.longdouble) + dl) - at_x
-    grads = np.asarray(gradients, dtype=np.longdouble)
-    hess = np.asarray(hessians, dtype=np.longdouble)
-    return grads @ dl + 0.5 * ((hess @ dl) @ dl) + shift
+    hd = products(dl)
+    return gradients @ dl + 0.5 * (hd @ dl) + (term.value(x + dl) - at_x), hd
 
 
 def _cholesky(block: np.ndarray):
+    """The solve with block's Cholesky factor."""
     try:
-        return cho_factor(block, lower=True, check_finite=False)
+        factor = cho_factor(block, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(f"weighted Hessian is not positive definite: {exc}") from exc
+    return partial(cho_solve, factor, check_finite=False)
 
 
 def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
@@ -210,7 +221,9 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
     held, as always for the zero term, a pass is the plain Cholesky solve
     H_w d = -grad_w.
 
-    Returns (d, free, passes) with free the mask of free coordinates. Raises
+    Returns (d, free, solve_free, passes) with free the mask of free
+    coordinates and solve_free the solve with the last pass's Cholesky
+    factor, whose free set is that mask (None when nothing is free). Raises
     SingularMetricError if a free block is not positive definite and
     ConvergenceError if max_iters passes do not certify optimality.
     """
@@ -236,15 +249,16 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
 
     for it in range(1, max_iters + 1):
         if free.all():
-            d_new = cho_solve(_cholesky(M), -c, check_finite=False)
+            solve = _cholesky(M)
+            d_new = solve(-c)
             if term.kind == NonsmoothTerm.KIND_ZERO:
-                return d_new, free, it
+                return d_new, free, solve, it
         else:
+            solve = None
             d_new = d.copy()
             if free.any():
-                rhs = -c[free] - M[np.ix_(free, ~free)] @ d[~free]
-                d_new[free] = cho_solve(_cholesky(M[np.ix_(free, free)]), rhs,
-                                        check_finite=False)
+                solve = _cholesky(M[np.ix_(free, free)])
+                d_new[free] = solve(-c[free] - M[np.ix_(free, ~free)] @ d[~free])
 
         # ratio test: the fraction of the step at which each free coordinate
         # reaches its kink or bound (0 for one already past it)
@@ -271,7 +285,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
 
         held = np.flatnonzero(~free)
         if not held.size:
-            return d, free, it
+            return d, free, solve, it
         r = v[held] + M[held] @ d
         slack = 4.0 * _EPS * (np.abs(v[held]) + np.abs(M[held]) @ np.abs(d) + rho)
         if l1:
@@ -280,7 +294,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
             viol = side[held] * r
         k = int(np.argmax(viol - slack))
         if viol[k] <= slack[k]:
-            return d, free, it
+            return d, free, solve, it
         j = held[k]
         free[j] = True
         if l1:
@@ -297,7 +311,9 @@ class _Snapshot:
     lam: np.ndarray
     d: np.ndarray
     free: np.ndarray
-    psi: np.ndarray  # extended precision, as are phi and gap
+    solve_free: Optional[Callable]
+    hd: np.ndarray  # H_i d in extended precision, as are psi, phi and gap
+    psi: np.ndarray
     phi: np.floating
     gap: np.floating
 
@@ -310,18 +326,19 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     metric defaults to the Hessian metric. smooth_eval, the oracle output at
     x, is evaluated here when not given; the line search of the outer loop
     keeps the output at the step it accepts and passes it in, so each
-    iterate sweeps the oracles once. Under the scaled-identity metric its
-    Hessians are not read.
+    iterate sweeps the oracles once. Only the metric reads its Hessians, and
+    the scaled-identity metric does not.
 
     Maximizes the dual over the weight simplex from the uniform vector. Each
     iteration first takes a Newton step on the current face (the support of
     the weights plus the outside index with the largest model value, when
     that value exceeds the dual value), cut back to the simplex boundary and
-    halved until the dual value does not decrease. When the Newton step gives
-    no ascent, a projected supergradient step with a warm-started step length
-    is taken instead. Terminates once the gap certificate reaches tol_gap;
-    when neither step ascends, or max_dual_iters iterations pass first,
-    ConvergenceError is raised carrying the best result found.
+    halved until the dual value does not decrease. When it gives no ascent,
+    it is retried from the snapshot with the smallest gap, and then a
+    projected supergradient step with a warm-started step length is taken.
+    Terminates once the gap certificate reaches tol_gap; when neither step
+    ascends, or max_dual_iters iterations pass first, ConvergenceError is
+    raised carrying the best result found.
 
     Returns a DirectionResult whose theta is nonpositive: if rounding at a
     critical point produces a positive model optimum, the zero direction
@@ -333,27 +350,28 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
     metric = Metric.hessian() if metric is None else metric
-    ell = metric.ell
     term = problem.nonsmooth
     x_hi = x.astype(np.longdouble)
     at_x = _term_at(term, x_hi)
     grads_hi = se.gradients.astype(np.longdouble)
-    if ell is None:
-        hess_hi = se.hessians.astype(np.longdouble)
+    products = metric.products(se)
     m = problem.m
     counts = {"inner": 0, "dual": 0}
+    best = None  # the snapshot with the smallest gap
 
     def snap(lam: np.ndarray) -> _Snapshot:
-        d, free, passes = metric.minimize(lam, se, term, x, max_iters=max_inner_iters)
+        nonlocal best
+        d, free, solve_free, passes = metric.minimize(lam, se, term, x,
+                                                      max_iters=max_inner_iters)
         counts["inner"] += passes
         counts["dual"] += 1
-        if ell is None:
-            psi = _model_values_hi(d, grads_hi, hess_hi, term, x_hi, at_x)
-        else:
-            dl = d.astype(np.longdouble)
-            psi = grads_hi @ dl + (0.5 * ell) * (dl @ dl) + (term.value(x_hi + dl) - at_x)
+        psi, hd = _model_values_hi(d, grads_hi, products, term, x_hi, at_x)
         phi = lam @ psi
-        return _Snapshot(lam=lam, d=d, free=free, psi=psi, phi=phi, gap=np.max(psi) - phi)
+        here = _Snapshot(lam=lam, d=d, free=free, solve_free=solve_free, hd=hd, psi=psi,
+                         phi=phi, gap=np.max(psi) - phi)
+        if best is None or here.gap < best.gap:
+            best = here
+        return here
 
     def finalize(s: _Snapshot) -> DirectionResult:
         theta = float(np.max(s.psi))
@@ -370,21 +388,12 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                                dual_history=tuple(history))
 
     cur = snap(np.full(m, 1.0 / m))
-    best = cur
     history = [float(cur.phi)]
 
-    def trial(lam: np.ndarray) -> _Snapshot:
-        nonlocal best
-        cand = snap(lam)
-        if cand.gap < best.gap:
-            best = cand
-        return cand
-
     # On a face the dual Hessian restricted to zero-sum directions is
-    # -Q' W^-1 Q with Q the per-objective model gradients on the free
-    # coordinates and W the free block of the weighted Hessian, so each step
-    # costs one small Cholesky solve (none under ell I, where W^-1 = I/ell)
-    # and converges quadratically near optima interior to the face.
+    # -Q W^-1 Q' (module docstring), taken in the basis e_k - e_last from the
+    # snap's solve_free and H_i d with no factorization; it converges
+    # quadratically near optima interior to the face.
     def newton_step(here: _Snapshot):
         lam = here.lam
         support = np.flatnonzero(lam > 0.0)
@@ -403,23 +412,12 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
             unit[int(np.argmax(here.psi))] = 1.0
             if np.array_equal(unit, lam):
                 return None
-            cand = trial(unit)
+            cand = snap(unit)
             return cand if cand.phi >= here.phi else None
-        if ell is None:
-            h_lam = np.tensordot(lam, se.hessians, axes=1)
-            try:
-                factor = cho_factor(h_lam[np.ix_(free, free)])
-            except np.linalg.LinAlgError:
-                return None
-            q = (se.gradients[support] + se.hessians[support] @ here.d)[:, free]
-            curv = q @ cho_solve(factor, q.T)
-        else:
-            q = (se.gradients[support] + ell * here.d)[:, free]
-            curv = q @ q.T / ell
+        q = (grads_hi + here.hd)[support][:, free].astype(float)
+        curv = q @ here.solve_free(q.T)
         curv = 0.5 * (curv + curv.T)
-        s_len = support.size
-        basis = np.vstack([np.eye(s_len - 1), -np.ones(s_len - 1)])
-        h_red = basis.T @ curv @ basis
+        h_red = curv[:-1, :-1] - curv[-1, :-1] - (curv[:-1, -1:] - curv[-1, -1])
         g_red = (here.psi[support[:-1]] - here.psi[support[-1]]).astype(float)
         try:
             du = np.linalg.solve(h_red, g_red)
@@ -428,24 +426,18 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
         if not np.all(np.isfinite(du)):
             return None
         move = np.zeros(m)
-        move[support] = basis @ du
+        move[support] = np.append(du, -du.sum())
         neg = move < 0.0
-        t = 1.0
-        if np.any(neg):
-            t = min(1.0, float(np.min(lam[neg] / -move[neg])))
+        t = float(np.min(lam[neg] / -move[neg], initial=1.0))
         if t <= 0.0:
             return None
         for _ in range(8):
             lam_new = lam + t * move
-            np.maximum(lam_new, 0.0, out=lam_new)
-            lam_new[lam_new < 1e-15] = 0.0
-            total = lam_new.sum()
-            if total <= 0.0:
-                return None
-            lam_new /= total
+            lam_new[lam_new < 1e-15] = 0.0  # negatives too; the sum stays near 1
+            lam_new /= lam_new.sum()
             if np.array_equal(lam_new, lam):
                 return None
-            cand = trial(lam_new)
+            cand = snap(lam_new)
             if cand.phi >= here.phi:
                 return cand
             t *= 0.5
@@ -462,17 +454,24 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
             lam_t = project_simplex(here.lam + s * psi64)
             if np.array_equal(lam_t, here.lam):
                 return None  # projection no longer moves: dual-stationary here
-            cand = trial(lam_t)
+            cand = snap(lam_t)
             if cand.phi >= here.phi:
                 s_prev = s
                 return cand
             s *= 0.5
         return None
 
+    retried = None
     for _ in range(max_dual_iters):
         if best.gap <= tol_gap:
             break
         nxt = newton_step(cur)
+        if nxt is None and best is not cur and best is not retried:
+            # rounding can reject a trial that lowered the gap; retry from it
+            retried = best
+            newton_step(best)
+            if best.gap <= tol_gap:
+                break
         if nxt is None:
             nxt = supergradient_step(cur)
         if nxt is None:

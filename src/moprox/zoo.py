@@ -48,20 +48,21 @@ class InstanceSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 1 or self.m < 1:
-            raise ConfigError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
+            raise ConfigError(f"must be one of {FAMILIES}, got {self.family!r}", "family")
+        for name in ("n", "m"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"must be >= 1, got {getattr(self, name)}", name)
         if not (np.isfinite(self.cond) and self.cond >= 1.0):
-            raise ConfigError(f"cond must be finite and >= 1, got {self.cond}")
+            raise ConfigError(f"must be finite and >= 1, got {self.cond}", "cond")
         if self.family == "logsumexp" and self.cond != 1.0:
-            raise ConfigError(f"cond must be 1 for logsumexp, which does not use it; "
-                              f"got {self.cond}")
+            raise ConfigError(f"must be 1 for logsumexp, which does not use it; "
+                              f"got {self.cond}", "cond")
         if not (np.isfinite(self.mu) and self.mu > 0.0):
-            raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
+            raise ConfigError(f"must be finite and > 0, got {self.mu}", "mu")
         if not (np.isfinite(self.rho) and self.rho >= 0.0):
-            raise ConfigError(f"rho must be finite and >= 0, got {self.rho}")
+            raise ConfigError(f"must be finite and >= 0, got {self.rho}", "rho")
         if not (self.lo < self.hi):
-            raise ConfigError(f"box bounds require lo < hi, got [{self.lo}, {self.hi}]")
+            raise ConfigError(f"must be < hi for the box, got [{self.lo}, {self.hi}]", "lo")
 
 
 def quadratic_objective(A: np.ndarray, b: np.ndarray) -> SmoothObjective:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moprox
 from moprox.cli import main, read_trace_csv
 
 
@@ -121,6 +126,27 @@ class TestConfigErrors:
         assert code == 64
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instance, message", [
+        ({"family": "quadratic_box", "lo": 1.0, "hi": 0.0},
+         "instance.lo must be < hi for the box, got [1.0, 0.0]"),
+        ({"n": 0, "m": 0}, "instance.n must be >= 1, got 0"),
+    ])
+    def test_field_path_independent_of_hash_seed(self, tmp_path, instance, message):
+        cfg = _base_solve_config()
+        cfg["instance"].update(instance)
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        src = str(Path(moprox.__file__).resolve().parents[1])
+        errs = []
+        for hash_seed in ("0", "1"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-m", "moprox.cli", "solve", "--config",
+                                   cfg_path, "--out", str(tmp_path)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 64
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1] == f"config error: {message}\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])
@@ -175,8 +201,15 @@ class TestBenchVerb:
         cfg["run"]["sweep"]["cond"] = [1.0, 100.0]
         cfg_path = _write_config(tmp_path / "cfg.json", cfg)
         assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 64
-        assert "cond must be 1 for logsumexp" in capsys.readouterr().err
+        assert "run.sweep.cond must be 1 for logsumexp" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
+
+    def test_bench_rejects_non_numeric_seed(self, tmp_path, capsys):
+        cfg = self._bench_config()
+        cfg["run"]["sweep"]["seeds"] = ["x"]
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 64
+        assert "config error: run.sweep: " in capsys.readouterr().err
 
     def test_bench_requires_sweep(self, tmp_path, capsys):
         cfg = self._bench_config()

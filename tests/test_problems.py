@@ -63,6 +63,22 @@ class TestSmoothObjective:
 
 
 class TestNonsmoothTerm:
+    def test_terms_compare_and_hash_by_value(self):
+        a = NonsmoothTerm.box(-np.ones(3), np.ones(3))
+        b = NonsmoothTerm.box(-np.ones(3), np.ones(3))
+        eq = a == b
+        assert isinstance(eq, bool) and eq
+        assert hash(a) == hash(b)
+        assert a != NonsmoothTerm.box(-np.ones(3), 2.0 * np.ones(3))
+        assert a != NonsmoothTerm.box(-1.0, 1.0)  # bounds of another length
+        assert hash(NonsmoothTerm.box(-1.0, 1.0)) == hash(NonsmoothTerm.box([-1.0], [1.0]))
+        assert NonsmoothTerm.box(-0.0, 1.0) == NonsmoothTerm.box(0.0, 1.0)
+        assert hash(NonsmoothTerm.box(-0.0, 1.0)) == hash(NonsmoothTerm.box(0.0, 1.0))
+        assert NonsmoothTerm.scaled_l1(0.5) == NonsmoothTerm.scaled_l1(0.5)
+        assert NonsmoothTerm.scaled_l1(0.5) != NonsmoothTerm.scaled_l1(0.25)
+        assert NonsmoothTerm.zero() != NonsmoothTerm.scaled_l1(0.0)
+        assert len({a, b, NonsmoothTerm.zero(), NonsmoothTerm.zero()}) == 2
+
     def test_zero_term(self):
         t = NonsmoothTerm.zero()
         x = RNG.standard_normal(4)

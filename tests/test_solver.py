@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import moprox.solver
 from moprox import (
     ConfigError,
+    ConvergenceError,
     InputError,
     InstanceSpec,
     LineSearchError,
@@ -19,6 +21,7 @@ from moprox import (
     generate_instance,
     solve,
 )
+from moprox.subproblem import DirectionResult
 from moprox.zoo import attach_nonsmooth, quadratic_objective
 
 
@@ -49,6 +52,20 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(variant="gradient", ell=-1.0)
         assert SolverConfig(variant="gradient", ell=2.0).ell == 2.0
+
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"eps": 0.0}, "eps"), ({"sigma": 1.0}, "sigma"), ({"gamma": 0.0}, "gamma"),
+        ({"max_outer": -1}, "max_outer"), ({"tol_gap": np.inf}, "tol_gap"),
+        ({"variant": "secant"}, "variant"), ({"variant": "gradient"}, "ell"),
+        ({"max_dual_iters": 0}, "max_dual_iters"),
+        ({"max_inner_iters": 0}, "max_inner_iters"), ({"max_halvings": 0}, "max_halvings"),
+    ])
+    def test_errors_name_their_field(self, kwargs, field):
+        with pytest.raises(ConfigError) as exc:
+            SolverConfig(**kwargs)
+        assert exc.value.field == field
+        assert str(exc.value).startswith(f"{field} must ")
 
 
 class TestArmijoBacktrack:
@@ -343,3 +360,78 @@ class TestScalarBoxBounds:
             for f in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name),
                                       equal_nan=True), (a.k, f.name)
+
+
+class TestHardCells:
+    """n = 50 quadratic_l1 cells of the m-grid sweep (README config, starts
+    2 N(0, I) from PCG64(1000 + seed)) whose direction solves stopped just
+    above the gap tolerance."""
+
+    @staticmethod
+    def _case(m, seed):
+        spec = InstanceSpec(family="quadratic_l1", n=50, m=m, cond=100.0, rho=0.1,
+                            seed=seed)
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(1000 + seed)).standard_normal(50)
+        return generate_instance(spec), x0, SolverConfig(eps=1e-9, tol_gap=1e-12)
+
+    @pytest.mark.parametrize("m,seed", [(2, 21), (3, 21), (4, 21), (8, 14)])
+    def test_reaches_criticality(self, m, seed):
+        prob, x0, cfg = self._case(m, seed)
+        tr = solve(prob, cfg, x0)
+        assert tr.status is Status.CRITICAL_REACHED, tr.message
+
+    def test_critical_at_the_one_step_point(self):
+        prob, x0, cfg = self._case(3, 21)
+        x1 = solve(prob, dataclasses.replace(cfg, max_outer=1), x0).final_x
+        tr = solve(prob, cfg, x1)
+        assert tr.status is Status.CRITICAL_REACHED, tr.message
+        assert len(tr.records) == 1 and tr.records[0].k == 0
+
+
+class TestDualBoundStop:
+    @staticmethod
+    def _quadratic():
+        prob = generate_instance(InstanceSpec(family="quadratic", n=10, m=3, cond=100.0,
+                                              seed=4))
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(1004)).standard_normal(10)
+        return prob, x0
+
+    def test_certifies_a_critical_point(self):
+        # no direction solve reaches a gap of 1e-300; at the critical point
+        # x1 the dual value alone shows ||d*|| <= eps
+        prob, x0 = self._quadratic()
+        x1 = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), x0).final_x
+        tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-300), x1)
+        assert tr.status is Status.CRITICAL_REACHED
+        (rec,) = tr.records
+        assert (rec.direction_norm, rec.theta, rec.gap, rec.step) == (0.0, 0.0, 0.0, 0.0)
+        assert abs(rec.weights.sum() - 1.0) < 1e-12
+        assert tr.message.startswith("certified critical by the dual bound: phi = ")
+        assert "-mu*eps^2/2" in tr.message
+        assert "direction subproblem stopped with duality gap" in tr.message
+
+    def test_far_from_critical_still_fails(self):
+        prob, x0 = self._quadratic()
+        tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-300, max_dual_iters=1), x0)
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message.startswith("direction subproblem stopped with duality gap")
+
+    @pytest.mark.parametrize("variant,modulus", [("newton", 2.0), ("gradient", 8.0)])
+    def test_bound_uses_the_metric_modulus(self, variant, modulus, monkeypatch):
+        # mu = 2 for the problem, ell = 8 for the gradient metric
+        prob = _single_quadratic(a=2.0)
+        eps = 1e-3
+        cfg = SolverConfig(eps=eps, variant=variant, ell=8.0)
+        bound = -0.5 * modulus * eps ** 2
+        for phi, status in ((bound, Status.CRITICAL_REACHED),
+                            (1.01 * bound, Status.SUBPROBLEM_FAILURE)):
+            best = DirectionResult(direction=np.array([-0.5]), theta=-0.25,
+                                   weights=np.ones(1), gap=1.0, inner_iters=1,
+                                   dual_iters=1, dual_history=(phi,))
+
+            def stopped(*args, best=best, **kwargs):
+                raise ConvergenceError("stopped", residual=1.0, best=best)
+
+            monkeypatch.setattr(moprox.solver, "solve_direction", stopped)
+            tr = solve(prob, cfg, np.array([1.0]))
+            assert tr.status is status, (phi, tr.message)

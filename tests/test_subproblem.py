@@ -15,6 +15,7 @@ from moprox import (
     gen_quadratic,
     generate_instance,
 )
+import moprox.subproblem
 from moprox.subproblem import (
     Metric,
     inner_minimize,
@@ -143,7 +144,7 @@ class TestInnerMinimize:
         x = np.zeros(4)
         se = eval_smooth(prob, x)
         lam = np.array([0.4, 0.6])
-        d, _, _ = inner_minimize(lam, se, prob.nonsmooth, x)
+        d, _, _, _ = inner_minimize(lam, se, prob.nonsmooth, x)
         H = np.einsum("i,ijk->jk", lam, se.hessians)
         g = lam @ se.gradients
         assert np.max(np.abs(H @ d + g)) < 1e-9
@@ -151,7 +152,7 @@ class TestInnerMinimize:
     def test_l1_scalar_matches_soft_threshold(self, l1_scalar):
         x = np.array([3.0])
         se = eval_smooth(l1_scalar, x)
-        d, _, _ = inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth, x)
+        d, _, _, _ = inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth, x)
         # argmin 3d + 0.5 d^2 + |3 + d| - 3 sits at the kink 3 + d = 0
         assert abs(d[0] + 3.0) < 1e-10
 
@@ -161,7 +162,7 @@ class TestInnerMinimize:
         prob = generate_instance(spec)
         x = np.zeros(3)
         se = eval_smooth(prob, x)
-        d, _, _ = inner_minimize(np.array([1.0]), se, prob.nonsmooth, x)
+        d, _, _, _ = inner_minimize(np.array([1.0]), se, prob.nonsmooth, x)
         assert np.all(x + d <= 0.2 + 1e-12)
         assert np.all(x + d >= -0.2 - 1e-12)
         inside = np.abs(np.abs(x + d) - 0.2) > 1e-9
@@ -176,7 +177,7 @@ class TestInnerMinimize:
         x = rng.standard_normal(12)
         se = eval_smooth(prob, x)
         lam = rng.dirichlet(np.ones(3))
-        d, free, passes = inner_minimize(lam, se, prob.nonsmooth, x)
+        d, free, _, passes = inner_minimize(lam, se, prob.nonsmooth, x)
         M = np.tensordot(lam, se.hessians, axes=1)
         M = 0.5 * (M + M.T)
         want = cho_solve(cho_factor(M, lower=True), -(lam @ se.gradients))
@@ -200,7 +201,7 @@ class TestInnerMinimize:
                 x = np.clip(x, spec.lo, spec.hi)
             se = eval_smooth(prob, x)
             lam = rng.dirichlet(np.ones(m))
-            d, free, _ = inner_minimize(lam, se, term, x)
+            d, free, _, _ = inner_minimize(lam, se, term, x)
             v = lam @ se.gradients
             M = np.tensordot(lam, se.hessians, axes=1)
             resid = subdiff_residual(term, x + d, v + M @ d)
@@ -321,6 +322,21 @@ class TestSolveDirection:
         psi = model_values(res.direction, se, prob.nonsmooth, x)
         assert np.max(psi) == pytest.approx(res.theta, abs=1e-9)
 
+    def test_one_factorization_per_pass(self, monkeypatch):
+        # the face-Newton steps reuse the inner solve's factor
+        real = moprox.subproblem.cho_factor
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(moprox.subproblem, "cho_factor", counting)
+        spec = InstanceSpec(family="quadratic", n=6, m=3, cond=10.0, seed=4)
+        res = solve_direction(generate_instance(spec), np.zeros(6), tol_gap=1e-12)
+        assert res.dual_iters > 1
+        assert len(calls) == res.inner_iters
+
     def test_inner_cap_propagates(self, l1_scalar):
         with pytest.raises(ConvergenceError) as exc:
             solve_direction(l1_scalar, np.array([3.0]), tol_gap=1e-12,
@@ -358,8 +374,8 @@ class TestScaledIdentityMetric:
             metric = Metric.scaled_identity(ell)
             term = prob.nonsmooth
             lam = rng.dirichlet(np.ones(m))
-            d, free, passes = metric.minimize(lam, se, term, x)
-            d_ref, free_ref, _ = inner_minimize(lam, dense, term, x)
+            d, free, _, passes = metric.minimize(lam, se, term, x)
+            d_ref, free_ref, _, _ = inner_minimize(lam, dense, term, x)
             assert passes == 1
             assert np.array_equal(free, free_ref), seed
             assert np.max(np.abs(d - d_ref)) <= 1e-12 * max(1.0, np.linalg.norm(d_ref))

@@ -37,6 +37,23 @@ class TestInstanceSpec:
         with pytest.raises(ConfigError):
             InstanceSpec(family="quadratic_box", n=2, m=1, lo=1.0, hi=-1.0)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"family": "cubic"}, "family"),
+        ({"n": 0, "m": 0}, "n"),
+        ({"m": 0}, "m"),
+        ({"cond": 0.5}, "cond"),
+        ({"family": "logsumexp", "cond": 2.0}, "cond"),
+        ({"mu": 0.0}, "mu"),
+        ({"rho": -1.0}, "rho"),
+        ({"lo": 1.0, "hi": -1.0}, "lo"),
+    ])
+    def test_errors_name_their_field(self, kwargs, field):
+        spec = {"family": "quadratic", "n": 2, "m": 1, **kwargs}
+        with pytest.raises(ConfigError) as exc:
+            InstanceSpec(**spec)
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field} {exc.value.detail}"
+
     def test_logsumexp_rejects_cond(self):
         # gen_logsumexp_reg never reads cond, so a cond sweep would repeat
         # one instance; only the default cond = 1 is accepted
