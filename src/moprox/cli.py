@@ -179,6 +179,11 @@ def build_solver_config(cfg: dict, overrides=None, default_ell=None) -> SolverCo
         raise _within(exc, "solver") from exc
 
 
+def _into_box(x0: np.ndarray, spec: InstanceSpec) -> np.ndarray:
+    """x0 clipped into [lo, hi] for quadratic_box, whose term is infinite outside."""
+    return np.clip(x0, spec.lo, spec.hi) if spec.family == "quadratic_box" else x0
+
+
 def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
     """Starting point: explicit list, seeded draw, or the default derivation.
 
@@ -201,7 +206,7 @@ def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
             raise ConfigError(f"run.x0.scale must be finite, got {scale}")
         rng = np.random.Generator(np.random.PCG64(seed))
         x0 = scale * rng.standard_normal(spec.n)
-        return np.clip(x0, spec.lo, spec.hi) if spec.family == "quadratic_box" else x0
+        return _into_box(x0, spec)
     if not isinstance(x0_cfg, list):
         raise ConfigError(
             f"run.x0 must be a list of {spec.n} numbers or an object with "
@@ -386,7 +391,8 @@ def run_checks(cfg: dict, seed_override=None) -> list:
             starts = int(checks_cfg.get("starts", 10))
             scale = float(checks_cfg.get("scale", 2.0))
             rng = np.random.Generator(np.random.PCG64(spec.seed + 2000))
-            batch = [scale * rng.standard_normal(spec.n) for _ in range(starts)]
+            batch = [_into_box(scale * rng.standard_normal(spec.n), spec)
+                     for _ in range(starts)]
             verdicts.append(check_quadratic_termination(problem, solver_cfg, batch))
         elif name == "descent_bound":
             verdicts.append(check_descent_bound(shared_trace(), problem.mu, tol=tol))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field type check behind ConfigError."""
+
+import numbers
 
 
 class MoproxError(Exception):
@@ -16,6 +18,20 @@ class ConfigError(MoproxError, ValueError):
         super().__init__(detail if field is None else f"{field} {detail}")
         self.field = field
         self.detail = detail
+
+
+def check_field_types(obj, integers=(), reals=()) -> None:
+    """Raise ConfigError naming the first field of obj with the wrong type.
+
+    Fields named in integers must be integers and those in reals real
+    numbers; bool is neither, and numpy scalars qualify.
+    """
+    for names, kind, noun in ((integers, numbers.Integral, "an integer"),
+                              (reals, numbers.Real, "a real number")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"must be {noun}, got {value!r}", name)
 
 
 class InputError(MoproxError, ValueError):

@@ -137,13 +137,20 @@ class NonsmoothTerm:
             return 0.0
         if self.kind == self.KIND_L1:
             return self.rho * np.sum(np.abs(x))
-        # membership tolerance of a few ulps: points produced by the proximal
-        # map must stay feasible after the x + (u - x) floating round trip
+        return float("inf") if np.any(self.outside(x)) else 0.0
+
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the coordinates of x outside the domain; all False unless a box.
+
+        A coordinate within a few ulps of its box is inside: points produced
+        by the proximal map must stay feasible after the x + (u - x) floating
+        round trip. nan is outside.
+        """
+        if self.kind != self.KIND_BOX:
+            return np.zeros(np.shape(x), dtype=bool)
         mag = np.maximum(np.abs(x), np.maximum(np.abs(self.lo), np.abs(self.hi)))
         slack = 4.0 * np.finfo(float).eps * (1.0 + mag)
-        if np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack):
-            return 0.0
-        return float("inf")
+        return ~((x >= self.lo - slack) & (x <= self.hi + slack))
 
     def prox(self, v: np.ndarray, c: float) -> np.ndarray:
         """Proximal map argmin_u c*g(u) + 0.5*||u - v||^2 for step c > 0."""

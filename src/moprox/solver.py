@@ -27,6 +27,7 @@ from .errors import (
     LineSearchError,
     MoproxError,
     SingularMetricError,
+    check_field_types,
 )
 from .problems import ProblemInstance, eval_smooth, _as_point, _checked_stack
 from .subproblem import Metric, solve_direction
@@ -67,6 +68,9 @@ class SolverConfig:
     loop (one face-Newton or supergradient step each); max_inner_iters caps
     the passes of each exact inner active-set solve (one Cholesky solve
     each), a guard against cycling at degenerate ratio steps.
+    The max_* fields must be integers and the other numeric fields real
+    numbers (bool is neither); a ConfigError names the first field that is
+    not.
     """
 
     eps: float = 1e-8
@@ -81,6 +85,10 @@ class SolverConfig:
     max_halvings: int = 60
 
     def __post_init__(self):
+        check_field_types(self, integers=("max_outer", "max_dual_iters", "max_inner_iters",
+                                          "max_halvings"),
+                          reals=("eps", "sigma", "gamma", "tol_gap")
+                          + (() if self.ell is None else ("ell",)))
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"must be finite and > 0, got {self.eps}", "eps")
         if not (0.0 < self.sigma < 1.0):
@@ -213,9 +221,18 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     stop with a message giving phi and the bound. Other subproblem or
     line-search failures are recorded in the trace (status
     SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer yields
-    MAX_ITERS.
+    MAX_ITERS. A start that is not a finite n-vector, or that lies outside
+    the domain of the nonsmooth term (a box), raises InputError before
+    iteration 0; the error names the first coordinate out of bounds.
     """
     x = _as_point(x0, problem.n)
+    outside = np.flatnonzero(problem.nonsmooth.outside(x))
+    if outside.size:
+        j = int(outside[0])
+        lo, hi = (float(np.broadcast_to(b, x.shape)[j])
+                  for b in (problem.nonsmooth.lo, problem.nonsmooth.hi))
+        raise InputError(f"start lies outside the domain of the nonsmooth term: "
+                         f"x0[{j}] = {float(x[j])!r} is not in [{lo!r}, {hi!r}]")
     records = []
     m = problem.m
 

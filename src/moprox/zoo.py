@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .problems import NonsmoothTerm, ProblemInstance, SmoothObjective
 
 __all__ = [
@@ -34,6 +34,8 @@ class InstanceSpec:
     rho is the l1 weight for the quadratic_l1 family; lo/hi are scalar box
     bounds for quadratic_box. cond sets the quadratic families' Hessian
     condition number; logsumexp does not read it and accepts only cond = 1.
+    n, m and seed must be integers and the other numeric fields real numbers
+    (bool is neither); a ConfigError names the first field that is not.
     """
 
     family: str
@@ -49,6 +51,8 @@ class InstanceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"must be one of {FAMILIES}, got {self.family!r}", "family")
+        check_field_types(self, integers=("n", "m", "seed"),
+                          reals=("cond", "mu", "rho", "lo", "hi"))
         for name in ("n", "m"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"must be >= 1, got {getattr(self, name)}", name)

@@ -126,6 +126,19 @@ class TestConfigErrors:
         assert code == 64
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, mangle, message", [
+        ("instance", {"n": 4.5}, "instance.n must be an integer, got 4.5"),
+        ("instance", {"n": "4"}, "instance.n must be an integer, got '4'"),
+        ("solver", {"eps": "1e-9"}, "solver.eps must be a real number, got '1e-9'"),
+    ])
+    def test_wrong_types_exit_64_with_field_path(self, tmp_path, capsys, section, mangle,
+                                                  message):
+        cfg = _base_solve_config()
+        cfg[section].update(mangle)
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("instance, message", [
         ({"family": "quadratic_box", "lo": 1.0, "hi": 0.0},
          "instance.lo must be < hi for the box, got [1.0, 0.0]"),
@@ -243,6 +256,25 @@ class TestCheckVerb:
         assert "descent_bound: PASS" in report
         assert "fundamental_ineq_quadratic: PASS" in report
         assert "FAIL" not in report
+
+    def test_termination_starts_clipped_into_the_box(self, tmp_path):
+        # solve() rejects a start outside the box, so the drawn starts of
+        # quadratic_termination are clipped as run.x0 draws are
+        cfg = self._check_config(["quadratic_termination"])
+        cfg["instance"]["family"] = "quadratic_box"
+        cfg["checks"]["starts"] = 3
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["check", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert "quadratic_termination: PASS" in (tmp_path / "checks.txt").read_text()
+
+    def test_explicit_start_outside_the_box_exits_3(self, tmp_path, capsys):
+        cfg = _base_solve_config()
+        cfg["instance"]["family"] = "quadratic_box"
+        cfg["run"]["x0"] = [0.5, 2.0, 0.0, 0.0]
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+        assert "x0[1] = 2.0 is not in [-1.0, 1.0]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_rate_checks_pass_on_multistep_run(self, tmp_path):
         # rate diagnostics need a run with a real tail; the regularized

@@ -67,6 +67,19 @@ class TestSolverConfig:
         assert exc.value.field == field
         assert str(exc.value).startswith(f"{field} must ")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_outer": 10.0}, "max_outer must be an integer, got 10.0"),
+        ({"max_halvings": True}, "max_halvings must be an integer, got True"),
+        ({"max_inner_iters": "100"}, "max_inner_iters must be an integer, got '100'"),
+        ({"eps": "1e-9"}, "eps must be a real number, got '1e-9'"),
+        ({"tol_gap": None}, "tol_gap must be a real number, got None"),
+        ({"variant": "gradient", "ell": "2"}, "ell must be a real number, got '2'"),
+    ])
+    def test_rejects_wrong_types(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            SolverConfig(**kwargs)
+        assert str(exc.value) == message
+
 
 class TestArmijoBacktrack:
     def test_full_step_accepted_on_exact_model(self):
@@ -148,6 +161,17 @@ class TestSolveNewton:
         # terminal record carries the certificate of the last subproblem
         assert tr.records[-1].step == 0.0
         assert tr.records[-1].direction_norm < 1e-10
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-np.ones(4), np.ones(4))])
+    def test_start_outside_the_box_rejected_before_iteration_0(self, lo, hi):
+        base = generate_instance(InstanceSpec(family="quadratic", n=4, m=2, seed=1))
+        prob = attach_nonsmooth(base, NonsmoothTerm.box(lo, hi))
+        cfg = SolverConfig(eps=1e-9, tol_gap=1e-12)
+        with pytest.raises(InputError, match=r"x0\[2\] = 1\.5 is not in \[-1\.0, 1\.0\]"):
+            solve(prob, cfg, np.array([0.5, 1.0, 1.5, -3.0]))
+        # within a few ulps of a bound counts as inside, as for the term's value
+        tr = solve(prob, cfg, np.array([0.5, 1.0 + 1e-16, 0.0, -1.0]))
+        assert tr.status is Status.CRITICAL_REACHED
 
     def test_quadratic_single_objective_newton_exact(self):
         spec = InstanceSpec(family="quadratic", n=6, m=1, cond=100.0, seed=2)

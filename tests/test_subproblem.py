@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,45 @@ class TestModelValues:
         box = NonsmoothTerm.box(-3.0 * np.ones(3), 3.0 * np.ones(3))
         assert box.value(u) == 0.0
         assert box.value(u + np.longdouble(3.0)) == np.inf
+
+
+class TestHessianProducts:
+    """Metric.hessian().products, the split BLAS product H_i d, against exact arithmetic."""
+
+    @staticmethod
+    def _stack(n, m, rng):
+        # each row at its own scale 2^-300 .. 2^300, a zero row, a row of
+        # alternating signs, and a row near 2^1000, where the split constant
+        # 0.75 * 2^(e + 53 - beta) of a row with max |H| < 2^e would overflow
+        H = rng.standard_normal((m, n, n)) * np.ldexp(1.0, rng.integers(-300, 301, (m, n, 1)))
+        H[0, 0] = 0.0
+        H[-1, 0] = 2.0 ** 30 * (-1.0) ** np.arange(n) * rng.uniform(1.0, 2.0, n)
+        H[-1, -1] = 2.0 ** 997 * rng.standard_normal(n)
+        return H
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (10, 3), (200, 1)])
+    def test_within_2_pow_minus_62_of_exact(self, n, m):
+        rng = np.random.Generator(np.random.PCG64(n))
+        H = self._stack(n, m, rng)
+        beta = (51 - (n - 1).bit_length()) // 2
+        assert np.frexp(np.max(np.abs(H[-1, -1])))[1] + 53 - beta >= 1024
+        se = SmoothEval(values=np.zeros(m), gradients=np.zeros((m, n)), hessians=H)
+        directions = [np.zeros(n), rng.standard_normal(n),
+                      2.0 ** -200 * rng.standard_normal(n) * rng.integers(0, 2, n)]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            products = Metric.hessian().products(se)
+            got = [products(d.astype(np.longdouble)) for d in directions]
+        for d, hd in zip(directions, got):
+            assert hd.dtype == np.longdouble and hd.shape == (m, n)
+            dq = [Fraction(v) for v in d]
+            for i in range(m):
+                for j in range(n):
+                    row = [Fraction(v) for v in H[i, j]]
+                    exact = sum(a * b for a, b in zip(row, dq))
+                    scale = sum(abs(a * b) for a, b in zip(row, dq))
+                    err = abs(Fraction(*hd[i, j].as_integer_ratio()) - exact)
+                    assert err <= scale / 2 ** 62, (i, j)
 
 
 class TestInnerMinimize:
@@ -324,14 +364,14 @@ class TestSolveDirection:
 
     def test_one_factorization_per_pass(self, monkeypatch):
         # the face-Newton steps reuse the inner solve's factor
-        real = moprox.subproblem.cho_factor
+        real = moprox.subproblem._potrf
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(moprox.subproblem, "cho_factor", counting)
+        monkeypatch.setattr(moprox.subproblem, "_potrf", counting)
         spec = InstanceSpec(family="quadratic", n=6, m=3, cond=10.0, seed=4)
         res = solve_direction(generate_instance(spec), np.zeros(6), tol_gap=1e-12)
         assert res.dual_iters > 1

@@ -54,6 +54,25 @@ class TestInstanceSpec:
         assert exc.value.field == field
         assert str(exc.value) == f"{field} {exc.value.detail}"
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 4.5}, "n must be an integer, got 4.5"),
+        ({"m": "4"}, "m must be an integer, got '4'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"cond": "100"}, "cond must be a real number, got '100'"),
+        ({"mu": None}, "mu must be a real number, got None"),
+        ({"rho": False}, "rho must be a real number, got False"),
+        ({"lo": [0.0]}, "lo must be a real number, got [0.0]"),
+    ])
+    def test_rejects_wrong_types(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            InstanceSpec(**{"family": "quadratic_box", "n": 2, "m": 1, **kwargs})
+        assert str(exc.value) == message
+
+    def test_accepts_numpy_scalars(self):
+        spec = InstanceSpec(family="quadratic", n=np.int64(3), m=2, cond=np.float64(10.0),
+                            seed=np.uint32(7))
+        assert generate_instance(spec).n == 3
+
     def test_logsumexp_rejects_cond(self):
         # gen_logsumexp_reg never reads cond, so a cond sweep would repeat
         # one instance; only the default cond = 1 is accepted
