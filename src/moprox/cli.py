@@ -315,13 +315,12 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
         raise ConfigError("run.sweep.cond must be a nonempty list")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("run.sweep.seeds must be a nonempty list")
-    # every spec is validated before any cell is solved
+    # every spec is validated, uncoerced, before any cell is solved
     try:
-        specs = [InstanceSpec(family=base.family, n=base.n, m=base.m,
-                              cond=float(cond), mu=base.mu, rho=base.rho,
-                              seed=int(seed), lo=base.lo, hi=base.hi)
+        specs = [InstanceSpec(family=base.family, n=base.n, m=base.m, cond=cond,
+                              mu=base.mu, rho=base.rho, seed=seed, lo=base.lo, hi=base.hi)
                  for cond in conds for seed in seeds]
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise _within(exc, "run.sweep") from exc
     rows = []
     for spec in specs:

@@ -6,8 +6,11 @@ to the direction subproblem, built once per solve from the config's
 replaces every Hessian by ell times the identity (a scaled-identity
 majorization, solved in closed form by one proximal map per snap). Each
 iterate sweeps the smooth oracles once: the line search keeps the oracle
-output at the step it accepts, and the next iteration uses it. Iterations
-stop when the direction norm falls below eps; the full iteration history is
+output at the step it accepts, and the next iteration uses it. In the same
+way each direction solve starts its dual loop from the weights of the
+previous accepted direction (uniform weights at iteration 0); that state
+lives in one solve() call, so reruns give the same bits. Iterations stop
+when the direction norm falls below eps; the full iteration history is
 recorded in a trace for offline verification.
 """
 
@@ -204,6 +207,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     """Run the solver from x0 and return the full iteration trace.
 
     Each iteration solves the direction subproblem in the configured metric,
+    its dual loop started from the previous accepted direction's weights,
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
     and moves. The oracle output the line search keeps at the accepted point
     is the next iteration's evaluation; its finiteness is checked there, as
@@ -239,6 +243,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
               else Metric.hessian())
     accepted = []  # oracle output at the last accepted step, filled by the line search
+    weights = None  # dual weights of the last accepted direction, the next dual start
 
     for k in range(config.max_outer):
         message = ""
@@ -251,7 +256,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                 res = solve_direction(problem, x, tol_gap=config.tol_gap,
                                       max_dual_iters=config.max_dual_iters,
                                       max_inner_iters=config.max_inner_iters,
-                                      smooth_eval=se, metric=metric)
+                                      smooth_eval=se, metric=metric, weights=weights)
             except ConvergenceError as exc:
                 res, message = _dual_bound_stop(exc, metric.modulus(problem), config.eps)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
@@ -292,6 +297,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                                    direction_norm=dnorm, theta=res.theta, step=t,
                                    weights=res.weights.copy(), gap=res.gap))
         x = x + t * res.direction
+        weights = res.weights
 
     records.append(_nan_record(config.max_outer, x, _safe_objectives(problem, x, m), m))
     return SolveTrace(records=tuple(records), status=Status.MAX_ITERS, config=config)

@@ -16,7 +16,10 @@ faces of the simplex with a supergradient safeguard. Under both metrics the
 face Hessian is -Q W^-1 Q', with W the free block of the weighted metric and
 rows q_i = grad f_i + H_i d on its free coordinates; each snap keeps W's
 factor (division by ell under ell I) and H_i d, so the Newton step reuses
-them. Every model value comes from one extended-precision evaluation per snap:
+them. Work also carries forward: the dual loop starts from the weights it
+is given (the outer loop passes the previous direction's), and each snap
+after the first starts its active set from the previous snap's d. Every
+model value comes from one extended-precision evaluation per snap:
 it gives phi, the gap certificate and theta, so tolerances near 1e-12 remain
 meaningful when model values are large. Its products H_i d come from float64
 BLAS products by error-free splitting (Ozaki, Ogita, Oishi & Rump 2012; see
@@ -145,18 +148,20 @@ class Metric:
         return product
 
     def minimize(self, weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
-                 *, max_iters: int = 10000):
+                 *, d0=None, max_iters: int = 10000):
         """Minimize the weighted model at fixed weights; (d, free, solve_free, passes).
 
         solve_free applies the inverse of the weighted metric's free block.
-        Under the Hessian metric this is :func:`inner_minimize`. Under ell I
+        Under the Hessian metric this is :func:`inner_minimize`, whose active
+        set starts from u = x + d0 (from u = x when d0 is None). Under ell I
         it is one proximal map, u = prox_{g/ell}(x - grad_w/ell), d = u - x,
-        counted as one pass; free marks where g is smooth at u (u != 0 for
-        l1, lo < u < hi for the box, everywhere for the zero term),
-        solve_free divides by ell, and smooth_eval's Hessians are not read.
+        counted as one pass; it is closed-form, so d0 is ignored. free marks
+        where g is smooth at u (u != 0 for l1, lo < u < hi for the box,
+        everywhere for the zero term), solve_free divides by ell, and
+        smooth_eval's Hessians are not read.
         """
         if self.ell is None:
-            return inner_minimize(weights, smooth_eval, term, x, max_iters=max_iters)
+            return inner_minimize(weights, smooth_eval, term, x, d0=d0, max_iters=max_iters)
         x = np.asarray(x, dtype=float)
         v = np.asarray(weights, dtype=float) @ smooth_eval.gradients
         u = term.prox(x - v / self.ell, 1.0 / self.ell)
@@ -253,12 +258,15 @@ def _cholesky(block: np.ndarray):
 
 
 def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
-                   *, max_iters: int = 10000):
+                   *, d0=None, max_iters: int = 10000):
     """Minimize the weighted model sum_i w_i psi_i(d) for fixed weights, exactly.
 
-    A primal active-set loop on u = x + d, started from d = 0. Each
-    coordinate is free, on a smooth piece of the term (fixed l1 sign, or
-    strictly inside the box), or held at a kink (0 for l1) or a bound. One
+    A primal active-set loop on u = x + d, started from d = d0 (d = 0 when
+    d0 is None). Each coordinate is free, on a smooth piece of the term
+    (fixed l1 sign, or strictly inside the box), or held at a kink (0 for
+    l1) or a bound. The start gives the first split: a coordinate where
+    x + d0 is at the kink, or on or beyond a bound, starts held exactly
+    there, and the others start free on the piece x + d0 lies on. One
     pass solves the weighted Hessian's free block by Cholesky with the held
     coordinates fixed. If that solve would carry a free coordinate across its
     kink or bound, a ratio test stops the step there and holds it. Otherwise
@@ -267,11 +275,16 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
     r_j >= 0 at lo, r_j <= 0 at hi, up to a few ulps of |grad_w|, |H_w||d|
     and rho) is released; with none left the solve is exact. With nothing
     held, as always for the zero term, a pass is the plain Cholesky solve
-    H_w d = -grad_w.
+    H_w d = -grad_w. The result is the last pass's solve with the held
+    coordinates exactly at their kinks or bounds, so two starts that end on
+    the same free set return the same bits; d0 changes only the number of
+    passes, and a start near the solution (the direction solver passes the
+    previous snap's d) usually needs one or two.
 
     Returns (d, free, solve_free, passes) with free the mask of free
     coordinates and solve_free the solve with the last pass's Cholesky
     factor, whose free set is that mask (None when nothing is free). Raises
+    InputError if d0 is not a finite vector of x's shape,
     SingularMetricError if a free block is not positive definite and
     ConvergenceError if max_iters passes do not certify optimality.
     """
@@ -282,13 +295,20 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
     M = 0.5 * (M + M.T)
     l1 = term.kind == NonsmoothTerm.KIND_L1
     rho = term.rho if l1 else 0.0
-    d = np.zeros_like(x)
+    if d0 is None:
+        d = np.zeros_like(x)
+    else:
+        d = np.array(d0, dtype=float)
+        if d.shape != x.shape or not np.all(np.isfinite(d)):
+            raise InputError(f"d0 must be a finite vector of shape {x.shape}")
+    u = x + d
     if l1:
-        side = np.sign(x)  # sign of u on free coordinates
-        free = x != 0.0
+        # u == 0 only where d == -x, so held coordinates already sit on the kink
+        side = np.sign(u)  # sign of u on free coordinates
+        free = u != 0.0
     elif term.kind == NonsmoothTerm.KIND_BOX:
         lo, hi = np.broadcast_to(term.lo, x.shape), np.broadcast_to(term.hi, x.shape)
-        side = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))  # held bound
+        side = np.where(u <= lo, -1.0, np.where(u >= hi, 1.0, 0.0))  # held bound
         free = side == 0.0
         d[~free] = np.where(side < 0.0, lo, hi)[~free] - x[~free]
     else:
@@ -368,7 +388,8 @@ class _Snapshot:
 
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                     max_dual_iters: int = 500, *, max_inner_iters: int = 10000,
-                    smooth_eval=None, metric: Optional[Metric] = None) -> DirectionResult:
+                    smooth_eval=None, metric: Optional[Metric] = None,
+                    weights=None) -> DirectionResult:
     """Solve the direction subproblem at x to a certified duality gap.
 
     metric defaults to the Hessian metric. smooth_eval, the oracle output at
@@ -377,25 +398,42 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     iterate sweeps the oracles once. Only the metric reads its Hessians, and
     the scaled-identity metric does not.
 
-    Maximizes the dual over the weight simplex from the uniform vector. Each
-    iteration first takes a Newton step on the current face (the support of
-    the weights plus the outside index with the largest model value, when
-    that value exceeds the dual value), cut back to the simplex boundary and
-    halved until the dual value does not decrease. When it gives no ascent,
-    it is retried from the snapshot with the smallest gap, and then a
-    projected supergradient step with a warm-started step length is taken.
+    Maximizes the dual over the weight simplex from weights, or from the
+    uniform vector when weights is None. The outer loop passes the weights
+    of the previous accepted direction: near a solution consecutive
+    subproblems nearly coincide, and after a full step on a quadratic those
+    weights certify the new point at the first snap. From the second snap
+    on, each inner solve starts its active set from the most recent snap's
+    direction. Each iteration first takes a Newton step on the current face
+    (the support of the weights plus the outside index with the largest
+    model value, when that value exceeds the dual value), cut back to the
+    simplex boundary and halved until the dual value does not decrease.
+    When it gives no ascent, it is retried from the snapshot with the
+    smallest gap, and then a projected supergradient step with a
+    warm-started step length is taken.
     Terminates once the gap certificate reaches tol_gap; when neither step
     ascends, or max_dual_iters iterations pass first, ConvergenceError is
     raised carrying the best result found.
 
     Returns a DirectionResult whose theta is nonpositive: if rounding at a
     critical point produces a positive model optimum, the zero direction
-    (feasible, value zero) is returned instead.
+    (feasible, value zero) is returned instead. Raises InputError unless
+    weights is None or an m-vector on the unit simplex: finite, nonnegative
+    and summing to 1 within 4 m machine epsilons.
     """
     x = _as_point(x, problem.n)
     tol_gap = float(tol_gap)
     if not np.isfinite(tol_gap) or tol_gap <= 0:
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
+    m = problem.m
+    if weights is None:
+        weights = np.full(m, 1.0 / m)
+    else:
+        weights = np.array(weights, dtype=float)
+        if (weights.shape != (m,) or not np.all(np.isfinite(weights))
+                or np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 4 * m * _EPS):
+            raise InputError(f"weights must be {m} finite nonnegative numbers "
+                             f"summing to 1, got {weights!r}")
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
     metric = Metric.hessian() if metric is None else metric
     term = problem.nonsmooth
@@ -403,14 +441,15 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     at_x = _term_at(term, x_hi)
     grads_hi = se.gradients.astype(np.longdouble)
     products = metric.products(se)
-    m = problem.m
     counts = {"inner": 0, "dual": 0}
     best = None  # the snapshot with the smallest gap
+    prev_d = None  # the most recent snap's d, where the next inner solve starts
 
     def snap(lam: np.ndarray) -> _Snapshot:
-        nonlocal best
-        d, free, solve_free, passes = metric.minimize(lam, se, term, x,
+        nonlocal best, prev_d
+        d, free, solve_free, passes = metric.minimize(lam, se, term, x, d0=prev_d,
                                                       max_iters=max_inner_iters)
+        prev_d = d
         counts["inner"] += passes
         counts["dual"] += 1
         psi, hd = _model_values_hi(d, grads_hi, products, term, x_hi, at_x)
@@ -435,7 +474,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                                inner_iters=counts["inner"], dual_iters=counts["dual"],
                                dual_history=tuple(history))
 
-    cur = snap(np.full(m, 1.0 / m))
+    cur = snap(weights)
     history = [float(cur.phi)]
 
     # On a face the dual Hessian restricted to zero-sum directions is

@@ -222,7 +222,23 @@ class TestBenchVerb:
         cfg["run"]["sweep"]["seeds"] = ["x"]
         cfg_path = _write_config(tmp_path / "cfg.json", cfg)
         assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 64
-        assert "config error: run.sweep: " in capsys.readouterr().err
+        assert ("config error: run.sweep.seed must be an integer, got 'x'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("key, values, message", [
+        ("cond", ["10"], "run.sweep.cond must be a real number, got '10'"),
+        ("seeds", [4.5], "run.sweep.seed must be an integer, got 4.5"),
+        ("seeds", [0, True], "run.sweep.seed must be an integer, got True"),
+    ])
+    def test_bench_rejects_wrong_sweep_types(self, tmp_path, capsys, key, values, message):
+        # entries reach InstanceSpec uncoerced, so "10" is not read as 10.0
+        cfg = self._bench_config()
+        cfg["run"]["sweep"][key] = values
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 64
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_bench_requires_sweep(self, tmp_path, capsys):
         cfg = self._bench_config()

@@ -360,6 +360,46 @@ class TestOracleSweeps:
         assert np.isnan(last.gap) and np.all(np.isnan(last.weights))
 
 
+class TestWarmStart:
+    def test_dual_loop_starts_from_the_last_accepted_weights(self, monkeypatch):
+        real = moprox.solver.solve_direction
+        starts, results = [], []
+
+        def recording(*args, **kwargs):
+            starts.append(kwargs.get("weights"))
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(moprox.solver, "solve_direction", recording)
+        spec = InstanceSpec(family="quadratic_l1", n=10, m=3, cond=100.0, rho=0.1, seed=2)
+        prob = generate_instance(spec)
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(2)).standard_normal(10)
+        tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), x0)
+        assert tr.status is Status.CRITICAL_REACHED and len(results) == 2
+        assert starts[0] is None
+        for start, previous in zip(starts[1:], results):
+            assert np.array_equal(start, previous.weights)
+        # quadratic termination: the first direction's weights certify x1
+        assert results[1].dual_iters == 1
+
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_no_state_carried_between_solves(self, variant):
+        specs = [InstanceSpec(family="quadratic_box", n=8, m=3, cond=100.0, seed=s)
+                 for s in (5, 6)]
+        probs = [generate_instance(spec) for spec in specs]
+        x0 = np.random.Generator(np.random.PCG64(5)).uniform(-1.0, 1.0, 8)
+        extra = {"variant": "gradient", "ell": probs[0].lip_grad} if variant == "gradient" else {}
+        cfg = SolverConfig(eps=1e-9, tol_gap=1e-12, **extra)
+        first = solve(probs[0], cfg, x0)
+        solve(probs[1], cfg, x0)
+        again = solve(probs[0], cfg, x0)
+        assert len(first.records) == len(again.records)
+        for a, b in zip(first.records, again.records):
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name),
+                                      equal_nan=True), field.name
+
+
 class TestScalarBoxBounds:
     @pytest.mark.parametrize("variant", ["newton", "gradient"])
     @pytest.mark.parametrize("m", [2, 3, 5])

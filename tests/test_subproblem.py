@@ -253,6 +253,40 @@ class TestInnerMinimize:
                 at_bound = (d == spec.lo - x) | (d == spec.hi - x)
                 assert np.all(at_bound[held])
 
+    @pytest.mark.parametrize("family", ["quadratic_l1", "quadratic_box"])
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_warm_start_from_nearby_weights_saves_passes(self, family, n, m):
+        # the inputs of test_exact_on_kinks_and_bounds, started from the
+        # solution at nearby weights, as the direction solver's snaps are
+        for seed in range(5):
+            spec = InstanceSpec(family=family, n=n, m=m, cond=100.0, rho=0.1,
+                                seed=seed)
+            prob = generate_instance(spec)
+            term = prob.nonsmooth
+            rng = np.random.Generator(np.random.PCG64(100 + seed))
+            x = 2.0 * rng.standard_normal(n)
+            if family == "quadratic_l1":
+                x[rng.random(n) < 0.3] = 0.0
+            else:
+                x = np.clip(x, spec.lo, spec.hi)
+            se = eval_smooth(prob, x)
+            lam = rng.dirichlet(np.ones(m))
+            d, free, _, cold = inner_minimize(lam, se, term, x)
+            d0, _, _, _ = inner_minimize(0.95 * lam + 0.05 / m, se, term, x)
+            d_warm, free_warm, _, warm = inner_minimize(lam, se, term, x, d0=d0)
+            assert warm <= cold, (seed, warm, cold)
+            assert np.array_equal(free_warm, free) and np.array_equal(d_warm, d)
+
+    @pytest.mark.parametrize("d0", [np.zeros(3), np.array([0.0, np.nan]),
+                                    np.array([0.0, np.inf])])
+    def test_rejects_bad_start(self, d0):
+        spec = InstanceSpec(family="quadratic_l1", n=2, m=2, rho=0.1, seed=1)
+        prob = generate_instance(spec)
+        se = eval_smooth(prob, np.ones(2))
+        with pytest.raises(InputError, match="d0 must be a finite vector"):
+            inner_minimize(np.array([0.5, 0.5]), se, prob.nonsmooth, np.ones(2), d0=d0)
+
     def test_iteration_cap_raises(self, l1_scalar):
         x = np.array([3.0])
         se = eval_smooth(l1_scalar, x)
@@ -384,6 +418,66 @@ class TestSolveDirection:
         assert exc.value.residual is not None
 
 
+class TestWarmStart:
+    """solve_direction's starts: the dual weights, and each snap's active set."""
+
+    def test_each_snap_starts_from_the_previous_snaps_direction(self, monkeypatch):
+        real = moprox.subproblem.inner_minimize
+        starts, results = [], []
+
+        def recording(*args, d0=None, **kwargs):
+            starts.append(d0)
+            results.append(real(*args, d0=d0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(moprox.subproblem, "inner_minimize", recording)
+        spec = InstanceSpec(family="quadratic_box", n=10, m=3, cond=100.0, seed=3)
+        x = np.random.Generator(np.random.PCG64(3)).uniform(-1.0, 1.0, 10)
+        res = solve_direction(generate_instance(spec), x, tol_gap=1e-12)
+        assert res.dual_iters == len(starts) > 1
+        assert starts[0] is None
+        for start, previous in zip(starts[1:], results):
+            assert np.array_equal(start, previous[0])
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, 0.5],  # m = 3 wants three
+        [0.5, 0.5, np.nan],
+        [np.inf, 0.0, 0.0],
+        [0.6, 0.6, -0.2],
+        [0.5, 0.25, 0.24],
+        [0.5, 0.25, 0.25 + 1e-12],
+    ])
+    def test_rejects_weights_off_the_simplex(self, weights):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        with pytest.raises(InputError, match="weights must be 3 finite nonnegative"):
+            solve_direction(prob, np.ones(4), weights=weights)
+
+    def test_accepts_a_vertex_and_rounded_sums(self):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        for weights in ([0.0, 1.0, 0.0], [0.7, 0.2, 0.1]):  # the latter sums to 1 - 1 ulp
+            res = solve_direction(prob, np.ones(4), tol_gap=1e-12, weights=weights)
+            assert res.gap <= 1e-12
+
+    @pytest.mark.parametrize("family", ["quadratic", "quadratic_l1", "quadratic_box"])
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_one_step_weights_certify_the_next_point(self, family, m):
+        # quadratic termination: grad f_i(x1) = grad f_i(x0) + H_i d0 at
+        # x1 = x0 + d0, so the weights of the first subproblem solve the second
+        for seed in range(2):
+            spec = InstanceSpec(family=family, n=10, m=m, cond=100.0, rho=0.1, seed=seed)
+            prob = generate_instance(spec)
+            x0 = 2.0 * np.random.Generator(np.random.PCG64(seed)).standard_normal(10)
+            if family == "quadratic_box":
+                x0 = np.clip(x0, spec.lo, spec.hi)
+            res0 = solve_direction(prob, x0, tol_gap=1e-12)
+            x1 = x0 + res0.direction
+            warm = solve_direction(prob, x1, tol_gap=1e-12, weights=res0.weights)
+            assert warm.dual_iters == 1, seed
+            assert np.linalg.norm(warm.direction) < 1e-9
+            cold = solve_direction(prob, x1, tol_gap=1e-12)
+            assert cold.dual_iters > 1, seed
+
+
 class TestScaledIdentityMetric:
     """The closed form under ell I against the dense path fed an ell I stack."""
 
@@ -437,6 +531,14 @@ class TestScaledIdentityMetric:
                               metric=metric)
         assert np.array_equal(got.direction, want.direction)
         assert got.theta == want.theta
+
+    def test_start_is_ignored(self):
+        prob, x, se, _, ell, rng = self._case("quadratic_box", 10, 3, 1)
+        metric = Metric.scaled_identity(ell)
+        lam = rng.dirichlet(np.ones(3))
+        want = metric.minimize(lam, se, prob.nonsmooth, x)
+        got = metric.minimize(lam, se, prob.nonsmooth, x, d0=5.0 * rng.standard_normal(10))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_rejects_bad_ell(self):
         for ell in (0.0, -1.0, np.inf, np.nan):
