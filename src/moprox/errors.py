@@ -51,15 +51,14 @@ class SingularMetricError(MoproxError, RuntimeError):
 
 
 class ConvergenceError(MoproxError, RuntimeError):
-    """An iterative loop hit its cap before reaching its tolerance.
+    """An iterative loop hit its cap or stalled before reaching its tolerance.
 
-    Carries the final residual and, when available, the best iterate found.
+    Carries the final residual when one is known.
     """
 
-    def __init__(self, message, residual=None, best=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.best = best
 
 
 class LineSearchError(MoproxError, RuntimeError):

@@ -17,7 +17,7 @@ recorded in a trace for offline verification.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -218,12 +218,12 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     zero direction (direction norm, theta and gap 0), as the subproblem does
     for theta > 0, and, when the direction norm was still >= eps, sets the
     trace message to name the stop with sigma * theta and the ulp bound.
-    When the direction subproblem stops short of its gap tolerance, its best
-    dual value phi still bounds the exact direction, ||d*||^2 <= -2 phi / mu
-    for the metric's modulus mu (problem.mu, or ell): with phi >= -mu eps^2
-    / 2 the run stops CRITICAL_REACHED, recorded like the precision-limit
-    stop with a message giving phi and the bound. Other subproblem or
-    line-search failures are recorded in the trace (status
+    The direction solve is given eps: once a dual value phi >= -mu eps^2 / 2
+    (mu the metric's modulus, problem.mu or ell) shows ||d*|| <= eps, it
+    returns the zero direction before closing its gap, and the run stops
+    CRITICAL_REACHED, recorded like the precision-limit stop, with the
+    solve's message (phi and the bound) as the trace message. Subproblem
+    and line-search failures are recorded in the trace (status
     SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer yields
     MAX_ITERS. A start that is not a finite n-vector, or that lies outside
     the domain of the nonsmooth term (a box), raises InputError before
@@ -246,26 +246,23 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     weights = None  # dual weights of the last accepted direction, the next dual start
 
     for k in range(config.max_outer):
-        message = ""
         try:
             se = _checked_stack(accepted, m, problem.n) if accepted else eval_smooth(problem, x)
             f_x = se.values + problem.nonsmooth.value(x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
-            try:
-                res = solve_direction(problem, x, tol_gap=config.tol_gap,
-                                      max_dual_iters=config.max_dual_iters,
-                                      max_inner_iters=config.max_inner_iters,
-                                      smooth_eval=se, metric=metric, weights=weights)
-            except ConvergenceError as exc:
-                res, message = _dual_bound_stop(exc, metric.modulus(problem), config.eps)
+            res = solve_direction(problem, x, tol_gap=config.tol_gap,
+                                  max_dual_iters=config.max_dual_iters,
+                                  max_inner_iters=config.max_inner_iters,
+                                  smooth_eval=se, metric=metric, weights=weights,
+                                  eps=config.eps)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
             records.append(_nan_record(k, x, _safe_objectives(problem, x, m), m))
             return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
                               config=config, message=str(exc))
 
         dnorm = float(np.linalg.norm(res.direction))
-        theta, gap = res.theta, res.gap
+        theta, gap, message = res.theta, res.gap, res.message
         ulp_bound = -_EPS * max(1.0, float(np.max(np.abs(f_x))))
         if config.sigma * theta >= ulp_bound:
             # even the unit-step decrease bound is below one ulp of F, so any
@@ -301,24 +298,6 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     records.append(_nan_record(config.max_outer, x, _safe_objectives(problem, x, m), m))
     return SolveTrace(records=tuple(records), status=Status.MAX_ITERS, config=config)
-
-
-def _dual_bound_stop(exc: ConvergenceError, mu: float, eps: float):
-    """The zero direction and a message when the dual value certifies ||d*|| <= eps.
-
-    Every model is mu-strongly convex with value 0 at d = 0, so the optimal
-    direction satisfies ||d*||^2 <= -2 phi / mu for every dual value phi.
-    Re-raises exc when its best result's last dual value is below
-    -mu * eps^2 / 2, or when it carries none.
-    """
-    best = exc.best
-    bound = -0.5 * mu * eps * eps
-    if best is None or not best.dual_history or best.dual_history[-1] < bound:
-        raise exc
-    phi = best.dual_history[-1]
-    res = replace(best, direction=np.zeros_like(best.direction), theta=0.0, gap=0.0)
-    return res, (f"certified critical by the dual bound: phi = {phi:.3e} >= {bound:.3e} "
-                 f"= -mu*eps^2/2, so ||d*|| <= eps ({exc})")
 
 
 def _safe_objectives(problem: ProblemInstance, x: np.ndarray, m: int) -> np.ndarray:

@@ -12,18 +12,20 @@ solved through its concave dual over the unit simplex. At fixed weights (one
 snap) the weighted model is minimized exactly, by an active-set loop of
 Cholesky solves under the Hessians and by one proximal map under ell I. The
 dual is maximized by one loop for every m, a projected Newton method on the
-faces of the simplex with a supergradient safeguard. Under both metrics the
-face Hessian is -Q W^-1 Q', with W the free block of the weighted metric and
-rows q_i = grad f_i + H_i d on its free coordinates; each snap keeps W's
-factor (division by ell under ell I) and H_i d, so the Newton step reuses
-them. Work also carries forward: the dual loop starts from the weights it
-is given (the outer loop passes the previous direction's), and each snap
-after the first starts its active set from the previous snap's d. Every
-model value comes from one extended-precision evaluation per snap:
-it gives phi, the gap certificate and theta, so tolerances near 1e-12 remain
-meaningful when model values are large. Its products H_i d come from float64
-BLAS products by error-free splitting (Ozaki, Ogita, Oishi & Rump 2012; see
-:meth:`Metric.products`), the one precision path for every n.
+faces of the simplex with a supergradient safeguard. It stops at a certified
+gap, or returns d = 0 once a dual value certifies ||d*|| <= eps. Under both
+metrics the face Hessian is -Q W^-1 Q', with W the free block of the
+weighted metric and rows q_i = grad f_i + H_i d on its free coordinates;
+each snap keeps W's factor (division by ell under ell I) and H_i d, so the
+Newton step reuses them. Work also carries forward: the dual loop starts
+from the weights it is given (the outer loop passes the previous
+direction's), and each snap after the first starts its active set from the
+previous snap's d. Every model value comes from one extended-precision
+evaluation per snap: it gives phi, the gap certificate and theta, so
+tolerances near 1e-12 remain meaningful when model values are large. Its
+products H_i d come from float64 BLAS products by error-free splitting
+(Ozaki, Ogita, Oishi & Rump 2012; see :meth:`Metric.products`), the one
+precision path for every n.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class DirectionResult:
         and number of dual weight vectors visited.
     dual_history : tuple of float
         Dual objective values of the accepted ascent iterates, nondecreasing.
+    message : str
+        Empty unless a dual value phi certified ||d*|| <= eps; then it gives
+        phi and the bound, and direction, theta and gap are zero.
     """
 
     direction: np.ndarray
@@ -82,6 +87,7 @@ class DirectionResult:
     inner_iters: int
     dual_iters: int
     dual_history: tuple = ()
+    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -389,8 +395,8 @@ class _Snapshot:
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                     max_dual_iters: int = 500, *, max_inner_iters: int = 10000,
                     smooth_eval=None, metric: Optional[Metric] = None,
-                    weights=None) -> DirectionResult:
-    """Solve the direction subproblem at x to a certified duality gap.
+                    weights=None, eps: Optional[float] = None) -> DirectionResult:
+    """Solve the direction subproblem at x to a certified duality gap or ||d*|| <= eps.
 
     metric defaults to the Hessian metric. smooth_eval, the oracle output at
     x, is evaluated here when not given; the line search of the outer loop
@@ -411,20 +417,28 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     When it gives no ascent, it is retried from the snapshot with the
     smallest gap, and then a projected supergradient step with a
     warm-started step length is taken.
-    Terminates once the gap certificate reaches tol_gap; when neither step
-    ascends, or max_dual_iters iterations pass first, ConvergenceError is
-    raised carrying the best result found.
+    Terminates once the gap certificate reaches tol_gap. Failing that, given
+    eps, it stops once the current dual value phi >= -mu eps^2 / 2, mu the
+    metric's modulus: every model is mu-strongly convex with value 0 at
+    d = 0, so ||d*||^2 <= -2 phi / mu, and the zero direction is returned
+    with a message. Both tests run before each dual iteration and after the
+    loop, the gap test first, so a gap-certified direction does not depend
+    on eps. When neither holds and no step ascends, or max_dual_iters
+    iterations pass first, ConvergenceError is raised.
 
     Returns a DirectionResult whose theta is nonpositive: if rounding at a
     critical point produces a positive model optimum, the zero direction
     (feasible, value zero) is returned instead. Raises InputError unless
     weights is None or an m-vector on the unit simplex: finite, nonnegative
-    and summing to 1 within 4 m machine epsilons.
+    and summing to 1 within 4 m machine epsilons, and unless eps is None or
+    finite and > 0.
     """
     x = _as_point(x, problem.n)
     tol_gap = float(tol_gap)
     if not np.isfinite(tol_gap) or tol_gap <= 0:
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
+    if eps is not None and not (np.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be finite and > 0, got {eps}")
     m = problem.m
     if weights is None:
         weights = np.full(m, 1.0 / m)
@@ -436,6 +450,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
                              f"summing to 1, got {weights!r}")
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
     metric = Metric.hessian() if metric is None else metric
+    # a dual value at or above stop_phi certifies ||d*|| <= eps
+    stop_phi = math.inf if eps is None else -0.5 * metric.modulus(problem) * eps * eps
     term = problem.nonsmooth
     x_hi = x.astype(np.longdouble)
     at_x = _term_at(term, x_hi)
@@ -460,19 +476,20 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
             best = here
         return here
 
-    def finalize(s: _Snapshot) -> DirectionResult:
+    def finalize(s: _Snapshot, message: str = "") -> DirectionResult:
         theta = float(np.max(s.psi))
         d = s.d.copy()
         gap = float(s.gap)
-        if theta > 0.0:
+        if theta > 0.0 or message:
             # the exact optimum is nonpositive (d = 0 is feasible with value 0),
-            # so a positive rounded value certifies criticality at precision
+            # so a positive rounded value certifies criticality at precision;
+            # a message says a dual value certified ||d*|| <= eps
             d = np.zeros_like(d)
             theta = 0.0
             gap = 0.0
         return DirectionResult(direction=d, theta=theta, weights=s.lam.copy(), gap=gap,
                                inner_iters=counts["inner"], dual_iters=counts["dual"],
-                               dual_history=tuple(history))
+                               dual_history=tuple(history), message=message)
 
     cur = snap(weights)
     history = [float(cur.phi)]
@@ -550,7 +567,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
 
     retried = None
     for _ in range(max_dual_iters):
-        if best.gap <= tol_gap:
+        if best.gap <= tol_gap or cur.phi >= stop_phi:
             break
         nxt = newton_step(cur)
         if nxt is None and best is not cur and best is not retried:
@@ -568,9 +585,11 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
 
     if best.gap <= tol_gap:
         return finalize(best)
+    if cur.phi >= stop_phi:
+        return finalize(cur, f"certified critical by the dual bound: phi = {float(cur.phi):.3e}"
+                             f" >= {stop_phi:.3e} = -mu*eps^2/2, so ||d*|| <= eps")
     raise ConvergenceError(
         f"direction subproblem stopped with duality gap {float(best.gap):.3e} "
         f"above {tol_gap:.3e}",
         residual=float(best.gap),
-        best=finalize(best),
     )

@@ -116,6 +116,42 @@ def test_a01_quadratic_grid_one_step_termination():
             f"{worst:.3e} <= 1e-5, {elapsed:.2f}s")
 
 
+def test_a01_whole_grid_one_step_termination():
+    # every cell of zero/l1/box x m in {2, 3, 4, 5, 8} x n in {2, 10, 50} x
+    # cond in {1, 1e2, 1e4}: one unit step reaches a point with criticality
+    # measure at most 1e-5. With n = 2 and m >= 3 the Pareto set is 2-D, so
+    # a start can already be critical; such a run has one record, checked
+    # there instead.
+    families = {"zero": "quadratic", "l1": "quadratic_l1", "box": "quadratic_box"}
+    cfg = SolverConfig(eps=1e-9, tol_gap=1e-12, max_dual_iters=2000)
+    worst, cells = 0.0, 0
+    for kind in families:
+        for m in (2, 3, 4, 5, 8):
+            for n in (2, 10, 50):
+                for cond in (1.0, 1e2, 1e4):
+                    spec = InstanceSpec(family=families[kind], n=n, m=m, cond=cond,
+                                        rho=0.1 if kind == "l1" else 0.0, seed=cells)
+                    prob = generate_instance(spec)
+                    rng = np.random.Generator(np.random.PCG64(1000 + cells))
+                    x0 = (rng.uniform(spec.lo, spec.hi, n) if kind == "box"
+                          else 2.0 * rng.standard_normal(n))
+                    tr = solve(prob, cfg, x0)
+                    _register(f"whole-grid-{cells}", prob, tr)
+                    label = (kind, m, n, cond)
+                    assert tr.status is Status.CRITICAL_REACHED, (label, tr.message)
+                    if len(tr.records) > 1:
+                        assert tr.records[0].step == 1.0, (label, tr.records[0].step)
+                    x1 = tr.records[min(1, len(tr.records) - 1)].x
+                    crit = criticality_measure(prob, x1, tol_gap=1e-12)
+                    assert crit <= 1e-5, (label, crit)
+                    worst = max(worst, crit)
+                    cells += 1
+    assert cells == 135
+    _report("A01", True,
+            f"all {cells} cells of the whole grid, first step t=1, worst "
+            f"one-step criticality {worst:.3e} <= 1e-5")
+
+
 def test_a03_logged_decrease_reverified_from_csv(tmp_path):
     # accepted steps must satisfy F_i(x_{k+1}) - F_i(x_k) <= t * sigma * theta
     # exactly as logged: the CSV stores 17-significant-digit floats, so the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import moprox.solver
+import moprox.subproblem
 from moprox import (
     ConfigError,
     ConvergenceError,
@@ -21,7 +22,7 @@ from moprox import (
     generate_instance,
     solve,
 )
-from moprox.subproblem import DirectionResult
+from moprox.subproblem import DirectionResult, Metric, solve_direction
 from moprox.zoo import attach_nonsmooth, quadratic_objective
 
 
@@ -472,7 +473,6 @@ class TestDualBoundStop:
         assert abs(rec.weights.sum() - 1.0) < 1e-12
         assert tr.message.startswith("certified critical by the dual bound: phi = ")
         assert "-mu*eps^2/2" in tr.message
-        assert "direction subproblem stopped with duality gap" in tr.message
 
     def test_far_from_critical_still_fails(self):
         prob, x0 = self._quadratic()
@@ -481,21 +481,47 @@ class TestDualBoundStop:
         assert tr.message.startswith("direction subproblem stopped with duality gap")
 
     @pytest.mark.parametrize("variant,modulus", [("newton", 2.0), ("gradient", 8.0)])
-    def test_bound_uses_the_metric_modulus(self, variant, modulus, monkeypatch):
-        # mu = 2 for the problem, ell = 8 for the gradient metric
-        prob = _single_quadratic(a=2.0)
-        eps = 1e-3
-        cfg = SolverConfig(eps=eps, variant=variant, ell=8.0)
-        bound = -0.5 * modulus * eps ** 2
-        for phi, status in ((bound, Status.CRITICAL_REACHED),
-                            (1.01 * bound, Status.SUBPROBLEM_FAILURE)):
-            best = DirectionResult(direction=np.array([-0.5]), theta=-0.25,
-                                   weights=np.ones(1), gap=1.0, inner_iters=1,
-                                   dual_iters=1, dual_history=(phi,))
+    def test_bound_uses_the_metric_modulus(self, variant, modulus):
+        # mu = 2 for the problem, ell = 8 for the gradient metric: eps puts
+        # -modulus*eps^2/2 just below, then just above, the first dual value
+        prob = generate_instance(InstanceSpec(family="quadratic", n=10, m=3, cond=100.0,
+                                              mu=2.0, seed=4))
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(1004)).standard_normal(10)
+        metric = Metric.hessian() if variant == "newton" else Metric.scaled_identity(8.0)
+        phi0 = solve_direction(prob, x0, tol_gap=1e-12, metric=metric).dual_history[0]
+        eps = 1.01 * np.sqrt(-2.0 * phi0 / modulus)
+        res = solve_direction(prob, x0, tol_gap=1e-300, metric=metric, eps=eps)
+        assert res.dual_iters == 1 and not np.any(res.direction)
+        assert f">= {-0.5 * modulus * eps ** 2:.3e} = -mu*eps^2/2" in res.message
+        eps = 0.99 * np.sqrt(-2.0 * phi0 / modulus)
+        res = solve_direction(prob, x0, tol_gap=1e-300, metric=metric, eps=eps)
+        assert res.dual_iters > 1
 
-            def stopped(*args, best=best, **kwargs):
-                raise ConvergenceError("stopped", residual=1.0, best=best)
+    def test_bound_stops_the_dual_loop_early(self, monkeypatch):
+        # at the critical point no gap reaches 1e-300; given eps the dual
+        # loop stops on the bound instead of running until it stalls
+        prob, x0 = self._quadratic()
+        x1 = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), x0).final_x
+        res = solve_direction(prob, x1, tol_gap=1e-300, eps=1e-9)
+        assert not np.any(res.direction) and (res.theta, res.gap) == (0.0, 0.0)
+        assert res.message.startswith("certified critical by the dual bound: phi = ")
+        snaps = []
+        certificate = moprox.subproblem._model_values_hi
+        monkeypatch.setattr(moprox.subproblem, "_model_values_hi",
+                            lambda *args: snaps.append(1) or certificate(*args))
+        with pytest.raises(ConvergenceError):
+            solve_direction(prob, x1, tol_gap=1e-300)
+        assert res.dual_iters < len(snaps)
 
-            monkeypatch.setattr(moprox.solver, "solve_direction", stopped)
-            tr = solve(prob, cfg, np.array([1.0]))
-            assert tr.status is status, (phi, tr.message)
+    def test_bound_leaves_a_non_critical_direction_unchanged(self):
+        prob, x0 = self._quadratic()
+        plain = solve_direction(prob, x0, tol_gap=1e-12)
+        bounded = solve_direction(prob, x0, tol_gap=1e-12, eps=1e-9)
+        assert np.linalg.norm(plain.direction) > 1.0 and plain.message == ""
+        for field in dataclasses.fields(DirectionResult):
+            a, b = getattr(plain, field.name), getattr(bounded, field.name)
+            assert type(a) is type(b)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name

@@ -295,9 +295,8 @@ class TestInnerMinimize:
         assert exc.value.residual is not None
 
     def test_convergence_error_carries_payload(self):
-        err = ConvergenceError("stopped early", residual=0.5, best="token")
+        err = ConvergenceError("stopped early", residual=0.5)
         assert err.residual == 0.5
-        assert err.best == "token"
 
 
 class TestSolveDirection:
@@ -451,6 +450,12 @@ class TestWarmStart:
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
         with pytest.raises(InputError, match="weights must be 3 finite nonnegative"):
             solve_direction(prob, np.ones(4), weights=weights)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, np.nan, np.inf])
+    def test_rejects_a_bad_eps(self, eps):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        with pytest.raises(InputError, match="eps must be finite and > 0"):
+            solve_direction(prob, np.ones(4), eps=eps)
 
     def test_accepts_a_vertex_and_rounded_sums(self):
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
