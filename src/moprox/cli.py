@@ -2,9 +2,8 @@
 
 A single JSON config file drives all three verbs. Sections:
 
-    instance: problem family parameters (family, n, m, cond, mu, rho, seed,
-        lo, hi).
-    solver:   solver parameters, mirroring SolverConfig fields. For the
+    instance: problem family parameters, the fields of InstanceSpec.
+    solver:   solver parameters, the fields of SolverConfig. For the
         gradient variant, a missing ell is filled from the instance's
         recorded gradient Lipschitz constant.
     run:      x0 (explicit list or {"seed", "scale"}), trace_csv name, and
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -86,9 +86,8 @@ CHECK_NAMES = (
     "descent_bound",
 )
 
-_INSTANCE_KEYS = {"family", "n", "m", "cond", "mu", "rho", "seed", "lo", "hi"}
-_SOLVER_KEYS = {"eps", "sigma", "gamma", "max_outer", "tol_gap", "variant",
-                "ell", "max_dual_iters", "max_inner_iters", "max_halvings"}
+_INSTANCE_KEYS = {f.name for f in dataclasses.fields(InstanceSpec)}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _RUN_KEYS = {"x0", "trace_csv", "sweep"}
 _SWEEP_KEYS = {"cond", "seeds"}
 _X0_KEYS = {"seed", "scale"}
@@ -317,8 +316,7 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
         raise ConfigError("run.sweep.seeds must be a nonempty list")
     # every spec is validated, uncoerced, before any cell is solved
     try:
-        specs = [InstanceSpec(family=base.family, n=base.n, m=base.m, cond=cond,
-                              mu=base.mu, rho=base.rho, seed=seed, lo=base.lo, hi=base.hi)
+        specs = [dataclasses.replace(base, cond=cond, seed=seed)
                  for cond in conds for seed in seeds]
     except ConfigError as exc:
         raise _within(exc, "run.sweep") from exc

@@ -64,10 +64,6 @@ class ConvergenceError(MoproxError, RuntimeError):
 class LineSearchError(MoproxError, RuntimeError):
     """No backtracking step satisfied the sufficient-decrease test."""
 
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 class InsufficientDataError(MoproxError, ValueError):
     """Too few usable points to fit a convergence rate."""

@@ -18,7 +18,7 @@ comparison involving +inf as a failed decrease.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,8 +193,6 @@ class ProblemInstance:
         Strong-convexity modulus: every smooth Hessian is assumed >= mu * I.
     lip_grad, lip_hess : float, optional
         Gradient / Hessian Lipschitz constants when known (upper bounds).
-    reference_solution : ndarray, optional
-        A known solution used only by diagnostics, never by the solver.
     """
 
     n: int
@@ -204,7 +202,6 @@ class ProblemInstance:
     mu: float
     lip_grad: Optional[float] = None
     lip_hess: Optional[float] = None
-    reference_solution: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -225,9 +222,6 @@ class ProblemInstance:
             v = getattr(self, name)
             if v is not None and (not np.isfinite(v) or v < 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if self.reference_solution is not None:
-            ref = _as_point(self.reference_solution, self.n)
-            object.__setattr__(self, "reference_solution", ref)
 
 
 def _checked_stack(outputs, m: int, n: int) -> SmoothEval:

@@ -48,6 +48,9 @@ VARIANT_NEWTON = "newton"
 VARIANT_GRADIENT = "gradient"
 
 _EPS = np.finfo(float).eps
+# Powers of gamma the line search tries beyond the unit step before it gives
+# up. The benchmark pools need at most 2.
+MAX_HALVINGS = 60
 
 
 class Status(enum.Enum):
@@ -68,9 +71,9 @@ class SolverConfig:
     direction solve: "newton" for the true Hessians, "gradient" for ell
     times the identity, which requires ell > 0.
     max_dual_iters caps the iterations of the direction subproblem's dual
-    loop (one face-Newton or supergradient step each); max_inner_iters caps
-    the passes of each exact inner active-set solve (one Cholesky solve
-    each), a guard against cycling at degenerate ratio steps.
+    loop (one face-Newton or supergradient step each). The caps on each
+    inner active-set solve (subproblem.MAX_INNER_PASSES) and on the line
+    search's halvings (MAX_HALVINGS) are fixed.
     The max_* fields must be integers and the other numeric fields real
     numbers (bool is neither); a ConfigError names the first field that is
     not.
@@ -84,12 +87,9 @@ class SolverConfig:
     variant: str = VARIANT_NEWTON
     ell: Optional[float] = None
     max_dual_iters: int = 500
-    max_inner_iters: int = 10000
-    max_halvings: int = 60
 
     def __post_init__(self):
-        check_field_types(self, integers=("max_outer", "max_dual_iters", "max_inner_iters",
-                                          "max_halvings"),
+        check_field_types(self, integers=("max_outer", "max_dual_iters"),
                           reals=("eps", "sigma", "gamma", "tol_gap")
                           + (() if self.ell is None else ("ell",)))
         if not (np.isfinite(self.eps) and self.eps > 0):
@@ -109,9 +109,8 @@ class SolverConfig:
             if self.ell is None or not (np.isfinite(self.ell) and self.ell > 0):
                 raise ConfigError(f"must be finite and > 0 for the gradient variant, "
                                   f"got {self.ell}", "ell")
-        for name in ("max_dual_iters", "max_inner_iters", "max_halvings"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"must be >= 1, got {getattr(self, name)}", name)
+        if self.max_dual_iters < 1:
+            raise ConfigError(f"must be >= 1, got {self.max_dual_iters}", "max_dual_iters")
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,7 @@ class SolveTrace:
 
 
 def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
-                     gamma: float, max_halvings: int = 60, f_x=None,
-                     keep: Optional[list] = None) -> float:
+                     gamma: float, f_x=None, keep: Optional[list] = None) -> float:
     """Largest step t = gamma^j with componentwise sufficient decrease.
 
     Accepts t when F_i(x + t d) - F_i(x) <= t * sigma * theta for every i.
@@ -164,7 +162,7 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     accepted point x + t * d (value, gradient and Hessian per objective, in
     order), with its gradients and Hessians unchecked; a caller that forms
     its next iterate by the same expression gets the same bits. Raises
-    LineSearchError if no power of gamma up to max_halvings works, and
+    LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works, and
     InputError when d is zero or theta >= 0 (the test is meaningless without
     a descent prediction).
     """
@@ -182,7 +180,7 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     if not np.all(np.isfinite(f_x)):
         raise InputError("line search requires finite objective values at x")
     t = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         if keep is not None:
             keep.clear()
         trial = eval_full(problem, x + t * d, keep)
@@ -193,7 +191,7 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
             return t
         t *= gamma
     raise LineSearchError(
-        f"no step of the form gamma^j satisfied the decrease test after {max_halvings} halvings"
+        f"no step of the form gamma^j satisfied the decrease test after {MAX_HALVINGS} halvings"
     )
 
 
@@ -253,7 +251,6 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                 raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap,
                                   max_dual_iters=config.max_dual_iters,
-                                  max_inner_iters=config.max_inner_iters,
                                   smooth_eval=se, metric=metric, weights=weights,
                                   eps=config.eps)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
@@ -281,8 +278,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
         try:
             t = armijo_backtrack(problem, x, res.direction, res.theta, config.sigma,
-                                 config.gamma, config.max_halvings, f_x=f_x,
-                                 keep=accepted)
+                                 config.gamma, f_x=f_x, keep=accepted)
         except (LineSearchError, InputError, EvaluationError) as exc:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                        direction_norm=dnorm, theta=res.theta, step=0.0,

@@ -43,6 +43,9 @@ from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _
 
 _EPS = np.finfo(float).eps
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=float)
+# Passes of one inner active-set solve before it gives up: a guard against
+# cycling at degenerate ratio steps. The benchmark pools need at most 78.
+MAX_INNER_PASSES = 10000
 
 __all__ = [
     "DirectionResult",
@@ -153,13 +156,13 @@ class Metric:
 
         return product
 
-    def minimize(self, weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
-                 *, d0=None, max_iters: int = 10000):
+    def minimize(self, weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, d0=None):
         """Minimize the weighted model at fixed weights; (d, free, solve_free, passes).
 
         solve_free applies the inverse of the weighted metric's free block.
         Under the Hessian metric this is :func:`inner_minimize`, whose active
-        set starts from u = x + d0 (from u = x when d0 is None). Under ell I
+        set starts from u = x + d0 (from u = x when d0 is None) and which
+        gives up after MAX_INNER_PASSES passes. Under ell I
         it is one proximal map, u = prox_{g/ell}(x - grad_w/ell), d = u - x,
         counted as one pass; it is closed-form, so d0 is ignored. free marks
         where g is smooth at u (u != 0 for l1, lo < u < hi for the box,
@@ -167,7 +170,7 @@ class Metric:
         smooth_eval's Hessians are not read.
         """
         if self.ell is None:
-            return inner_minimize(weights, smooth_eval, term, x, d0=d0, max_iters=max_iters)
+            return inner_minimize(weights, smooth_eval, term, x, d0=d0)
         x = np.asarray(x, dtype=float)
         v = np.asarray(weights, dtype=float) @ smooth_eval.gradients
         u = term.prox(x - v / self.ell, 1.0 / self.ell)
@@ -263,25 +266,26 @@ def _cholesky(block: np.ndarray):
     return lambda rhs: _potrs(factor, rhs, lower=True)[0]
 
 
-def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
-                   *, d0=None, max_iters: int = 10000):
+def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, d0=None):
     """Minimize the weighted model sum_i w_i psi_i(d) for fixed weights, exactly.
 
     A primal active-set loop on u = x + d, started from d = d0 (d = 0 when
-    d0 is None). Each coordinate is free, on a smooth piece of the term
-    (fixed l1 sign, or strictly inside the box), or held at a kink (0 for
-    l1) or a bound. The start gives the first split: a coordinate where
-    x + d0 is at the kink, or on or beyond a bound, starts held exactly
-    there, and the others start free on the piece x + d0 lies on. One
-    pass solves the weighted Hessian's free block by Cholesky with the held
-    coordinates fixed. If that solve would carry a free coordinate across its
-    kink or bound, a ratio test stops the step there and holds it. Otherwise
-    the step is taken in full and the held coordinate whose multiplier
-    r = grad_w + H_w d breaks optimality the most (|r_j| <= rho for l1,
-    r_j >= 0 at lo, r_j <= 0 at hi, up to a few ulps of |grad_w|, |H_w||d|
-    and rho) is released; with none left the solve is exact. With nothing
-    held, as always for the zero term, a pass is the plain Cholesky solve
-    H_w d = -grad_w. The result is the last pass's solve with the held
+    d0 is None). Each coordinate moves in a piece [a, b] of g: a free
+    coordinate in a smooth piece ([0, inf) or (-inf, 0] by its l1 sign,
+    [lo, hi] for the box, the whole line for the zero term), a held one in
+    the single point a = b of its kink (0 for l1) or bound. The start gives
+    the first split: a coordinate where x + d0 is at the kink, or on or
+    beyond a bound, starts held exactly there, and the others start free on
+    the piece x + d0 lies on. One pass solves the weighted Hessian's free
+    block by Cholesky with the held coordinates fixed. If that solve would
+    carry a free coordinate out of its piece, a ratio test stops the step
+    where the first one leaves it and holds that one at the end it reached.
+    Otherwise the step is taken in full and the held coordinate whose
+    multiplier r = grad_w + H_w d breaks optimality the most (|r_j| <= rho
+    for l1, r_j >= 0 at lo, r_j <= 0 at hi, up to a few ulps of |grad_w|,
+    |H_w||d| and rho) is released; with none left the solve is exact. With
+    nothing held, as always for the zero term, a pass is the plain Cholesky
+    solve H_w d = -grad_w. The result is the last pass's solve with the held
     coordinates exactly at their kinks or bounds, so two starts that end on
     the same free set return the same bits; d0 changes only the number of
     passes, and a start near the solution (the direction solver passes the
@@ -292,7 +296,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
     factor, whose free set is that mask (None when nothing is free). Raises
     InputError if d0 is not a finite vector of x's shape,
     SingularMetricError if a free block is not positive definite and
-    ConvergenceError if max_iters passes do not certify optimality.
+    ConvergenceError if MAX_INNER_PASSES passes do not certify optimality.
     """
     lam = np.asarray(weights, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -300,7 +304,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
     M = np.tensordot(lam, smooth_eval.hessians, axes=1)
     M = 0.5 * (M + M.T)
     l1 = term.kind == NonsmoothTerm.KIND_L1
-    rho = term.rho if l1 else 0.0
+    rho = term.rho  # 0 unless l1
     if d0 is None:
         d = np.zeros_like(x)
     else:
@@ -308,20 +312,23 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
         if d.shape != x.shape or not np.all(np.isfinite(d)):
             raise InputError(f"d0 must be a finite vector of shape {x.shape}")
     u = x + d
+    # side: the l1 sign of u on a free coordinate, the bound a held box
+    # coordinate sits at (-1 lo, +1 hi); only the release rule reads it
     if l1:
-        # u == 0 only where d == -x, so held coordinates already sit on the kink
-        side = np.sign(u)  # sign of u on free coordinates
-        free = u != 0.0
+        side = np.sign(u)
+        a, b = np.where(u >= 0.0, 0.0, -np.inf), np.where(u <= 0.0, 0.0, np.inf)
     elif term.kind == NonsmoothTerm.KIND_BOX:
         lo, hi = np.broadcast_to(term.lo, x.shape), np.broadcast_to(term.hi, x.shape)
-        side = np.where(u <= lo, -1.0, np.where(u >= hi, 1.0, 0.0))  # held bound
-        free = side == 0.0
-        d[~free] = np.where(side < 0.0, lo, hi)[~free] - x[~free]
+        side = np.where(u <= lo, -1.0, np.where(u >= hi, 1.0, 0.0))
+        a, b = np.where(side > 0.0, hi, lo), np.where(side < 0.0, lo, hi)
     else:
-        free = np.ones(x.size, dtype=bool)
-    c = v + rho * side if l1 else v  # linear coefficients on free coordinates
+        side = np.zeros_like(x)
+        a, b = np.full(x.shape, -np.inf), np.full(x.shape, np.inf)
+    free = a < b
+    d[~free] = a[~free] - x[~free]
+    c = v + rho * side  # linear coefficients on free coordinates
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_INNER_PASSES + 1):
         if free.all():
             solve = _cholesky(M)
             d_new = solve(-c)
@@ -334,26 +341,21 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
                 solve = _cholesky(M[np.ix_(free, free)])
                 d_new[free] = solve(-c[free] - M[np.ix_(free, ~free)] @ d[~free])
 
-        # ratio test: the fraction of the step at which each free coordinate
-        # reaches its kink or bound (0 for one already past it)
+        # ratio test: the fraction of the step at which each coordinate
+        # leaves its piece (0 for one already outside it); held coordinates
+        # do not move, so p = 0 and they never leave
         p = d_new - d
         u = x + d
         with np.errstate(divide="ignore", invalid="ignore"):
-            if l1:
-                reach = np.where(side * p < 0.0, -u / p, np.inf)
-            else:
-                reach = np.where(p < 0.0, (lo - u) / p,
-                                 np.where(p > 0.0, (hi - u) / p, np.inf))
-        reach = np.where(free, np.maximum(reach, 0.0), np.inf)
+            reach = np.where(p < 0.0, (a - u) / p, np.where(p > 0.0, (b - u) / p, np.inf))
+        reach = np.maximum(reach, 0.0)
         j = int(np.argmin(reach))
         if reach[j] < 1.0:
             d += reach[j] * p
             free[j] = False
-            if l1:
-                d[j] = -x[j]
-            else:
-                side[j] = np.sign(p[j])
-                d[j] = (lo[j] if p[j] < 0.0 else hi[j]) - x[j]
+            side[j] = np.sign(p[j])
+            a[j] = b[j] = a[j] if p[j] < 0.0 else b[j]
+            d[j] = a[j] - x[j]
             continue
         d = d_new
 
@@ -374,8 +376,11 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x,
         if l1:
             side[j] = -np.sign(r[k])
             c[j] = v[j] + rho * side[j]
+            a[j], b[j] = (0.0, np.inf) if side[j] > 0.0 else (-np.inf, 0.0)
+        else:
+            a[j], b[j] = lo[j], hi[j]
     raise ConvergenceError(
-        f"inner active-set solve not certified after {max_iters} passes",
+        f"inner active-set solve not certified after {MAX_INNER_PASSES} passes",
         residual=float(np.linalg.norm(p)),
     )
 
@@ -393,9 +398,9 @@ class _Snapshot:
 
 
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
-                    max_dual_iters: int = 500, *, max_inner_iters: int = 10000,
-                    smooth_eval=None, metric: Optional[Metric] = None,
-                    weights=None, eps: Optional[float] = None) -> DirectionResult:
+                    max_dual_iters: int = 500, *, smooth_eval=None,
+                    metric: Optional[Metric] = None, weights=None,
+                    eps: Optional[float] = None) -> DirectionResult:
     """Solve the direction subproblem at x to a certified duality gap or ||d*|| <= eps.
 
     metric defaults to the Hessian metric. smooth_eval, the oracle output at
@@ -424,7 +429,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     with a message. Both tests run before each dual iteration and after the
     loop, the gap test first, so a gap-certified direction does not depend
     on eps. When neither holds and no step ascends, or max_dual_iters
-    iterations pass first, ConvergenceError is raised.
+    iterations pass first, ConvergenceError is raised; so it is when an
+    inner solve is not certified within MAX_INNER_PASSES passes.
 
     Returns a DirectionResult whose theta is nonpositive: if rounding at a
     critical point produces a positive model optimum, the zero direction
@@ -463,8 +469,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
 
     def snap(lam: np.ndarray) -> _Snapshot:
         nonlocal best, prev_d
-        d, free, solve_free, passes = metric.minimize(lam, se, term, x, d0=prev_d,
-                                                      max_iters=max_inner_iters)
+        d, free, solve_free, passes = metric.minimize(lam, se, term, x, d0=prev_d)
         prev_d = d
         counts["inner"] += passes
         counts["dual"] += 1

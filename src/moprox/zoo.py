@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 FAMILIES = ("quadratic", "quadratic_l1", "quadratic_box", "logsumexp")
+_LSE_ROWS = 5  # per logsumexp objective, each row _LSE_ROW_SCALE * N(0, I)
+_LSE_ROW_SCALE = 0.9
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,7 @@ def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
     )
 
 
-def gen_logsumexp_reg(spec: InstanceSpec, rows_per_objective: int = 5,
-                      row_scale: float = 0.9) -> ProblemInstance:
+def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
     """Log-sum-exp objectives with a quadratic regularizer of modulus mu.
 
     f_i(x) = log sum_j exp(a_ij'x + c_ij) + (mu/2)||x - z_i||^2 with seeded
@@ -163,30 +164,34 @@ def gen_logsumexp_reg(spec: InstanceSpec, rows_per_objective: int = 5,
     seeded central differences of the Hessian along random directions at the
     mean center, where solution points of the family concentrate; the global
     worst case over all of R^n would overstate the curvature variation that
-    runs actually encounter by orders of magnitude.
+    runs actually encounter by orders of magnitude. A difference D of f_i's
+    Hessians lies on the span of its rows (the mu I terms cancel), so its
+    norm is taken as that of Q' D Q, Q an orthonormal basis of the span.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     smooth = []
     centers = []
+    bases = []
     max_row_sq = 0.0
     for _ in range(spec.m):
-        rows = row_scale * rng.standard_normal((rows_per_objective, spec.n))
-        offsets = 0.5 * rng.standard_normal(rows_per_objective)
+        rows = _LSE_ROW_SCALE * rng.standard_normal((_LSE_ROWS, spec.n))
+        offsets = 0.5 * rng.standard_normal(_LSE_ROWS)
         center = 0.5 * rng.standard_normal(spec.n)
         norms = np.linalg.norm(rows, axis=1)
         max_row_sq = max(max_row_sq, float(np.max(norms) ** 2))
         smooth.append(logsumexp_objective(rows, offsets, spec.mu, center))
         centers.append(center)
+        bases.append(np.linalg.qr(rows.T)[0])
     anchor = np.mean(centers, axis=0)
     h = 1e-4
     slices = []
     for _ in range(5):
         u = rng.standard_normal(spec.n)
         u /= np.linalg.norm(u)
-        for obj in smooth:
+        for obj, q in zip(smooth, bases):
             _, _, h_plus = obj.evaluate(anchor + h * u)
             _, _, h_minus = obj.evaluate(anchor - h * u)
-            slices.append(float(np.linalg.norm((h_plus - h_minus) / (2.0 * h), 2)))
+            slices.append(float(np.linalg.norm(q.T @ ((h_plus - h_minus) / (2.0 * h)) @ q, 2)))
     return ProblemInstance(
         n=spec.n, m=spec.m, smooth=tuple(smooth),
         nonsmooth=NonsmoothTerm.zero(), mu=spec.mu,
@@ -198,10 +203,9 @@ def gen_logsumexp_reg(spec: InstanceSpec, rows_per_objective: int = 5,
 def attach_nonsmooth(instance: ProblemInstance, term: NonsmoothTerm) -> ProblemInstance:
     """Replace the instance's shared nonsmooth term g with the given one.
 
-    ProblemInstance validates the term. Clears reference_solution, which
-    describes the original instance only.
+    ProblemInstance validates the term; every other field is kept.
     """
-    return replace(instance, nonsmooth=term, reference_solution=None)
+    return replace(instance, nonsmooth=term)
 
 
 def generate_instance(spec: InstanceSpec, shifts=None) -> ProblemInstance:

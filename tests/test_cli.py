@@ -117,6 +117,8 @@ class TestConfigErrors:
         (lambda c: c["instance"].update(cond=0.5), "instance.cond"),
         (lambda c: c["instance"].pop("family"), "instance.family"),
         (lambda c: c["run"].update(x0="origin"), "run.x0"),
+        (lambda c: c["solver"].update(max_inner_iters=100), "unknown key solver.max_inner_iters"),
+        (lambda c: c["solver"].update(max_halvings=30), "unknown key solver.max_halvings"),
     ])
     def test_dotted_paths_and_exit_64(self, tmp_path, capsys, mangle, needle):
         cfg = _base_solve_config()
@@ -323,3 +325,19 @@ class TestCheckVerb:
         cfg_path = _write_config(tmp_path / "cfg.json", cfg)
         assert main(["check", "--config", cfg_path, "--out", str(tmp_path)]) == 64
         assert "unknown check name" in capsys.readouterr().err
+
+
+class TestReadmeConfig:
+    """The example config under README.md's "Command line" stays valid."""
+
+    @staticmethod
+    def _readme_config() -> str:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1]
+        return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+    @pytest.mark.parametrize("verb", ["solve", "check"])
+    def test_example_runs(self, tmp_path, verb):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(self._readme_config())
+        assert main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0

@@ -60,7 +60,6 @@ class TestSolverConfig:
         ({"max_outer": -1}, "max_outer"), ({"tol_gap": np.inf}, "tol_gap"),
         ({"variant": "secant"}, "variant"), ({"variant": "gradient"}, "ell"),
         ({"max_dual_iters": 0}, "max_dual_iters"),
-        ({"max_inner_iters": 0}, "max_inner_iters"), ({"max_halvings": 0}, "max_halvings"),
     ])
     def test_errors_name_their_field(self, kwargs, field):
         with pytest.raises(ConfigError) as exc:
@@ -70,8 +69,8 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_outer": 10.0}, "max_outer must be an integer, got 10.0"),
-        ({"max_halvings": True}, "max_halvings must be an integer, got True"),
-        ({"max_inner_iters": "100"}, "max_inner_iters must be an integer, got '100'"),
+        ({"max_dual_iters": True}, "max_dual_iters must be an integer, got True"),
+        ({"max_outer": "100"}, "max_outer must be an integer, got '100'"),
         ({"eps": "1e-9"}, "eps must be a real number, got '1e-9'"),
         ({"tol_gap": None}, "tol_gap must be a real number, got None"),
         ({"variant": "gradient", "ell": "2"}, "ell must be a real number, got '2'"),
@@ -145,7 +144,7 @@ class TestArmijoBacktrack:
         prob = _single_quadratic()
         with pytest.raises(LineSearchError):
             armijo_backtrack(prob, np.array([1.0]), np.array([1.0]), -0.5,
-                             sigma=0.1, gamma=0.5, max_halvings=5)
+                             sigma=0.1, gamma=0.5)
 
 
 class TestSolveNewton:
@@ -216,12 +215,27 @@ class TestSolveNewton:
         assert len(tr.records) == 1
         assert tr.message == ""
 
-    def test_subproblem_failure_recorded_not_raised(self, l1_scalar):
-        cfg = SolverConfig(eps=1e-10, tol_gap=1e-12, max_inner_iters=1)
+    def test_subproblem_failure_recorded_not_raised(self, l1_scalar, monkeypatch):
+        monkeypatch.setattr(moprox.subproblem, "MAX_INNER_PASSES", 1)
+        cfg = SolverConfig(eps=1e-10, tol_gap=1e-12)
         tr = solve(l1_scalar, cfg, np.array([3.0]))
         assert tr.status is Status.SUBPROBLEM_FAILURE
         assert tr.message != ""
         assert np.isnan(tr.records[-1].theta)
+
+    def test_line_search_failure_recorded_not_raised(self):
+        # the oracle reports the gradient of 0.5 x^2 with the wrong sign, so
+        # the direction it predicts to descend ascends at every trial step
+        wrong_sign = SmoothObjective(fn=lambda x: (0.5 * float(x @ x), -x, np.eye(1)))
+        prob = ProblemInstance(n=1, m=1, smooth=(wrong_sign,),
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        tr = solve(prob, SolverConfig(eps=1e-10, tol_gap=1e-12), np.array([2.0]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message.startswith("no step of the form gamma^j")
+        last = tr.records[-1]
+        assert last.step == 0.0
+        assert np.isfinite(last.direction_norm) and last.direction_norm > 0.0
+        assert last.theta < 0.0
 
     def test_weights_recorded_on_simplex(self):
         spec = InstanceSpec(family="quadratic", n=4, m=3, cond=10.0, seed=5)

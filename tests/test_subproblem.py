@@ -287,11 +287,12 @@ class TestInnerMinimize:
         with pytest.raises(InputError, match="d0 must be a finite vector"):
             inner_minimize(np.array([0.5, 0.5]), se, prob.nonsmooth, np.ones(2), d0=d0)
 
-    def test_iteration_cap_raises(self, l1_scalar):
+    def test_iteration_cap_raises(self, l1_scalar, monkeypatch):
+        monkeypatch.setattr(moprox.subproblem, "MAX_INNER_PASSES", 1)
         x = np.array([3.0])
         se = eval_smooth(l1_scalar, x)
         with pytest.raises(ConvergenceError) as exc:
-            inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth, x, max_iters=1)
+            inner_minimize(np.array([1.0]), se, l1_scalar.nonsmooth, x)
         assert exc.value.residual is not None
 
     def test_convergence_error_carries_payload(self):
@@ -410,10 +411,10 @@ class TestSolveDirection:
         assert res.dual_iters > 1
         assert len(calls) == res.inner_iters
 
-    def test_inner_cap_propagates(self, l1_scalar):
+    def test_inner_cap_propagates(self, l1_scalar, monkeypatch):
+        monkeypatch.setattr(moprox.subproblem, "MAX_INNER_PASSES", 1)
         with pytest.raises(ConvergenceError) as exc:
-            solve_direction(l1_scalar, np.array([3.0]), tol_gap=1e-12,
-                            max_inner_iters=1)
+            solve_direction(l1_scalar, np.array([3.0]), tol_gap=1e-12)
         assert exc.value.residual is not None
 
 

@@ -193,6 +193,5 @@ class TestDispatchAndAttach:
         term = NonsmoothTerm.scaled_l1(0.9)
         out = attach_nonsmooth(prob, term)
         assert out.nonsmooth is term
-        assert out.reference_solution is None
         with pytest.raises(ConfigError):
             attach_nonsmooth(prob, "l1")
