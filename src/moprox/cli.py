@@ -275,7 +275,8 @@ def cmd_solve(cfg: dict, out_dir: Path, seed_override=None) -> int:
     out_path = out_dir / name
     write_trace_csv(out_path, trace, problem.m, problem.n)
     final = trace.records[-1]
-    print(f"status={trace.status.value} iters={trace.steps_taken} "
+    print(f"status={trace.status.value} iters={trace.steps_taken} snaps={trace.snaps} "
+          f"passes={trace.passes} halvings={trace.halvings} "
           f"dnorm={_fmt(final.direction_norm)} trace={out_path}")
     if trace.message:
         print(f"note: {trace.message}")
@@ -298,6 +299,8 @@ def _bench_cell(cfg: dict, spec: InstanceSpec, x0, variant: str) -> dict:
         "solver": variant,
         "status": trace.status,
         "iters": trace.steps_taken,
+        "snaps": trace.snaps,
+        "passes": trace.passes,
         "final_dnorm": last_dir.direction_norm,
         "wall_ms": wall_ms,
     }
@@ -332,11 +335,12 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
     out_path = out_dir / name
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["family", "cond", "seed", "solver", "status", "iters",
-                         "final_dnorm", "wall_ms"])
+        writer.writerow(["family", "cond", "seed", "solver", "status", "iters", "snaps",
+                         "passes", "final_dnorm", "wall_ms"])
         for row in rows:
             writer.writerow([row["family"], _fmt(row["cond"]), str(row["seed"]),
                              row["solver"], row["status"].value, str(row["iters"]),
+                             str(row["snaps"]), str(row["passes"]),
                              _fmt(row["final_dnorm"]), _fmt(row["wall_ms"])])
     print(f"bench cells={len(rows)} table={out_path}")
     # the worst cell decides: any failure beats any iteration cap

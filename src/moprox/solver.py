@@ -119,7 +119,10 @@ class TraceRecord:
 
     The terminal record carries step 0.0 (no step was taken from it); its
     direction fields are nan when the iteration cap stopped the run before a
-    subproblem was solved there.
+    subproblem was solved there. snaps and passes are the direction solve's
+    inner solves and their active-set passes (DirectionResult.dual_iters
+    and .inner_iters), halvings the power of gamma in the accepted step;
+    each is 0 where there was no such solve or step.
     """
 
     k: int
@@ -130,6 +133,9 @@ class TraceRecord:
     step: float
     weights: np.ndarray
     gap: float
+    snaps: int = 0
+    passes: int = 0
+    halvings: int = 0
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,18 @@ class SolveTrace:
     @property
     def steps_taken(self) -> int:
         return sum(1 for r in self.records if r.step > 0.0)
+
+    @property
+    def snaps(self) -> int:
+        return sum(r.snaps for r in self.records)
+
+    @property
+    def passes(self) -> int:
+        return sum(r.passes for r in self.records)
+
+    @property
+    def halvings(self) -> int:
+        return sum(r.halvings for r in self.records)
 
     def iterates(self) -> np.ndarray:
         return np.vstack([r.x for r in self.records])
@@ -193,6 +211,14 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     raise LineSearchError(
         f"no step of the form gamma^j satisfied the decrease test after {MAX_HALVINGS} halvings"
     )
+
+
+def _halvings(t: float, gamma: float) -> int:
+    """The power j with t = gamma^j, formed as armijo_backtrack forms it."""
+    j, s = 0, 1.0
+    while s != t and j < MAX_HALVINGS:
+        j, s = j + 1, s * gamma
+    return j
 
 
 def _nan_record(k: int, x: np.ndarray, objectives: np.ndarray, m: int) -> TraceRecord:
@@ -269,10 +295,11 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                            f"{config.sigma * theta:.3e} >= {ulp_bound:.3e} = "
                            f"-eps_mach*max(1, max|F_i|), with dnorm {dnorm:.3e}")
             dnorm = theta = gap = 0.0
+        cost = {"snaps": res.dual_iters, "passes": res.inner_iters}
         if dnorm < config.eps:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                        direction_norm=dnorm, theta=theta, step=0.0,
-                                       weights=res.weights.copy(), gap=gap))
+                                       weights=res.weights.copy(), gap=gap, **cost))
             return SolveTrace(records=tuple(records), status=Status.CRITICAL_REACHED,
                               config=config, message=message)
 
@@ -282,13 +309,14 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
         except (LineSearchError, InputError, EvaluationError) as exc:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                        direction_norm=dnorm, theta=res.theta, step=0.0,
-                                       weights=res.weights.copy(), gap=res.gap))
+                                       weights=res.weights.copy(), gap=res.gap, **cost))
             return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
                               config=config, message=str(exc))
 
         records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                    direction_norm=dnorm, theta=res.theta, step=t,
-                                   weights=res.weights.copy(), gap=res.gap))
+                                   weights=res.weights.copy(), gap=res.gap,
+                                   halvings=_halvings(t, config.gamma), **cost))
         x = x + t * res.direction
         weights = res.weights
 

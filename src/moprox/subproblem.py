@@ -44,7 +44,7 @@ from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _
 _EPS = np.finfo(float).eps
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=float)
 # Passes of one inner active-set solve before it gives up: a guard against
-# cycling at degenerate ratio steps. The benchmark pools need at most 78.
+# cycling at degenerate ratio steps. The benchmark pools need at most 16.
 MAX_INNER_PASSES = 10000
 
 __all__ = [
@@ -270,26 +270,36 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     """Minimize the weighted model sum_i w_i psi_i(d) for fixed weights, exactly.
 
     A primal active-set loop on u = x + d, started from d = d0 (d = 0 when
-    d0 is None). Each coordinate moves in a piece [a, b] of g: a free
-    coordinate in a smooth piece ([0, inf) or (-inf, 0] by its l1 sign,
-    [lo, hi] for the box, the whole line for the zero term), a held one in
-    the single point a = b of its kink (0 for l1) or bound. The start gives
-    the first split: a coordinate where x + d0 is at the kink, or on or
-    beyond a bound, starts held exactly there, and the others start free on
-    the piece x + d0 lies on. One pass solves the weighted Hessian's free
-    block by Cholesky with the held coordinates fixed. If that solve would
-    carry a free coordinate out of its piece, a ratio test stops the step
-    where the first one leaves it and holds that one at the end it reached.
-    Otherwise the step is taken in full and the held coordinate whose
-    multiplier r = grad_w + H_w d breaks optimality the most (|r_j| <= rho
-    for l1, r_j >= 0 at lo, r_j <= 0 at hi, up to a few ulps of |grad_w|,
-    |H_w||d| and rho) is released; with none left the solve is exact. With
+    d0 is None), with block moves in the manner of block principal pivoting
+    (Judice & Pires 1994; Kim & Park 2011). Each coordinate moves in a piece
+    [a, b] of g: a free coordinate in a smooth piece ([0, inf) or (-inf, 0]
+    by its l1 sign, [lo, hi] for the box, the whole line for the zero term),
+    a held one in the single point a = b of its kink (0 for l1) or bound.
+    The start gives the first split: a coordinate where x + d0 is at the
+    kink, or on or beyond a bound, starts held exactly there, and the others
+    start free on the piece x + d0 lies on. One pass solves the weighted
+    Hessian's free block by Cholesky with the held coordinates fixed.
+
+    Write q(d) = grad_w'd + 0.5 d'H_w d + rho ||x + d||_1, the weighted
+    model up to a constant at points inside the pieces. If the free solve
+    would carry free coordinates out of their pieces, a ratio test stops the
+    step where the first one leaves and holds that one at the end it
+    reached. When two or more leave, the solve with each of them clipped to
+    the end it crossed is taken instead, and all of them are held, if its q
+    is no larger than q at the ratio-test point. Otherwise the step is
+    taken in full and every held coordinate whose multiplier r = grad_w +
+    H_w d breaks optimality (|r_j| <= rho for l1, r_j >= 0 at lo, r_j <= 0
+    at hi, up to a few ulps of |grad_w|, |H_w||d| and rho) is released, each
+    on the l1 side its r_j points to; with none left the solve is exact.
+    As a safeguard q must fall strictly from one such releasing pass to the
+    next; the first time it does not, the rest of the solve holds only the
+    first leaving coordinate and releases only the most violated one. With
     nothing held, as always for the zero term, a pass is the plain Cholesky
-    solve H_w d = -grad_w. The result is the last pass's solve with the held
-    coordinates exactly at their kinks or bounds, so two starts that end on
-    the same free set return the same bits; d0 changes only the number of
-    passes, and a start near the solution (the direction solver passes the
-    previous snap's d) usually needs one or two.
+    solve H_w d = -grad_w. The result is the last pass's solve with the
+    held coordinates exactly at their kinks or bounds, so two starts that
+    end on the same free set return the same bits; d0 changes only the
+    number of passes, and a start near the solution (the direction solver
+    passes the previous snap's d) usually needs one or two.
 
     Returns (d, free, solve_free, passes) with free the mask of free
     coordinates and solve_free the solve with the last pass's Cholesky
@@ -328,6 +338,11 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     d[~free] = a[~free] - x[~free]
     c = v + rho * side  # linear coefficients on free coordinates
 
+    def q(dq):
+        return v @ dq + 0.5 * (dq @ (M @ dq)) + rho * np.abs(x + dq).sum()
+
+    block = True  # hold and release whole sets until q stops falling
+    q_last = np.inf  # q at the last releasing full-step pass
     for it in range(1, MAX_INNER_PASSES + 1):
         if free.all():
             solve = _cholesky(M)
@@ -349,13 +364,20 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         with np.errstate(divide="ignore", invalid="ignore"):
             reach = np.where(p < 0.0, (a - u) / p, np.where(p > 0.0, (b - u) / p, np.inf))
         reach = np.maximum(reach, 0.0)
-        j = int(np.argmin(reach))
-        if reach[j] < 1.0:
-            d += reach[j] * p
-            free[j] = False
-            side[j] = np.sign(p[j])
-            a[j] = b[j] = a[j] if p[j] < 0.0 else b[j]
-            d[j] = a[j] - x[j]
+        leave = np.flatnonzero(reach < 1.0)
+        if leave.size:
+            end = np.where(p < 0.0, a, b)  # the end each leaving coordinate crosses
+            j = int(np.argmin(reach))
+            hold = [j]
+            d = d + reach[j] * p
+            d[j] = end[j] - x[j]
+            if block and leave.size > 1:
+                d_new[leave] = end[leave] - x[leave]
+                if q(d_new) <= q(d):
+                    hold, d = leave, d_new
+            free[hold] = False
+            side[hold] = np.sign(p[hold])
+            a[hold] = b[hold] = end[hold]
             continue
         d = d_new
 
@@ -368,17 +390,24 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
             viol = np.abs(r) - rho
         else:
             viol = side[held] * r
-        k = int(np.argmax(viol - slack))
-        if viol[k] <= slack[k]:
+        out = np.flatnonzero(viol > slack)
+        if not out.size:
             return d, free, solve, it
-        j = held[k]
-        free[j] = True
+        if block:
+            q_d = q(d)
+            block = q_d < q_last
+            q_last = q_d
+        if not block:
+            out = [int(np.argmax(viol - slack))]
+        release = held[out]
+        free[release] = True
         if l1:
-            side[j] = -np.sign(r[k])
-            c[j] = v[j] + rho * side[j]
-            a[j], b[j] = (0.0, np.inf) if side[j] > 0.0 else (-np.inf, 0.0)
+            side[release] = -np.sign(r[out])
+            c[release] = v[release] + rho * side[release]
+            a[release] = np.where(side[release] > 0.0, 0.0, -np.inf)
+            b[release] = np.where(side[release] > 0.0, np.inf, 0.0)
         else:
-            a[j], b[j] = lo[j], hi[j]
+            a[release], b[release] = lo[release], hi[release]
     raise ConvergenceError(
         f"inner active-set solve not certified after {MAX_INNER_PASSES} passes",
         residual=float(np.linalg.norm(p)),

@@ -166,7 +166,8 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
     worst case over all of R^n would overstate the curvature variation that
     runs actually encounter by orders of magnitude. A difference D of f_i's
     Hessians lies on the span of its rows (the mu I terms cancel), so its
-    norm is taken as that of Q' D Q, Q an orthonormal basis of the span.
+    norm is taken as that of Q' D Q, Q an orthonormal basis of the span, or
+    as D's own when n is at most the row count and the span is everything.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     smooth = []
@@ -181,7 +182,7 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
         max_row_sq = max(max_row_sq, float(np.max(norms) ** 2))
         smooth.append(logsumexp_objective(rows, offsets, spec.mu, center))
         centers.append(center)
-        bases.append(np.linalg.qr(rows.T)[0])
+        bases.append(np.linalg.qr(rows.T)[0] if spec.n > _LSE_ROWS else None)
     anchor = np.mean(centers, axis=0)
     h = 1e-4
     slices = []
@@ -191,7 +192,8 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
         for obj, q in zip(smooth, bases):
             _, _, h_plus = obj.evaluate(anchor + h * u)
             _, _, h_minus = obj.evaluate(anchor - h * u)
-            slices.append(float(np.linalg.norm(q.T @ ((h_plus - h_minus) / (2.0 * h)) @ q, 2)))
+            diff = (h_plus - h_minus) / (2.0 * h)
+            slices.append(float(np.linalg.norm(diff if q is None else q.T @ diff @ q, 2)))
     return ProblemInstance(
         n=spec.n, m=spec.m, smooth=tuple(smooth),
         nonsmooth=NonsmoothTerm.zero(), mu=spec.mu,

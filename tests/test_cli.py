@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import moprox
-from moprox.cli import main, read_trace_csv
+from moprox.cli import derive_x0, main, read_trace_csv
 
 
 def _write_config(path, payload):
@@ -49,6 +49,18 @@ class TestSolveVerb:
         a = (tmp_path / "a" / "trace.csv").read_bytes()
         b = (tmp_path / "b" / "trace.csv").read_bytes()
         assert a == b
+
+    def test_summary_line_gives_the_solve_cost(self, tmp_path, capsys):
+        cfg = _base_solve_config()
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        spec = moprox.InstanceSpec(**cfg["instance"])
+        x0 = derive_x0(cfg, spec)
+        trace = moprox.solve(moprox.generate_instance(spec),
+                             moprox.SolverConfig(**cfg["solver"]), x0)
+        assert trace.snaps > 0 and trace.passes >= trace.snaps
+        assert (f"snaps={trace.snaps} passes={trace.passes} halvings={trace.halvings} "
+                in capsys.readouterr().out)
 
     def test_rewrite_over_longer_file_leaves_no_tail(self, tmp_path):
         cfg_path = _write_config(tmp_path / "cfg.json", _base_solve_config())
@@ -199,6 +211,19 @@ class TestBenchVerb:
                    if r["seed"] == "0"}
         assert by_cond[50.0] > by_cond[5.0] > 1
         assert all(r["status"] == "critical_reached" for r in rows)
+
+    def test_bench_table_gives_snaps_and_passes(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "cfg.json", self._bench_config())
+        assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "bench.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["family", "cond", "seed", "solver", "status", "iters",
+                                     "snaps", "passes", "final_dnorm", "wall_ms"]
+        # a run of k steps solves k + 1 directions, each with at least one
+        # snap, and each snap takes at least one pass
+        assert all(int(r["passes"]) >= int(r["snaps"]) >= int(r["iters"]) + 1
+                   for r in rows)
 
     def test_bench_cap_exits_two_with_status(self, tmp_path, capsys):
         cfg = self._bench_config()

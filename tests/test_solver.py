@@ -539,3 +539,38 @@ class TestDualBoundStop:
                 assert a.tobytes() == b.tobytes(), field.name
             else:
                 assert a == b, field.name
+
+
+class TestCostCounts:
+    def test_records_carry_snaps_passes_and_halvings(self, monkeypatch):
+        real = moprox.solver.solve_direction
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(moprox.solver, "solve_direction", recording)
+        spec = InstanceSpec(family="quadratic_l1", n=10, m=3, cond=100.0, rho=0.1, seed=2)
+        prob = generate_instance(spec)
+        # ell below the curvature: unit steps overshoot, so the line search halves
+        cfg = SolverConfig(eps=1e-6, variant="gradient", ell=prob.lip_grad / 4,
+                           max_outer=2000)
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(2)).standard_normal(10)
+        tr = solve(prob, cfg, x0)
+        assert tr.status is Status.CRITICAL_REACHED
+        assert [(r.snaps, r.passes) for r in tr.records] == [
+            (res.dual_iters, res.inner_iters) for res in results]
+        for r in tr.records:
+            assert r.step == (0.5 ** r.halvings if r.step > 0.0 else 0.0)
+            assert r.step > 0.0 or r.halvings == 0
+        assert tr.halvings > 0
+        assert (tr.snaps, tr.passes, tr.halvings) == tuple(
+            sum(getattr(r, f) for r in tr.records) for f in ("snaps", "passes", "halvings"))
+
+    def test_failed_direction_solve_records_no_cost(self, l1_scalar, monkeypatch):
+        monkeypatch.setattr(moprox.subproblem, "MAX_INNER_PASSES", 1)
+        tr = solve(l1_scalar, SolverConfig(), np.array([3.0]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        last = tr.records[-1]
+        assert (last.snaps, last.passes, last.halvings) == (0, 0, 0)
