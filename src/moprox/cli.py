@@ -8,8 +8,7 @@ A single JSON config file drives all three verbs. Sections:
         recorded gradient Lipschitz constant.
     run:      x0 (explicit list or {"seed", "scale"}), trace_csv name, and
         the bench sweep {"cond": [...], "seeds": [...]}.
-    checks:   {"names": [...]} plus optional knobs (starts, scale, probes,
-        eps_list, order_min, tol).
+    checks:   {"names": [...]}, the diagnostic checks to run.
 
 Unknown keys anywhere are rejected with the dotted field path. Floats in CSV
 output are printed with 17 significant digits so values round-trip exactly.
@@ -26,6 +25,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import numbers
 import os
 import sys
 import time
@@ -91,7 +91,7 @@ _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _RUN_KEYS = {"x0", "trace_csv", "sweep"}
 _SWEEP_KEYS = {"cond", "seeds"}
 _X0_KEYS = {"seed", "scale"}
-_CHECKS_KEYS = {"names", "starts", "scale", "probes", "eps_list", "order_min", "tol"}
+_CHECKS_KEYS = {"names"}
 _TOP_KEYS = {"instance", "solver", "run", "checks"}
 
 
@@ -200,7 +200,8 @@ def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
         scale = x0_cfg.get("scale", 2.0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"run.x0.seed must be an integer, got {seed!r}")
-        scale = float(scale)
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+            raise ConfigError(f"run.x0.scale must be a real number, got {scale!r}")
         if not np.isfinite(scale):
             raise ConfigError(f"run.x0.scale must be finite, got {scale}")
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -349,8 +350,7 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
 
 def run_checks(cfg: dict, seed_override=None) -> list:
     """Run the named diagnostic checks and return their verdicts."""
-    checks_cfg = cfg.get("checks", {})
-    names = checks_cfg.get("names")
+    names = cfg.get("checks", {}).get("names")
     if not names:
         raise ConfigError("missing required key checks.names")
     if not isinstance(names, list):
@@ -362,9 +362,6 @@ def run_checks(cfg: dict, seed_override=None) -> list:
     spec = build_instance_spec(cfg, seed_override)
     problem = generate_instance(spec)
     solver_cfg = build_solver_config(cfg, default_ell=problem.lip_grad)
-    tol = float(checks_cfg.get("tol", 1e-8))
-    order_min = float(checks_cfg.get("order_min", 1.5))
-    eps_list = checks_cfg.get("eps_list")
     verdicts = []
 
     trace = None
@@ -389,14 +386,11 @@ def run_checks(cfg: dict, seed_override=None) -> list:
 
     for name in names:
         if name == "quadratic_termination":
-            starts = int(checks_cfg.get("starts", 10))
-            scale = float(checks_cfg.get("scale", 2.0))
             rng = np.random.Generator(np.random.PCG64(spec.seed + 2000))
-            batch = [_into_box(scale * rng.standard_normal(spec.n), spec)
-                     for _ in range(starts)]
+            batch = [_into_box(2.0 * rng.standard_normal(spec.n), spec) for _ in range(10)]
             verdicts.append(check_quadratic_termination(problem, solver_cfg, batch))
         elif name == "descent_bound":
-            verdicts.append(check_descent_bound(shared_trace(), problem.mu, tol=tol))
+            verdicts.append(check_descent_bound(shared_trace(), problem.mu))
         elif name == "order_fit":
             try:
                 ref = shared_reference()
@@ -404,7 +398,7 @@ def run_checks(cfg: dict, seed_override=None) -> list:
                 floor = 1e-13 * (1.0 + float(np.linalg.norm(ref)))
                 q, c_fit = estimate_order(errors, noise_floor=floor)
                 verdicts.append(Verdict(
-                    name="order_fit", passed=q >= order_min, margin=q - order_min,
+                    name="order_fit", passed=q >= 1.5, margin=q - 1.5,
                     detail=f"q={q:.3f} constant={c_fit:.3e}"))
             except (InsufficientDataError, ConvergenceError) as exc:
                 verdicts.append(Verdict(name="order_fit", passed=False,
@@ -412,20 +406,17 @@ def run_checks(cfg: dict, seed_override=None) -> list:
         elif name == "tau_bracket":
             try:
                 ref = shared_reference()
-                eps_values = (eps_list if eps_list
-                              else [(1.0 - solver_cfg.sigma) * problem.mu])
-                verdicts.extend(tau_check(shared_trace(), ref, problem.mu, eps_values))
+                eps = (1.0 - solver_cfg.sigma) * problem.mu
+                verdicts.extend(tau_check(shared_trace(), ref, problem.mu, [eps]))
             except ConvergenceError as exc:
                 verdicts.append(Verdict(name="tau_bracket", passed=False,
                                         margin=float("-inf"), detail=str(exc)))
         elif name == "fundamental_ineq_quadratic":
             tr = shared_trace()
-            probes_count = int(checks_cfg.get("probes", 20))
             rng = np.random.Generator(np.random.PCG64(spec.seed + 3000))
             center = tr.final_x if np.all(np.isfinite(tr.final_x)) else np.zeros(problem.n)
-            probes = center + rng.standard_normal((probes_count, problem.n))
-            verdicts.append(check_fundamental_inequality_quadratic(
-                tr, problem, probes, tol=tol))
+            probes = center + rng.standard_normal((20, problem.n))
+            verdicts.append(check_fundamental_inequality_quadratic(tr, problem, probes))
     return verdicts
 
 

@@ -191,8 +191,9 @@ class ProblemInstance:
         length is neither 1 nor n.
     mu : float
         Strong-convexity modulus: every smooth Hessian is assumed >= mu * I.
-    lip_grad, lip_hess : float, optional
-        Gradient / Hessian Lipschitz constants when known (upper bounds).
+    lip_grad : float, optional
+        Gradient Lipschitz constant (an upper bound) when known; the CLI's
+        default ell for the gradient metric.
     """
 
     n: int
@@ -201,7 +202,6 @@ class ProblemInstance:
     nonsmooth: NonsmoothTerm
     mu: float
     lip_grad: Optional[float] = None
-    lip_hess: Optional[float] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -218,10 +218,9 @@ class ProblemInstance:
                               f"got shape {lo.shape}")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
-        for name in ("lip_grad", "lip_hess"):
-            v = getattr(self, name)
-            if v is not None and (not np.isfinite(v) or v < 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        v = self.lip_grad
+        if v is not None and (not np.isfinite(v) or v < 0):
+            raise ConfigError(f"lip_grad must be finite and >= 0, got {v}")
 
 
 def _checked_stack(outputs, m: int, n: int) -> SmoothEval:

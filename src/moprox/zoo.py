@@ -151,7 +151,7 @@ def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
     lip = spec.mu if spec.n == 1 else spec.mu * spec.cond
     return ProblemInstance(
         n=spec.n, m=spec.m, smooth=tuple(smooth),
-        nonsmooth=NonsmoothTerm.zero(), mu=spec.mu, lip_grad=lip, lip_hess=0.0,
+        nonsmooth=NonsmoothTerm.zero(), mu=spec.mu, lip_grad=lip,
     )
 
 
@@ -159,20 +159,11 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
     """Log-sum-exp objectives with a quadratic regularizer of modulus mu.
 
     f_i(x) = log sum_j exp(a_ij'x + c_ij) + (mu/2)||x - z_i||^2 with seeded
-    rows a_ij and per-objective centers z_i. Records lip_grad = mu +
-    max_ij ||a_ij||^2. The Hessian variation modulus lip_hess is estimated by
-    seeded central differences of the Hessian along random directions at the
-    mean center, where solution points of the family concentrate; the global
-    worst case over all of R^n would overstate the curvature variation that
-    runs actually encounter by orders of magnitude. A difference D of f_i's
-    Hessians lies on the span of its rows (the mu I terms cancel), so its
-    norm is taken as that of Q' D Q, Q an orthonormal basis of the span, or
-    as D's own when n is at most the row count and the span is everything.
+    rows a_ij, offsets c_ij and per-objective centers z_i. Records lip_grad =
+    mu + max_ij ||a_ij||^2, the CLI's default ell for the gradient metric.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     smooth = []
-    centers = []
-    bases = []
     max_row_sq = 0.0
     for _ in range(spec.m):
         rows = _LSE_ROW_SCALE * rng.standard_normal((_LSE_ROWS, spec.n))
@@ -181,24 +172,10 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
         norms = np.linalg.norm(rows, axis=1)
         max_row_sq = max(max_row_sq, float(np.max(norms) ** 2))
         smooth.append(logsumexp_objective(rows, offsets, spec.mu, center))
-        centers.append(center)
-        bases.append(np.linalg.qr(rows.T)[0] if spec.n > _LSE_ROWS else None)
-    anchor = np.mean(centers, axis=0)
-    h = 1e-4
-    slices = []
-    for _ in range(5):
-        u = rng.standard_normal(spec.n)
-        u /= np.linalg.norm(u)
-        for obj, q in zip(smooth, bases):
-            _, _, h_plus = obj.evaluate(anchor + h * u)
-            _, _, h_minus = obj.evaluate(anchor - h * u)
-            diff = (h_plus - h_minus) / (2.0 * h)
-            slices.append(float(np.linalg.norm(diff if q is None else q.T @ diff @ q, 2)))
     return ProblemInstance(
         n=spec.n, m=spec.m, smooth=tuple(smooth),
         nonsmooth=NonsmoothTerm.zero(), mu=spec.mu,
         lip_grad=spec.mu + max_row_sq,
-        lip_hess=float(np.median(slices)),
     )
 
 

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from moprox import (
+    InsufficientDataError,
     InstanceSpec,
     NonsmoothTerm,
     ProblemInstance,
     SolverConfig,
     Status,
+    attach_nonsmooth,
     check_descent_bound,
     criticality_measure,
     decreasing_tail,
@@ -35,7 +37,7 @@ from moprox.cli import main as cli_main, read_trace_csv
 from moprox.subproblem import solve_direction
 from moprox.zoo import quadratic_objective
 
-from conftest import grid_min_theta
+from conftest import grid_min_theta, lse_hessian_lipschitz
 
 # every (label, problem, trace) produced by the tests below; A02 sweeps it
 REGISTRY = []
@@ -61,23 +63,31 @@ def _grid_cells():
     return cells
 
 
+def _lse_spec(seed, m=2):
+    return InstanceSpec(family="logsumexp", n=10, m=m, mu=1.0, seed=seed)
+
+
+def _lse_run(prob, x0):
+    """Solve to direction norm 1e-12 and refine a high-accuracy reference
+    point for error analysis; returns (trace, reference)."""
+    tr = solve(prob, SolverConfig(eps=1e-12, tol_gap=1e-13,
+                                  max_dual_iters=2000), x0)
+    assert tr.status is Status.CRITICAL_REACHED
+    ref = refine_reference(
+        prob, tr.final_x, eps=1e-13,
+        config=SolverConfig(eps=1e-13, tol_gap=1e-14, max_outer=50,
+                            max_dual_iters=2000))
+    return tr, ref
+
+
 @pytest.fixture(scope="module")
 def lse_runs():
-    """Five seeded soft-max runs driven to direction norm 1e-12, with
-    high-accuracy reference points for error analysis."""
+    """Five seeded soft-max runs with their reference points."""
     runs = []
     for seed in range(5):
-        spec = InstanceSpec(family="logsumexp", n=10, m=2, mu=1.0, seed=seed)
-        prob = generate_instance(spec)
+        prob = generate_instance(_lse_spec(seed))
         rng = np.random.Generator(np.random.PCG64(500 + seed))
-        x0 = 3.0 * rng.standard_normal(10)
-        tr = solve(prob, SolverConfig(eps=1e-12, tol_gap=1e-13,
-                                      max_dual_iters=2000), x0)
-        assert tr.status is Status.CRITICAL_REACHED
-        ref = refine_reference(
-            prob, tr.final_x, eps=1e-13,
-            config=SolverConfig(eps=1e-13, tol_gap=1e-14, max_outer=50,
-                                max_dual_iters=2000))
+        tr, ref = _lse_run(prob, 3.0 * rng.standard_normal(10))
         _register(f"lse-{seed}", prob, tr)
         runs.append((prob, tr, ref))
     return runs
@@ -228,17 +238,56 @@ def test_a05_superlinear_tail(lse_runs):
 def test_a06_quadratic_error_constant(lse_runs):
     # e_{k+1} <= C e_k^2 over the tail with C at most 10 L2/mu, and the
     # final measured ratio within a factor 10 of L2/mu
-    for prob, tr, ref in lse_runs:
+    for seed, (prob, tr, ref) in enumerate(lse_runs):
         errors = iterate_errors(tr, ref)
         floor = 1e-12 * (1.0 + float(np.linalg.norm(ref)))
         tail = decreasing_tail(errors, noise_floor=floor)
         cks = tail[1:] / tail[:-1] ** 2
-        l2mu = prob.lip_hess / prob.mu
+        l2mu = lse_hessian_lipschitz(_lse_spec(seed)) / prob.mu
         assert np.max(cks) <= 10.0 * l2mu, (np.max(cks), l2mu)
         final = float(cks[-1])
         assert 0.1 * l2mu <= final <= 10.0 * l2mu, (final, l2mu)
     _report("A06", True,
             "tail satisfies e_{k+1} <= C e_k^2 with C within 10 L2/mu")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", (2, 3, 5, 8))
+@pytest.mark.parametrize("term", ("l1", "box"))
+def test_a05_a06_rates_with_l1_and_box(term, m, seed):
+    # the A05 and A06 claims with g = 0.1 ||x||_1 or the box [-1, 1]^10:
+    # tail ratios strictly decreasing, fitted order >= 1.5 and
+    # e_{k+1} <= C e_k^2 with C at most 10 L2/mu; a run too short for a
+    # tail must have terminated at the reference point instead
+    spec = _lse_spec(seed, m)
+    if term == "l1":
+        g = NonsmoothTerm.scaled_l1(0.1)
+    else:
+        g = NonsmoothTerm.box(np.full(10, -1.0), np.full(10, 1.0))
+    prob = attach_nonsmooth(generate_instance(spec), g)
+    x0 = 3.0 * np.random.Generator(np.random.PCG64(500 + seed)).standard_normal(10)
+    if term == "box":
+        x0 = np.clip(x0, -1.0, 1.0)
+    tr, ref = _lse_run(prob, x0)
+    _register(f"lse-{term}-m{m}-{seed}", prob, tr)
+    errors = iterate_errors(tr, ref)
+    floor = 1e-12 * (1.0 + float(np.linalg.norm(ref)))
+    try:
+        tail = decreasing_tail(errors, noise_floor=floor)
+    except InsufficientDataError:
+        assert errors[-1] <= floor, (errors, floor)
+        _report("A05/A06", True, f"{term} m={m} seed={seed}: finite termination "
+                f"after {len(tr.records)} records, error {errors[-1]:.1e}")
+        return
+    ratios = tail[1:] / tail[:-1]
+    assert np.all(np.diff(ratios) < 0.0), ratios
+    q, _ = estimate_order(errors, noise_floor=floor)
+    assert q >= 1.5, q
+    l2mu = lse_hessian_lipschitz(spec) / prob.mu
+    c_max = float(np.max(tail[1:] / tail[:-1] ** 2))
+    assert c_max <= 10.0 * l2mu, (c_max, l2mu)
+    _report("A05/A06", True, f"{term} m={m} seed={seed}: order {q:.2f} >= 1.5, "
+            f"max C {c_max:.2f} <= 10 L2/mu = {10.0 * l2mu:.2f}")
 
 
 def test_a07_step_to_error_ratios(lse_runs):

@@ -131,6 +131,10 @@ class TestConfigErrors:
         (lambda c: c["run"].update(x0="origin"), "run.x0"),
         (lambda c: c["solver"].update(max_inner_iters=100), "unknown key solver.max_inner_iters"),
         (lambda c: c["solver"].update(max_halvings=30), "unknown key solver.max_halvings"),
+        (lambda c: c["run"]["x0"].update(scale="abc"),
+         "run.x0.scale must be a real number, got 'abc'"),
+        (lambda c: c["run"]["x0"].update(scale=True),
+         "run.x0.scale must be a real number, got True"),
     ])
     def test_dotted_paths_and_exit_64(self, tmp_path, capsys, mangle, needle):
         cfg = _base_solve_config()
@@ -139,6 +143,13 @@ class TestConfigErrors:
         code = main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
         assert code == 64
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("tol", 1e-6), ("starts", 3)])
+    def test_removed_check_knobs_exit_64(self, tmp_path, capsys, key, value):
+        cfg = _base_solve_config(checks={"names": ["descent_bound"], key: value})
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["check", "--config", cfg_path, "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == f"config error: unknown key checks.{key}\n"
 
     @pytest.mark.parametrize("section, mangle, message", [
         ("instance", {"n": 4.5}, "instance.n must be an integer, got 4.5"),
@@ -305,7 +316,6 @@ class TestCheckVerb:
         # quadratic_termination are clipped as run.x0 draws are
         cfg = self._check_config(["quadratic_termination"])
         cfg["instance"]["family"] = "quadratic_box"
-        cfg["checks"]["starts"] = 3
         cfg_path = _write_config(tmp_path / "cfg.json", cfg)
         assert main(["check", "--config", cfg_path, "--out", str(tmp_path)]) == 0
         assert "quadratic_termination: PASS" in (tmp_path / "checks.txt").read_text()

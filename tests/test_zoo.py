@@ -5,9 +5,9 @@ from moprox import (
     ConfigError,
     InstanceSpec,
     NonsmoothTerm,
+    SmoothObjective,
     attach_nonsmooth,
     eval_smooth,
-    gen_logsumexp_reg,
     gen_quadratic,
     generate_instance,
 )
@@ -116,7 +116,6 @@ class TestGenQuadratic:
         se = eval_smooth(prob, np.zeros(6))
         top = max(np.linalg.eigvalsh(H).max() for H in se.hessians)
         assert top <= prob.lip_grad * (1.0 + 1e-10)
-        assert prob.lip_hess == 0.0
 
     def test_explicit_shifts_set_minima(self):
         spec = InstanceSpec(family="quadratic", n=1, m=2, mu=1.0, seed=0)
@@ -152,13 +151,19 @@ class TestGenLogsumexp:
                 assert eigs.min() >= 0.7 - 1e-9
                 assert eigs.max() <= prob.lip_grad + 1e-9
 
-    def test_lip_hess_estimate_finite_and_stable(self):
-        spec = InstanceSpec(family="logsumexp", n=6, m=2, mu=1.0, seed=2)
-        a = gen_logsumexp_reg(spec)
-        b = gen_logsumexp_reg(spec)
-        assert a.lip_hess is not None and np.isfinite(a.lip_hess)
-        assert a.lip_hess > 0.0
-        assert a.lip_hess == b.lip_hess
+    def test_build_calls_no_oracle(self, monkeypatch):
+        calls = []
+        evaluate = SmoothObjective.evaluate
+
+        def counted(self, x):
+            calls.append(1)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(SmoothObjective, "evaluate", counted)
+        prob = generate_instance(InstanceSpec(family="logsumexp", n=100, m=8, seed=1))
+        assert len(calls) == 0
+        prob.smooth[0].evaluate(np.zeros(100))
+        assert len(calls) == 1
 
     def test_deterministic(self):
         spec = InstanceSpec(family="logsumexp", n=3, m=2, mu=1.0, seed=8)
