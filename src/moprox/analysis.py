@@ -34,6 +34,10 @@ __all__ = [
     "check_descent_bound",
 ]
 
+# Slack that check_descent_bound and check_fundamental_inequality_quadratic
+# allow for rounding in the inequalities they test.
+CHECK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -46,14 +50,14 @@ class Verdict:
     applicable: bool = True
 
 
-def criticality_measure(problem: ProblemInstance, x, tol_gap: float = 1e-12,
-                        max_dual_iters: int = 2000) -> float:
-    """Norm of the direction from a fresh high-accuracy subproblem solve.
+def criticality_measure(problem: ProblemInstance, x, tol_gap: float = 1e-12) -> float:
+    """Norm of the direction from a fresh subproblem solve to duality gap tol_gap.
 
     Zero exactly at critical points; small values certify approximate
-    criticality.
+    criticality. The dual loop runs under the fixed
+    subproblem.MAX_DUAL_ITERS cap, as in every solve.
     """
-    res = solve_direction(problem, x, tol_gap=tol_gap, max_dual_iters=max_dual_iters)
+    res = solve_direction(problem, x, tol_gap=tol_gap)
     return float(np.linalg.norm(res.direction))
 
 
@@ -65,8 +69,7 @@ def refine_reference(problem: ProblemInstance, x0, eps: float = 1e-12,
     ConvergenceError if the run does not reach criticality.
     """
     if config is None:
-        config = SolverConfig(eps=eps, tol_gap=min(1e-12, eps), max_outer=1000,
-                              max_dual_iters=2000)
+        config = SolverConfig(eps=eps, tol_gap=min(1e-12, eps), max_outer=1000)
     trace = solve(problem, config, x0)
     if trace.status is not Status.CRITICAL_REACHED:
         raise ConvergenceError(
@@ -174,37 +177,34 @@ def _unit_tail_start(trace: SolveTrace) -> Optional[int]:
     return j
 
 
-def tau_check(trace: SolveTrace, x_star, mu: float, eps_list) -> list:
+def tau_check(trace: SolveTrace, x_star, mu: float, eps: float) -> list:
     """Verdicts on the step-to-error ratios over the unit-step tail.
 
-    For each eps, checks that the ratios eventually enter and stay inside
-    tau_bracket(mu, eps, sigma); also checks that the final ratio is within
-    0.05 of 1 whenever the usable errors span at least four orders of
-    magnitude. Returns not-applicable verdicts when the trace has no
+    Checks that the ratios eventually enter and stay inside
+    tau_bracket(mu, eps, sigma), and that the final ratio is within 0.05 of
+    1 whenever the usable errors span at least four orders of magnitude.
+    Returns the two verdicts, not applicable when the trace has no
     unit-step tail.
     """
-    sigma = trace.config.sigma
-    brackets = [(float(eps), tau_bracket(mu, eps, sigma)) for eps in eps_list]
+    eps = float(eps)
+    lo, hi = tau_bracket(mu, eps, trace.config.sigma)
+    name = f"tau_in_bracket[eps={eps:g}]"
     j = _unit_tail_start(trace)
     if j is None:
-        out = [Verdict(name=f"tau_in_bracket[eps={eps:g}]", passed=True, margin=0.0,
-                       detail="no unit-step tail", applicable=False) for eps, _ in brackets]
-        out.append(Verdict(name="final_tau_near_one", passed=True, margin=0.0,
-                           detail="no unit-step tail", applicable=False))
-        return out
+        return [Verdict(name=name, passed=True, margin=0.0,
+                        detail="no unit-step tail", applicable=False),
+                Verdict(name="final_tau_near_one", passed=True, margin=0.0,
+                        detail="no unit-step tail", applicable=False)]
     ks, taus = tau_sequence(trace, x_star)
     keep = ks >= j
     ks, taus = ks[keep], taus[keep]
     errors = iterate_errors(trace, x_star)
     used = errors[ks] if ks.size else np.array([])
 
-    verdicts = []
-    for eps, (lo, hi) in brackets:
-        name = f"tau_in_bracket[eps={eps:g}]"
-        if taus.size == 0:
-            verdicts.append(Verdict(name=name, passed=True, margin=0.0,
-                                    detail="no measurable ratios", applicable=False))
-            continue
+    if taus.size == 0:
+        in_bracket = Verdict(name=name, passed=True, margin=0.0,
+                             detail="no measurable ratios", applicable=False)
+    else:
         inside = (taus >= lo) & (taus <= hi)
         if inside[-1]:
             k_enter = taus.size - 1
@@ -212,22 +212,22 @@ def tau_check(trace: SolveTrace, x_star, mu: float, eps_list) -> list:
                 k_enter -= 1
             suffix = taus[k_enter:]
             margin = float(np.min(np.minimum(suffix - lo, hi - suffix)))
-            verdicts.append(Verdict(name=name, passed=True, margin=margin,
-                                    detail=f"inside from iteration {int(ks[k_enter])}"))
+            in_bracket = Verdict(name=name, passed=True, margin=margin,
+                                 detail=f"inside from iteration {int(ks[k_enter])}")
         else:
             worst = float(np.max(np.maximum(lo - taus, taus - hi)))
-            verdicts.append(Verdict(name=name, passed=False, margin=-worst,
-                                    detail="final ratio outside the bracket"))
+            in_bracket = Verdict(name=name, passed=False, margin=-worst,
+                                 detail="final ratio outside the bracket")
 
     if taus.size and used.size and float(np.max(used) / np.min(used)) >= 1e4:
         margin = 0.05 - abs(float(taus[-1]) - 1.0)
-        verdicts.append(Verdict(name="final_tau_near_one", passed=margin >= 0.0,
-                                margin=margin, detail=f"final tau {taus[-1]:.6f}"))
+        near_one = Verdict(name="final_tau_near_one", passed=margin >= 0.0,
+                           margin=margin, detail=f"final tau {taus[-1]:.6f}")
     else:
-        verdicts.append(Verdict(name="final_tau_near_one", passed=True, margin=0.0,
-                                detail="errors span fewer than four orders of magnitude",
-                                applicable=False))
-    return verdicts
+        near_one = Verdict(name="final_tau_near_one", passed=True, margin=0.0,
+                           detail="errors span fewer than four orders of magnitude",
+                           applicable=False)
+    return [in_bracket, near_one]
 
 
 def check_quadratic_termination(problem: ProblemInstance, config: SolverConfig,
@@ -259,12 +259,12 @@ def check_quadratic_termination(problem: ProblemInstance, config: SolverConfig,
 
 
 def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemInstance,
-                                           probe_points, tol: float = 1e-8) -> Verdict:
+                                           probe_points) -> Verdict:
     """Unit steps on quadratics must dominate every probe by the metric distance.
 
     At each unit-step iteration with weights w and successor x_next, and for
     every probe z, the weighted objective must satisfy
-    F_w(x_next) - F_w(z) <= -0.5 (x_next - z)' A_w (x_next - z) + tol,
+    F_w(x_next) - F_w(z) <= -0.5 (x_next - z)' A_w (x_next - z) + CHECK_TOL,
     where A_w is the weighted (constant) Hessian. Margin is the worst slack.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
@@ -289,19 +289,19 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
             f_z = weighted_full(lam, z)
             diff = x_next - z
             rhs = -0.5 * float(diff @ (a_lam @ diff))
-            margin = (f_z + rhs) - f_next  # >= -tol required
+            margin = (f_z + rhs) - f_next  # >= -CHECK_TOL required
             if margin < worst:
                 worst = margin
-    return Verdict(name="fundamental_ineq_quadratic", passed=worst >= -tol, margin=worst,
-                   detail=f"worst slack {worst:.3e} over {len(unit_idx)} unit steps, "
-                          f"{probes.shape[0]} probes")
+    return Verdict(name="fundamental_ineq_quadratic", passed=worst >= -CHECK_TOL,
+                   margin=worst, detail=f"worst slack {worst:.3e} over {len(unit_idx)} "
+                                        f"unit steps, {probes.shape[0]} probes")
 
 
-def check_descent_bound(trace: SolveTrace, mu: float, tol: float = 1e-8) -> Verdict:
+def check_descent_bound(trace: SolveTrace, mu: float) -> Verdict:
     """Every subproblem optimum must certify strong descent.
 
-    Checks theta_k <= -(mu/2) ||d_k||^2 + tol on all trace records that carry
-    a direction. Margin is the worst slack across the trace.
+    Checks theta_k <= -(mu/2) ||d_k||^2 + CHECK_TOL on all trace records
+    that carry a direction. Margin is the worst slack across the trace.
     """
     mu = float(mu)
     if not np.isfinite(mu) or mu <= 0:
@@ -312,7 +312,7 @@ def check_descent_bound(trace: SolveTrace, mu: float, tol: float = 1e-8) -> Verd
         if not np.isfinite(rec.direction_norm) or not np.isfinite(rec.theta):
             continue
         used += 1
-        bound = -0.5 * mu * rec.direction_norm ** 2 + tol
+        bound = -0.5 * mu * rec.direction_norm ** 2 + CHECK_TOL
         margin = bound - rec.theta
         if margin < worst:
             worst = margin

@@ -117,7 +117,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -135,6 +135,9 @@ def load_config(path) -> dict:
         _reject_unknown(run["sweep"], _SWEEP_KEYS, "run.sweep")
     if "x0" in run and isinstance(run["x0"], dict):
         _reject_unknown(run["x0"], _X0_KEYS, "run.x0")
+    name = run.get("trace_csv", "trace.csv")
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"run.trace_csv must be a nonempty string, got {name!r}")
     return cfg
 
 
@@ -202,6 +205,11 @@ def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
             raise ConfigError(f"run.x0.seed must be an integer, got {seed!r}")
         if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
             raise ConfigError(f"run.x0.scale must be a real number, got {scale!r}")
+        try:
+            scale = float(scale)
+        except OverflowError:
+            raise ConfigError("run.x0.scale must be finite, got an integer too large "
+                              "for a float") from None
         if not np.isfinite(scale):
             raise ConfigError(f"run.x0.scale must be finite, got {scale}")
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -270,10 +278,7 @@ def cmd_solve(cfg: dict, out_dir: Path, seed_override=None) -> int:
     solver_cfg = build_solver_config(cfg, default_ell=problem.lip_grad)
     x0 = derive_x0(cfg, spec)
     trace = solve(problem, solver_cfg, x0)
-    name = cfg.get("run", {}).get("trace_csv", "trace.csv")
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"run.trace_csv must be a nonempty string, got {name!r}")
-    out_path = out_dir / name
+    out_path = out_dir / cfg.get("run", {}).get("trace_csv", "trace.csv")
     write_trace_csv(out_path, trace, problem.m, problem.n)
     final = trace.records[-1]
     print(f"status={trace.status.value} iters={trace.steps_taken} snaps={trace.snaps} "
@@ -284,8 +289,7 @@ def cmd_solve(cfg: dict, out_dir: Path, seed_override=None) -> int:
     return _STATUS_EXIT[trace.status]
 
 
-def _bench_cell(cfg: dict, spec: InstanceSpec, x0, variant: str) -> dict:
-    problem = generate_instance(spec)
+def _bench_cell(cfg: dict, spec: InstanceSpec, problem, x0, variant: str) -> dict:
     cell_cfg = build_solver_config(cfg, overrides={"variant": variant},
                                    default_ell=problem.lip_grad)
     start = time.perf_counter()
@@ -326,14 +330,12 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
         raise _within(exc, "run.sweep") from exc
     rows = []
     for spec in specs:
+        problem = generate_instance(spec)
         x0 = derive_x0(cfg, spec)
         for variant in (VARIANT_NEWTON, VARIANT_GRADIENT):
-            rows.append(_bench_cell(cfg, spec, x0, variant))
+            rows.append(_bench_cell(cfg, spec, problem, x0, variant))
     rows.sort(key=lambda r: (r["family"], r["cond"], r["seed"], r["solver"]))
-    name = cfg.get("run", {}).get("trace_csv", "bench.csv")
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"run.trace_csv must be a nonempty string, got {name!r}")
-    out_path = out_dir / name
+    out_path = out_dir / cfg.get("run", {}).get("trace_csv", "bench.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "cond", "seed", "solver", "status", "iters", "snaps",
@@ -407,7 +409,7 @@ def run_checks(cfg: dict, seed_override=None) -> list:
             try:
                 ref = shared_reference()
                 eps = (1.0 - solver_cfg.sigma) * problem.mu
-                verdicts.extend(tau_check(shared_trace(), ref, problem.mu, [eps]))
+                verdicts.extend(tau_check(shared_trace(), ref, problem.mu, eps))
             except ConvergenceError as exc:
                 verdicts.append(Verdict(name="tau_bracket", passed=False,
                                         margin=float("-inf"), detail=str(exc)))

@@ -70,13 +70,12 @@ class SolverConfig:
     select the metric object that solve() builds once and hands to every
     direction solve: "newton" for the true Hessians, "gradient" for ell
     times the identity, which requires ell > 0.
-    max_dual_iters caps the iterations of the direction subproblem's dual
-    loop (one face-Newton or supergradient step each). The caps on each
-    inner active-set solve (subproblem.MAX_INNER_PASSES) and on the line
-    search's halvings (MAX_HALVINGS) are fixed.
-    The max_* fields must be integers and the other numeric fields real
-    numbers (bool is neither); a ConfigError names the first field that is
-    not.
+    The caps on the direction subproblem's dual loop
+    (subproblem.MAX_DUAL_ITERS), on each inner active-set solve
+    (subproblem.MAX_INNER_PASSES) and on the line search's halvings
+    (MAX_HALVINGS) are fixed.
+    max_outer must be an integer and the other numeric fields real numbers
+    (bool is neither); a ConfigError names the first field that is not.
     """
 
     eps: float = 1e-8
@@ -86,10 +85,9 @@ class SolverConfig:
     tol_gap: float = 1e-10
     variant: str = VARIANT_NEWTON
     ell: Optional[float] = None
-    max_dual_iters: int = 500
 
     def __post_init__(self):
-        check_field_types(self, integers=("max_outer", "max_dual_iters"),
+        check_field_types(self, integers=("max_outer",),
                           reals=("eps", "sigma", "gamma", "tol_gap")
                           + (() if self.ell is None else ("ell",)))
         if not (np.isfinite(self.eps) and self.eps > 0):
@@ -109,8 +107,6 @@ class SolverConfig:
             if self.ell is None or not (np.isfinite(self.ell) and self.ell > 0):
                 raise ConfigError(f"must be finite and > 0 for the gradient variant, "
                                   f"got {self.ell}", "ell")
-        if self.max_dual_iters < 1:
-            raise ConfigError(f"must be >= 1, got {self.max_dual_iters}", "max_dual_iters")
 
 
 @dataclass(frozen=True)
@@ -275,10 +271,8 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
             f_x = se.values + problem.nonsmooth.value(x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
-            res = solve_direction(problem, x, tol_gap=config.tol_gap,
-                                  max_dual_iters=config.max_dual_iters,
-                                  smooth_eval=se, metric=metric, weights=weights,
-                                  eps=config.eps)
+            res = solve_direction(problem, x, tol_gap=config.tol_gap, smooth_eval=se,
+                                  metric=metric, weights=weights, eps=config.eps)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
             records.append(_nan_record(k, x, _safe_objectives(problem, x, m), m))
             return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,

@@ -46,6 +46,9 @@ _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=float)
 # Passes of one inner active-set solve before it gives up: a guard against
 # cycling at degenerate ratio steps. The benchmark pools need at most 16.
 MAX_INNER_PASSES = 10000
+# Iterations of the dual loop before a direction solve gives up: a guard, as
+# the loop stops on a certificate. Tier-1 and the benchmark pools need at most 46.
+MAX_DUAL_ITERS = 500
 
 __all__ = [
     "DirectionResult",
@@ -426,10 +429,9 @@ class _Snapshot:
     gap: np.floating
 
 
-def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
-                    max_dual_iters: int = 500, *, smooth_eval=None,
-                    metric: Optional[Metric] = None, weights=None,
-                    eps: Optional[float] = None) -> DirectionResult:
+def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
+                    smooth_eval=None, metric: Optional[Metric] = None,
+                    weights=None, eps: Optional[float] = None) -> DirectionResult:
     """Solve the direction subproblem at x to a certified duality gap or ||d*|| <= eps.
 
     metric defaults to the Hessian metric. smooth_eval, the oracle output at
@@ -457,7 +459,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
     d = 0, so ||d*||^2 <= -2 phi / mu, and the zero direction is returned
     with a message. Both tests run before each dual iteration and after the
     loop, the gap test first, so a gap-certified direction does not depend
-    on eps. When neither holds and no step ascends, or max_dual_iters
+    on eps. When neither holds and no step ascends, or MAX_DUAL_ITERS
     iterations pass first, ConvergenceError is raised; so it is when an
     inner solve is not certified within MAX_INNER_PASSES passes.
 
@@ -600,7 +602,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10,
         return None
 
     retried = None
-    for _ in range(max_dual_iters):
+    for _ in range(MAX_DUAL_ITERS):
         if best.gap <= tol_gap or cur.phi >= stop_phi:
             break
         nxt = newton_step(cur)

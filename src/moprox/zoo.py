@@ -187,15 +187,15 @@ def attach_nonsmooth(instance: ProblemInstance, term: NonsmoothTerm) -> ProblemI
     return replace(instance, nonsmooth=term)
 
 
-def generate_instance(spec: InstanceSpec, shifts=None) -> ProblemInstance:
+def generate_instance(spec: InstanceSpec) -> ProblemInstance:
     """Build the instance described by spec (dispatch on family)."""
     if spec.family == "quadratic":
-        return gen_quadratic(spec, shifts=shifts)
+        return gen_quadratic(spec)
     if spec.family == "quadratic_l1":
-        base = gen_quadratic(spec, shifts=shifts)
+        base = gen_quadratic(spec)
         return attach_nonsmooth(base, NonsmoothTerm.scaled_l1(spec.rho))
     if spec.family == "quadratic_box":
-        base = gen_quadratic(spec, shifts=shifts)
+        base = gen_quadratic(spec)
         lo = np.full(spec.n, spec.lo)
         hi = np.full(spec.n, spec.hi)
         return attach_nonsmooth(base, NonsmoothTerm.box(lo, hi))

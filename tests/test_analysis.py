@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import moprox.subproblem
 from moprox import (
     ConvergenceError,
     InputError,
@@ -127,7 +128,7 @@ class TestTauDiagnostics:
         prob, tr = _quad_trace(seed=12, n=8, m=2, cond=1e3)
         assert tr.status is Status.CRITICAL_REACHED
         x_star = refine_reference(prob, tr.final_x, eps=1e-13)
-        verdicts = tau_check(tr, x_star, prob.mu, [0.5 * prob.mu])
+        verdicts = tau_check(tr, x_star, prob.mu, 0.5 * prob.mu)
         assert all(v.passed for v in verdicts if v.applicable)
 
     def test_tau_check_not_applicable_without_unit_tail(self):
@@ -136,11 +137,27 @@ class TestTauDiagnostics:
         spec = InstanceSpec(family="logsumexp", n=10, m=2, mu=0.01, seed=0)
         prob = generate_instance(spec)
         x0 = 6.0 * np.random.Generator(np.random.PCG64(500)).standard_normal(10)
-        tr = solve(prob, SolverConfig(eps=1e-12, tol_gap=1e-13, max_outer=2,
-                                      max_dual_iters=2000), x0)
+        tr = solve(prob, SolverConfig(eps=1e-12, tol_gap=1e-13, max_outer=2), x0)
         assert tr.records[1].step < 1.0
-        verdicts = tau_check(tr, np.zeros(10), prob.mu, [0.5 * prob.mu])
+        verdicts = tau_check(tr, np.zeros(10), prob.mu, 0.5 * prob.mu)
         assert all(not v.applicable for v in verdicts)
+
+    def test_tau_check_fails_outside_the_bracket(self):
+        # under ell I every step on a quadratic is a unit step, but each
+        # shrinks the slow error component only by 1 - mu/ell, so the ratios
+        # sit near mu/ell = 1/cond, below the bracket's lower end
+        spec = InstanceSpec(family="quadratic", n=6, m=2, cond=100.0, seed=7)
+        prob = generate_instance(spec)
+        x0 = np.random.Generator(np.random.PCG64(7)).standard_normal(6)
+        cfg = SolverConfig(variant="gradient", ell=prob.lip_grad, eps=1e-9, tol_gap=1e-12)
+        tr = solve(prob, cfg, x0)
+        assert all(r.step == 1.0 for r in tr.records[:-1])
+        x_star = refine_reference(prob, tr.final_x, eps=1e-13)
+        in_bracket, _ = tau_check(tr, x_star, prob.mu, 0.5 * prob.mu)
+        assert in_bracket.name == "tau_in_bracket[eps=0.5]"
+        assert in_bracket.applicable and not in_bracket.passed
+        assert in_bracket.margin < 0.0
+        assert in_bracket.detail == "final ratio outside the bracket"
 
 
 class TestCheckFunctions:
@@ -165,6 +182,38 @@ class TestCheckFunctions:
                            tol_gap=1e-12)
         v = check_quadratic_termination(prob, cfg, batch)
         assert not v.passed
+
+    def test_quadratic_termination_fails_on_a_solver_failure(self, l1_scalar, monkeypatch):
+        monkeypatch.setattr(moprox.subproblem, "MAX_INNER_PASSES", 1)
+        v = check_quadratic_termination(l1_scalar, SolverConfig(eps=1e-10, tol_gap=1e-12),
+                                        [np.array([3.0])])
+        assert not v.passed and v.margin == -np.inf
+        assert v.detail.startswith("start 0: solver failed: ")
+
+    def test_quadratic_termination_fails_when_no_step_is_taken(self):
+        # a start at the solution is already critical, so there is no first step
+        prob, tr = _quad_trace(seed=7)
+        v = check_quadratic_termination(prob, SolverConfig(eps=1e-9, tol_gap=1e-12),
+                                        [tr.final_x])
+        assert not v.passed and v.margin == -np.inf
+        assert v.detail == "start 0: no step was taken"
+
+    def test_quadratic_termination_fails_on_a_partial_first_step(self):
+        # weakly regularized soft-max from a far start backtracks at once
+        spec = InstanceSpec(family="logsumexp", n=10, m=2, mu=0.01, seed=0)
+        prob = generate_instance(spec)
+        x0 = 6.0 * np.random.Generator(np.random.PCG64(500)).standard_normal(10)
+        v = check_quadratic_termination(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), [x0])
+        assert not v.passed and v.margin == -1.0
+        assert v.detail.startswith("start 0: first step ") and v.detail.endswith(" != 1")
+
+    def test_descent_bound_not_applicable_without_directions(self):
+        # with max_outer = 0 the only record carries no direction
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=2, seed=1))
+        tr = solve(prob, SolverConfig(max_outer=0), np.ones(4))
+        v = check_descent_bound(tr, prob.mu)
+        assert v.passed and not v.applicable
+        assert v.detail == "no usable records"
 
     def test_descent_bound_on_real_trace(self):
         prob, tr = _quad_trace(seed=15)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import moprox
+import moprox.cli
 from moprox.cli import derive_x0, main, read_trace_csv
+from moprox.zoo import generate_instance
 
 
 def _write_config(path, payload):
@@ -135,6 +137,9 @@ class TestConfigErrors:
          "run.x0.scale must be a real number, got 'abc'"),
         (lambda c: c["run"]["x0"].update(scale=True),
          "run.x0.scale must be a real number, got True"),
+        (lambda c: c["solver"].update(max_dual_iters=2000), "unknown key solver.max_dual_iters"),
+        (lambda c: c["run"]["x0"].update(scale=10 ** 400),
+         "run.x0.scale must be finite, got an integer too large for a float"),
     ])
     def test_dotted_paths_and_exit_64(self, tmp_path, capsys, mangle, needle):
         cfg = _base_solve_config()
@@ -194,6 +199,29 @@ class TestConfigErrors:
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 64
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer of more than
+        # sys.get_int_max_str_digits() digits
+        p = tmp_path / "cfg.json"
+        p.write_text('{"instance": {"seed": ' + "1" * 5000 + "}}")
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 64
+        assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["solve", "bench"])
+    @pytest.mark.parametrize("name", ["", 3, None])
+    def test_bad_trace_name_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                      verb, name):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(moprox.cli, "solve", no_solve)
+        cfg = _base_solve_config()
+        cfg["run"].update(trace_csv=name, sweep={"seeds": [0, 1]})
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main([verb, "--config", cfg_path, "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == (
+            f"config error: run.trace_csv must be a nonempty string, got {name!r}\n")
 
     def test_bad_verb_usage(self, tmp_path):
         assert main(["tune", "--config", "x.json"]) == 64
@@ -278,6 +306,20 @@ class TestBenchVerb:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
+    def test_bench_builds_each_instance_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(spec):
+            built.append((spec.cond, spec.seed))
+            return generate_instance(spec)
+
+        monkeypatch.setattr(moprox.cli, "generate_instance", counted)
+        cfg_path = _write_config(tmp_path / "cfg.json", self._bench_config())
+        assert main(["bench", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert sorted(built) == [(5.0, 0), (5.0, 1), (50.0, 0), (50.0, 1)]
+        with open(tmp_path / "bench.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 8
+
     def test_bench_requires_sweep(self, tmp_path, capsys):
         cfg = self._bench_config()
         del cfg["run"]["sweep"]
@@ -335,7 +377,7 @@ class TestCheckVerb:
         cfg = {
             "instance": {"family": "logsumexp", "n": 10, "m": 2, "mu": 1.0,
                          "seed": 0},
-            "solver": {"eps": 1e-12, "tol_gap": 1e-13, "max_dual_iters": 2000},
+            "solver": {"eps": 1e-12, "tol_gap": 1e-13},
             "run": {"x0": {"seed": 500, "scale": 3.0}},
             "checks": {"names": ["order_fit", "tau_bracket", "descent_bound"]},
         }
