@@ -221,7 +221,7 @@ def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
             f"seed/scale, got {type(x0_cfg).__name__}")
     try:
         x0 = np.asarray(x0_cfg, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"run.x0 entries must be numbers: {exc}") from exc
     if x0.shape != (spec.n,):
         raise ConfigError(

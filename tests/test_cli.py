@@ -140,6 +140,7 @@ class TestConfigErrors:
         (lambda c: c["solver"].update(max_dual_iters=2000), "unknown key solver.max_dual_iters"),
         (lambda c: c["run"]["x0"].update(scale=10 ** 400),
          "run.x0.scale must be finite, got an integer too large for a float"),
+        (lambda c: c["run"].update(x0=[10 ** 400, 0, 0, 0]), "run.x0 entries must be numbers"),
     ])
     def test_dotted_paths_and_exit_64(self, tmp_path, capsys, mangle, needle):
         cfg = _base_solve_config()
