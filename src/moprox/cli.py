@@ -25,11 +25,11 @@ import argparse
 import csv
 import dataclasses
 import json
-import numbers
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from .analysis import (
     refine_reference,
     tau_check,
 )
-from .errors import ConfigError, ConvergenceError, InsufficientDataError, MoproxError
+from .errors import (ConfigError, ConvergenceError, InsufficientDataError, MoproxError,
+                     check_field_types)
 from .solver import (
     SolveTrace,
     SolverConfig,
@@ -201,15 +202,14 @@ def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
     if isinstance(x0_cfg, dict):
         seed = x0_cfg.get("seed", spec.seed + 1000)
         scale = x0_cfg.get("scale", 2.0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"run.x0.seed must be an integer, got {seed!r}")
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
-            raise ConfigError(f"run.x0.scale must be a real number, got {scale!r}")
         try:
-            scale = float(scale)
-        except OverflowError:
-            raise ConfigError("run.x0.scale must be finite, got an integer too large "
-                              "for a float") from None
+            check_field_types(SimpleNamespace(seed=seed, scale=scale),
+                              integers=("seed",), reals=("scale",))
+        except ConfigError as exc:
+            raise _within(exc, "run.x0") from None
+        if seed < 0:
+            raise ConfigError(f"must be >= 0, got {seed}", "run.x0.seed")
+        scale = float(scale)
         if not np.isfinite(scale):
             raise ConfigError(f"run.x0.scale must be finite, got {scale}")
         rng = np.random.Generator(np.random.PCG64(seed))

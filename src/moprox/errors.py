@@ -24,7 +24,8 @@ def check_field_types(obj, integers=(), reals=()) -> None:
     """Raise ConfigError naming the first field of obj with the wrong type.
 
     Fields named in integers must be integers and those in reals real
-    numbers; bool is neither, and numpy scalars qualify.
+    numbers; bool is neither, and numpy scalars qualify. A real field must
+    also convert to a float: an integer too large for one is rejected.
     """
     for names, kind, noun in ((integers, numbers.Integral, "an integer"),
                               (reals, numbers.Real, "a real number")):
@@ -32,6 +33,12 @@ def check_field_types(obj, integers=(), reals=()) -> None:
             value = getattr(obj, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"must be {noun}, got {value!r}", name)
+    for name in reals:
+        try:
+            float(getattr(obj, name))
+        except OverflowError:
+            raise ConfigError("must be finite, got an integer too large for a float",
+                              name) from None
 
 
 class InputError(MoproxError, ValueError):

@@ -10,6 +10,10 @@ one of three closed proper convex terms with a closed-form proximal map:
 * ``l1``: a nonnegatively scaled l1 norm, rho * ||x||_1,
 * ``box``: the indicator of a box [lo, hi] (value 0 inside, +inf outside).
 
+Each term also describes, per coordinate, the pieces on which it is affine
+and its subdifferential at their kinks and bounds; the direction solver and
+the outer loop read g only through these, its value and its proximal map.
+
 Hessians are symmetrized at the oracle boundary so all downstream linear
 algebra may assume exact symmetry. Extended-real arithmetic is explicit:
 nonsmooth values may be +inf, and descent tests elsewhere treat any
@@ -77,9 +81,12 @@ class SmoothObjective:
 
 @dataclass(frozen=True)
 class NonsmoothTerm:
-    """Convex nonsmooth term with closed-form value and proximal map.
+    """Convex nonsmooth term with closed-form value, proximal map and pieces.
 
-    Construct through :meth:`zero`, :meth:`scaled_l1`, or :meth:`box`.
+    Construct through :meth:`zero`, :meth:`scaled_l1`, or :meth:`box`. g is
+    separable and affine on each piece of a coordinate (:meth:`pieces`);
+    a kink or bound is a one-point piece, where :meth:`kink` tests the
+    subdifferential and picks the piece to enter.
     """
 
     kind: str
@@ -164,6 +171,52 @@ class NonsmoothTerm:
             thr = c * self.rho
             return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
         return np.clip(v, self.lo, self.hi)
+
+    def domain(self, idx):
+        """The interval [lo, hi] where g is finite, on coordinates idx: (lo, hi).
+
+        The box's bounds, of idx's shape, or (-inf, inf) for the other terms.
+        idx is an index or an integer array; bounds of length 1 serve every
+        coordinate.
+        """
+        if self.kind != self.KIND_BOX:
+            return -np.inf, np.inf
+        return self.lo[idx % self.lo.size], self.hi[idx % self.hi.size]
+
+    def pieces(self, u):
+        """The piece [a, b] of g each coordinate of u lies on, and g's slope there.
+
+        Returns (a, b, slope), each of u's shape. g is affine on a piece: for
+        l1 [0, inf) or (-inf, 0] by the sign of u, for the box [lo, hi], for
+        the zero term the whole line. A coordinate at a kink (0 for l1) or on
+        or beyond a bound lies on the single point a = b there, with slope
+        0; every other coordinate has a < b.
+        """
+        u = np.asarray(u, dtype=float)
+        if self.kind == self.KIND_L1:
+            return (np.where(u >= 0.0, 0.0, -np.inf), np.where(u <= 0.0, 0.0, np.inf),
+                    self.rho * np.sign(u))
+        if self.kind == self.KIND_ZERO:
+            slope = np.zeros(u.shape)
+            return slope - np.inf, slope + np.inf, slope
+        return (np.where(u >= self.hi, self.hi, self.lo),
+                np.where(u <= self.lo, self.lo, self.hi), np.zeros(u.shape))
+
+    def kink(self, e, r, idx):
+        """How far -r lies outside the subdifferential of g at e, and where -r leads.
+
+        e holds kinks or bounds of g, exactly, on coordinates idx, and r the
+        gradient of a smooth function there. Returns (excess, a, b, slope):
+        excess is positive where -r lies outside the subdifferential of g at
+        e, by that much ([-rho, rho] at an l1 kink, so |r| - rho; (-inf, 0]
+        at lo, so -r; [0, inf) at hi, so r), and [a, b] with slope is the
+        piece a step from e along -r enters, as in :meth:`pieces`. The zero
+        term has no kink or bound, so nothing asks it.
+        """
+        if self.kind == self.KIND_L1:  # from the kink 0, a step along -r lies at -r
+            return (np.abs(r) - self.rho, *self.pieces(-r))
+        lo, hi = self.domain(idx)
+        return np.where(e == lo, -r, r), lo, hi, np.zeros_like(r)
 
 
 @dataclass(frozen=True)

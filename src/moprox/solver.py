@@ -253,8 +253,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     outside = np.flatnonzero(problem.nonsmooth.outside(x))
     if outside.size:
         j = int(outside[0])
-        lo, hi = (float(np.broadcast_to(b, x.shape)[j])
-                  for b in (problem.nonsmooth.lo, problem.nonsmooth.hi))
+        lo, hi = (float(b) for b in problem.nonsmooth.domain(j))
         raise InputError(f"start lies outside the domain of the nonsmooth term: "
                          f"x0[{j}] = {float(x[j])!r} is not in [{lo!r}, {hi!r}]")
     records = []

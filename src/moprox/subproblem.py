@@ -168,22 +168,16 @@ class Metric:
         gives up after MAX_INNER_PASSES passes. Under ell I
         it is one proximal map, u = prox_{g/ell}(x - grad_w/ell), d = u - x,
         counted as one pass; it is closed-form, so d0 is ignored. free marks
-        where g is smooth at u (u != 0 for l1, lo < u < hi for the box,
-        everywhere for the zero term), solve_free divides by ell, and
-        smooth_eval's Hessians are not read.
+        where u lies on a piece of g with a < b (:meth:`NonsmoothTerm.pieces`),
+        solve_free divides by ell, and smooth_eval's Hessians are not read.
         """
         if self.ell is None:
             return inner_minimize(weights, smooth_eval, term, x, d0=d0)
         x = np.asarray(x, dtype=float)
         v = np.asarray(weights, dtype=float) @ smooth_eval.gradients
         u = term.prox(x - v / self.ell, 1.0 / self.ell)
-        if term.kind == NonsmoothTerm.KIND_L1:
-            free = u != 0.0
-        elif term.kind == NonsmoothTerm.KIND_BOX:
-            free = (term.lo < u) & (u < term.hi)
-        else:
-            free = np.ones(u.size, dtype=bool)
-        return u - x, free, self._divide, 1
+        a, b, _ = term.pieces(u)
+        return u - x, a < b, self._divide, 1
 
     def _divide(self, rhs):
         return rhs / self.ell
@@ -275,34 +269,38 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     A primal active-set loop on u = x + d, started from d = d0 (d = 0 when
     d0 is None), with block moves in the manner of block principal pivoting
     (Judice & Pires 1994; Kim & Park 2011). Each coordinate moves in a piece
-    [a, b] of g: a free coordinate in a smooth piece ([0, inf) or (-inf, 0]
-    by its l1 sign, [lo, hi] for the box, the whole line for the zero term),
-    a held one in the single point a = b of its kink (0 for l1) or bound.
-    The start gives the first split: a coordinate where x + d0 is at the
-    kink, or on or beyond a bound, starts held exactly there, and the others
-    start free on the piece x + d0 lies on. One pass solves the weighted
-    Hessian's free block by Cholesky with the held coordinates fixed.
+    [a, b] of g on which g is affine (:meth:`NonsmoothTerm.pieces`): a free
+    one in a piece with a < b, a held one in the single point a = b of a
+    kink or bound. The loop reads g only through the term's pieces, its
+    kink test and its value, so it runs the same code for every term. The
+    start gives the first split: each coordinate starts on the piece
+    x + d0 lies on, and a held one exactly at its kink or bound. One pass
+    solves the weighted Hessian's free block by Cholesky with the held
+    coordinates fixed.
 
-    Write q(d) = grad_w'd + 0.5 d'H_w d + rho ||x + d||_1, the weighted
-    model up to a constant at points inside the pieces. If the free solve
-    would carry free coordinates out of their pieces, a ratio test stops the
-    step where the first one leaves and holds that one at the end it
-    reached. When two or more leave, the solve with each of them clipped to
-    the end it crossed is taken instead, and all of them are held, if its q
-    is no larger than q at the ratio-test point. Otherwise the step is
-    taken in full and every held coordinate whose multiplier r = grad_w +
-    H_w d breaks optimality (|r_j| <= rho for l1, r_j >= 0 at lo, r_j <= 0
-    at hi, up to a few ulps of |grad_w|, |H_w||d| and rho) is released, each
-    on the l1 side its r_j points to; with none left the solve is exact.
-    As a safeguard q must fall strictly from one such releasing pass to the
-    next; the first time it does not, the rest of the solve holds only the
-    first leaving coordinate and releases only the most violated one. With
-    nothing held, as always for the zero term, a pass is the plain Cholesky
-    solve H_w d = -grad_w. The result is the last pass's solve with the
-    held coordinates exactly at their kinks or bounds, so two starts that
-    end on the same free set return the same bits; d0 changes only the
-    number of passes, and a start near the solution (the direction solver
-    passes the previous snap's d) usually needs one or two.
+    Write q(d) = grad_w'd + d'H_w d/2 + g(x + d), the weighted model up to
+    a constant. If the free solve would carry free coordinates out of their
+    pieces, a ratio test stops the step where the first one leaves and holds
+    that one at the exact end it reached (x + (end - x) may round inside a
+    bound, so the end itself is kept as its piece). When two or more leave,
+    the solve with each of them clipped to the end it crossed is taken
+    instead, and all of them are held, if its q is no larger than q at the
+    ratio-test point. Otherwise the step is taken in full and every held
+    coordinate whose -r, with r = grad_w + H_w d its multiplier, lies
+    outside the subdifferential of g by more than a few ulps of |grad_w|,
+    |H_w||d| and g's slope on the piece entered (:meth:`NonsmoothTerm.kink`)
+    is released onto the piece a step along -r enters; with none left the
+    solve is exact. As a safeguard q must fall strictly from one such
+    releasing pass to the next; the first time it does not, the rest of the
+    solve holds only the first leaving coordinate and releases only the
+    most violated one. When no piece has a finite end, as for the zero
+    term, nothing can leave a piece or be held: the first pass, the plain
+    Cholesky solve H_w d = -grad_w, returns without a ratio test. The
+    result is the last pass's solve with the held coordinates exactly at
+    their kinks or bounds, so two starts that end on the same free set
+    return the same bits; d0 changes only the number of passes, and a
+    start near the solution (the direction solver passes the previous
+    snap's d) usually needs one or two.
 
     Returns (d, free, solve_free, passes) with free the mask of free
     coordinates and solve_free the solve with the last pass's Cholesky
@@ -316,33 +314,22 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     v = lam @ smooth_eval.gradients
     M = np.tensordot(lam, smooth_eval.hessians, axes=1)
     M = 0.5 * (M + M.T)
-    l1 = term.kind == NonsmoothTerm.KIND_L1
-    rho = term.rho  # 0 unless l1
     if d0 is None:
         d = np.zeros_like(x)
     else:
         d = np.array(d0, dtype=float)
         if d.shape != x.shape or not np.all(np.isfinite(d)):
             raise InputError(f"d0 must be a finite vector of shape {x.shape}")
-    u = x + d
-    # side: the l1 sign of u on a free coordinate, the bound a held box
-    # coordinate sits at (-1 lo, +1 hi); only the release rule reads it
-    if l1:
-        side = np.sign(u)
-        a, b = np.where(u >= 0.0, 0.0, -np.inf), np.where(u <= 0.0, 0.0, np.inf)
-    elif term.kind == NonsmoothTerm.KIND_BOX:
-        lo, hi = np.broadcast_to(term.lo, x.shape), np.broadcast_to(term.hi, x.shape)
-        side = np.where(u <= lo, -1.0, np.where(u >= hi, 1.0, 0.0))
-        a, b = np.where(side > 0.0, hi, lo), np.where(side < 0.0, lo, hi)
-    else:
-        side = np.zeros_like(x)
-        a, b = np.full(x.shape, -np.inf), np.full(x.shape, np.inf)
+    a, b, slope = term.pieces(x + d)
     free = a < b
     d[~free] = a[~free] - x[~free]
-    c = v + rho * side  # linear coefficients on free coordinates
+    c = v + slope  # linear coefficients of q on free coordinates
+    # a coordinate leaves its piece only through a finite end: with none (the
+    # zero term) nothing is ever held, and the first solve is exact
+    ends = np.isfinite(a).any() or np.isfinite(b).any()
 
     def q(dq):
-        return v @ dq + 0.5 * (dq @ (M @ dq)) + rho * np.abs(x + dq).sum()
+        return v @ dq + 0.5 * (dq @ (M @ dq)) + term.value(x + dq)
 
     block = True  # hold and release whole sets until q stops falling
     q_last = np.inf  # q at the last releasing full-step pass
@@ -350,7 +337,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         if free.all():
             solve = _cholesky(M)
             d_new = solve(-c)
-            if term.kind == NonsmoothTerm.KIND_ZERO:
+            if not ends:
                 return d_new, free, solve, it
         else:
             solve = None
@@ -363,13 +350,11 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         # leaves its piece (0 for one already outside it); held coordinates
         # do not move, so p = 0 and they never leave
         p = d_new - d
-        u = x + d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.where(p < 0.0, (a - u) / p, np.where(p > 0.0, (b - u) / p, np.inf))
+        end = np.where(p < 0.0, a, b)  # the end of its piece each coordinate moves to
+        reach = np.divide(end - (x + d), p, out=np.full(p.shape, np.inf), where=p != 0.0)
         reach = np.maximum(reach, 0.0)
         leave = np.flatnonzero(reach < 1.0)
         if leave.size:
-            end = np.where(p < 0.0, a, b)  # the end each leaving coordinate crosses
             j = int(np.argmin(reach))
             hold = [j]
             d = d + reach[j] * p
@@ -378,8 +363,8 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
                 d_new[leave] = end[leave] - x[leave]
                 if q(d_new) <= q(d):
                     hold, d = leave, d_new
+            # held at the exact end: x + (end - x) may round inside a bound
             free[hold] = False
-            side[hold] = np.sign(p[hold])
             a[hold] = b[hold] = end[hold]
             continue
         d = d_new
@@ -388,11 +373,8 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         if not held.size:
             return d, free, solve, it
         r = v[held] + M[held] @ d
-        slack = 4.0 * _EPS * (np.abs(v[held]) + np.abs(M[held]) @ np.abs(d) + rho)
-        if l1:
-            viol = np.abs(r) - rho
-        else:
-            viol = side[held] * r
+        viol, a_in, b_in, slope_in = term.kink(a[held], r, held)
+        slack = 4.0 * _EPS * (np.abs(v[held]) + np.abs(M[held]) @ np.abs(d) + np.abs(slope_in))
         out = np.flatnonzero(viol > slack)
         if not out.size:
             return d, free, solve, it
@@ -404,13 +386,8 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
             out = [int(np.argmax(viol - slack))]
         release = held[out]
         free[release] = True
-        if l1:
-            side[release] = -np.sign(r[out])
-            c[release] = v[release] + rho * side[release]
-            a[release] = np.where(side[release] > 0.0, 0.0, -np.inf)
-            b[release] = np.where(side[release] > 0.0, np.inf, 0.0)
-        else:
-            a[release], b[release] = lo[release], hi[release]
+        a[release], b[release] = a_in[out], b_in[out]
+        c[release] = v[release] + slope_in[out]
     raise ConvergenceError(
         f"inner active-set solve not certified after {MAX_INNER_PASSES} passes",
         residual=float(np.linalg.norm(p)),

@@ -38,6 +38,7 @@ class InstanceSpec:
     condition number; logsumexp does not read it and accepts only cond = 1.
     n, m and seed must be integers and the other numeric fields real numbers
     (bool is neither); a ConfigError names the first field that is not.
+    seed must be >= 0, as numpy's PCG64 requires.
     """
 
     family: str
@@ -58,6 +59,8 @@ class InstanceSpec:
         for name in ("n", "m"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"must be >= 1, got {getattr(self, name)}", name)
+        if self.seed < 0:
+            raise ConfigError(f"must be >= 0, got {self.seed}", "seed")
         if not (np.isfinite(self.cond) and self.cond >= 1.0):
             raise ConfigError(f"must be finite and >= 1, got {self.cond}", "cond")
         if self.family == "logsumexp" and self.cond != 1.0:

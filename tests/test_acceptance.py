@@ -250,17 +250,19 @@ def test_a06_quadratic_error_constant(lse_runs):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("m", (2, 3, 5, 8))
-@pytest.mark.parametrize("term", ("l1", "box"))
+@pytest.mark.parametrize("term", ("l1", "box", "zero"))
 def test_a05_a06_rates_with_l1_and_box(term, m, seed):
-    # the A05 and A06 claims with g = 0.1 ||x||_1 or the box [-1, 1]^10:
-    # tail ratios strictly decreasing, fitted order >= 1.5 and
-    # e_{k+1} <= C e_k^2 with C at most 10 L2/mu; a run too short for a
-    # tail must have terminated at the reference point instead
+    # the A05 and A06 claims with g = 0.1 ||x||_1, the box [-1, 1]^10 or
+    # g = 0 at every m of the grid: tail ratios strictly decreasing, fitted
+    # order >= 1.5 and e_{k+1} <= C e_k^2 with C at most 10 L2/mu; a run
+    # too short for a tail must have terminated at the reference point instead
     spec = _lse_spec(seed, m)
     if term == "l1":
         g = NonsmoothTerm.scaled_l1(0.1)
-    else:
+    elif term == "box":
         g = NonsmoothTerm.box(np.full(10, -1.0), np.full(10, 1.0))
+    else:
+        g = NonsmoothTerm.zero()
     prob = attach_nonsmooth(generate_instance(spec), g)
     x0 = 3.0 * np.random.Generator(np.random.PCG64(500 + seed)).standard_normal(10)
     if term == "box":

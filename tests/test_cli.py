@@ -141,6 +141,12 @@ class TestConfigErrors:
         (lambda c: c["run"]["x0"].update(scale=10 ** 400),
          "run.x0.scale must be finite, got an integer too large for a float"),
         (lambda c: c["run"].update(x0=[10 ** 400, 0, 0, 0]), "run.x0 entries must be numbers"),
+        (lambda c: c["instance"].update(seed=-5), "instance.seed must be >= 0, got -5"),
+        (lambda c: c["run"]["x0"].update(seed=-1), "run.x0.seed must be >= 0, got -1"),
+        (lambda c: c["solver"].update(eps=10 ** 400),
+         "solver.eps must be finite, got an integer too large for a float"),
+        (lambda c: c["instance"].update(cond=10 ** 400),
+         "instance.cond must be finite, got an integer too large for a float"),
     ])
     def test_dotted_paths_and_exit_64(self, tmp_path, capsys, mangle, needle):
         cfg = _base_solve_config()
@@ -149,6 +155,13 @@ class TestConfigErrors:
         code = main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
         assert code == 64
         assert needle in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_64(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "cfg.json", _base_solve_config())
+        code = main(["solve", "--config", cfg_path, "--out", str(tmp_path),
+                     "--seed-override", "-5"])
+        assert code == 64
+        assert capsys.readouterr().err == "config error: instance.seed must be >= 0, got -5\n"
 
     @pytest.mark.parametrize("key, value", [("tol", 1e-6), ("starts", 3)])
     def test_removed_check_knobs_exit_64(self, tmp_path, capsys, key, value):

@@ -158,6 +158,44 @@ class TestNonsmoothTerm:
         assert subdiff_residual(t, np.array([1.0]), np.array([-2.0])) == pytest.approx(0.0)
         assert subdiff_residual(t, np.array([1.0]), np.array([3.0])) == pytest.approx(3.0)
 
+    def test_pieces_per_term(self):
+        u = np.array([-2.0, 0.0, 0.5, 1.0, 3.0])
+        a, b, slope = NonsmoothTerm.zero().pieces(u)
+        assert np.all(a == -np.inf) and np.all(b == np.inf) and np.all(slope == 0.0)
+        a, b, slope = NonsmoothTerm.scaled_l1(0.3).pieces(u)
+        np.testing.assert_array_equal(a, [-np.inf, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(b, [0.0, 0.0, np.inf, np.inf, np.inf])
+        np.testing.assert_array_equal(slope, [-0.3, 0.0, 0.3, 0.3, 0.3])
+        # on or beyond a bound: the single point of that bound
+        a, b, slope = NonsmoothTerm.box(-1.0, 1.0).pieces(u)
+        np.testing.assert_array_equal(a, [-1.0, -1.0, -1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(b, [-1.0, 1.0, 1.0, 1.0, 1.0])
+        assert np.all(slope == 0.0)
+
+    def test_kink_excess_and_entered_piece(self):
+        r = np.array([-2.0, 0.5, 3.0])
+        excess, a, b, slope = NonsmoothTerm.scaled_l1(1.0).kink(np.zeros(3), r, np.arange(3))
+        np.testing.assert_array_equal(excess, [1.0, -0.5, 2.0])
+        np.testing.assert_array_equal(a, [0.0, -np.inf, -np.inf])
+        np.testing.assert_array_equal(b, [np.inf, 0.0, 0.0])
+        np.testing.assert_array_equal(slope, [1.0, -1.0, -1.0])
+        # the normal cone is (-inf, 0] at lo and [0, inf) at hi
+        box = NonsmoothTerm.box(np.array([-1.0, -2.0, -3.0]), np.array([1.0, 2.0, 3.0]))
+        excess, a, b, slope = box.kink(np.array([-1.0, 2.0]), np.array([-2.0, -2.0]),
+                                       np.array([0, 1]))
+        np.testing.assert_array_equal(excess, [2.0, -2.0])
+        np.testing.assert_array_equal(a, [-1.0, -2.0])
+        np.testing.assert_array_equal(b, [1.0, 2.0])
+        assert np.all(slope == 0.0)
+
+    def test_domain_serves_scalar_and_per_coordinate_bounds(self):
+        assert NonsmoothTerm.scaled_l1(1.0).domain(3) == (-np.inf, np.inf)
+        lo, hi = NonsmoothTerm.box(-1.0, 2.0).domain(np.array([0, 4]))
+        np.testing.assert_array_equal(lo, [-1.0, -1.0])
+        np.testing.assert_array_equal(hi, [2.0, 2.0])
+        box = NonsmoothTerm.box(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+        assert tuple(map(float, box.domain(1))) == (-2.0, 2.0)
+
 
 def _quad_instance(m=2, n=3, seed=5):
     rng = np.random.Generator(np.random.PCG64(seed))

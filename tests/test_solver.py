@@ -373,6 +373,25 @@ class TestOracleSweeps:
         assert np.isnan(last.direction_norm) and np.isnan(last.theta)
         assert np.isnan(last.gap) and np.all(np.isnan(last.weights))
 
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_nonfinite_value_at_the_first_trial(self, variant):
+        # f(x) = 0.5 x^2 with a nan value away from the start x0 = 1: the
+        # first Armijo trial fails its check, and the run ends at k = 0
+        def oracle(x):
+            value = 0.5 * float(x @ x) if x[0] == 1.0 else float("nan")
+            return value, x.copy(), np.eye(1)
+
+        prob = ProblemInstance(n=1, m=1, smooth=(SmoothObjective(oracle),),
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        extra = {"variant": "gradient", "ell": 2.0} if variant == "gradient" else {}
+        tr = solve(prob, SolverConfig(eps=1e-10, tol_gap=1e-12, **extra), np.array([1.0]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message == "smooth objective 0 returned non-finite value"
+        (last,) = tr.records
+        assert last.k == 0 and last.step == 0.0 and last.halvings == 0
+        assert last.x[0] == 1.0 and last.objectives[0] == 0.5
+        assert last.direction_norm > 0.0 and last.theta < 0.0
+
 
 class TestWarmStart:
     def test_dual_loop_starts_from_the_last_accepted_weights(self, monkeypatch):

@@ -46,6 +46,8 @@ class TestInstanceSpec:
         ({"mu": 0.0}, "mu"),
         ({"rho": -1.0}, "rho"),
         ({"lo": 1.0, "hi": -1.0}, "lo"),
+        ({"seed": -1}, "seed"),
+        ({"cond": 10 ** 400}, "cond"),
     ])
     def test_errors_name_their_field(self, kwargs, field):
         spec = {"family": "quadratic", "n": 2, "m": 1, **kwargs}
