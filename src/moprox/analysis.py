@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, InsufficientDataError, ConvergenceError
 from .problems import ProblemInstance, eval_full, eval_smooth
-from .solver import SolveTrace, SolverConfig, Status, solve
+from .solver import SIGMA, SolveTrace, SolverConfig, Status, solve
 from .subproblem import solve_direction
 
 __all__ = [
@@ -181,13 +181,13 @@ def tau_check(trace: SolveTrace, x_star, mu: float, eps: float) -> list:
     """Verdicts on the step-to-error ratios over the unit-step tail.
 
     Checks that the ratios eventually enter and stay inside
-    tau_bracket(mu, eps, sigma), and that the final ratio is within 0.05 of
+    tau_bracket(mu, eps, SIGMA), and that the final ratio is within 0.05 of
     1 whenever the usable errors span at least four orders of magnitude.
     Returns the two verdicts, not applicable when the trace has no
     unit-step tail.
     """
     eps = float(eps)
-    lo, hi = tau_bracket(mu, eps, trace.config.sigma)
+    lo, hi = tau_bracket(mu, eps, SIGMA)
     name = f"tau_in_bracket[eps={eps:g}]"
     j = _unit_tail_start(trace)
     if j is None:
@@ -266,16 +266,18 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
     every probe z, the weighted objective must satisfy
     F_w(x_next) - F_w(z) <= -0.5 (x_next - z)' A_w (x_next - z) + CHECK_TOL,
     where A_w is the weighted (constant) Hessian. Margin is the worst slack.
+    Each probe's objectives are evaluated once, not once per unit step.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     unit_idx = [i for i, r in enumerate(trace.records[:-1]) if r.step == 1.0]
     if not unit_idx:
         return Verdict(name="fundamental_ineq_quadratic", passed=True, margin=0.0,
                        detail="no unit steps in trace", applicable=False)
-    def weighted_full(lam, z):
+    def weighted_full(lam, vals):
         # one shared g: outside dom g every F_i is +inf
-        vals = eval_full(problem, z)
         return float("inf") if np.isinf(vals[0]) else float(lam @ vals)
+
+    probe_vals = [eval_full(problem, z) for z in probes]
 
     worst = float("inf")
     for i in unit_idx:
@@ -284,9 +286,9 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
         lam = rec.weights
         hessians = eval_smooth(problem, rec.x).hessians
         a_lam = np.tensordot(lam, hessians, axes=1)
-        f_next = weighted_full(lam, x_next)
-        for z in probes:
-            f_z = weighted_full(lam, z)
+        f_next = weighted_full(lam, eval_full(problem, x_next))
+        for z, vals in zip(probes, probe_vals):
+            f_z = weighted_full(lam, vals)
             diff = x_next - z
             rhs = -0.5 * float(diff @ (a_lam @ diff))
             margin = (f_z + rhs) - f_next  # >= -CHECK_TOL required

@@ -46,6 +46,7 @@ from .analysis import (
 from .errors import (ConfigError, ConvergenceError, InsufficientDataError, MoproxError,
                      check_field_types)
 from .solver import (
+    SIGMA,
     SolveTrace,
     SolverConfig,
     Status,
@@ -408,7 +409,7 @@ def run_checks(cfg: dict, seed_override=None) -> list:
         elif name == "tau_bracket":
             try:
                 ref = shared_reference()
-                eps = (1.0 - solver_cfg.sigma) * problem.mu
+                eps = (1.0 - SIGMA) * problem.mu
                 verdicts.extend(tau_check(shared_trace(), ref, problem.mu, eps))
             except ConvergenceError as exc:
                 verdicts.append(Verdict(name="tau_bracket", passed=False,

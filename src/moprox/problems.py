@@ -14,8 +14,11 @@ Each term also describes, per coordinate, the pieces on which it is affine
 and its subdifferential at their kinks and bounds; the direction solver and
 the outer loop read g only through these, its value and its proximal map.
 
-Hessians are symmetrized at the oracle boundary so all downstream linear
-algebra may assume exact symmetry. Extended-real arithmetic is explicit:
+All oracles are read by one sweep per point: it calls each oracle once,
+checks the output shapes, stacks the outputs and symmetrizes the Hessians
+once per sweep, so all downstream linear algebra may assume exact symmetry;
+one finiteness check on the stacked arrays names the first non-finite
+objective. Extended-real arithmetic is explicit:
 nonsmooth values may be +inf, and descent tests elsewhere treat any
 comparison involving +inf as a failed decrease.
 """
@@ -59,24 +62,16 @@ class SmoothObjective:
     fn : callable
         Maps a point ``x`` of shape (n,) to a tuple ``(value, gradient, hessian)``
         with shapes (), (n,), (n, n). The oracle must be deterministic. The
-        returned Hessian need not be exactly symmetric; it is symmetrized here.
+        returned Hessian need not be exactly symmetric; it is symmetrized by
+        the sweep, which :meth:`evaluate` runs over this one oracle without a
+        finiteness check.
     """
 
     fn: Callable[[np.ndarray], tuple]
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        value, grad, hess = self.fn(x)
-        value = float(value)
-        grad = np.asarray(grad, dtype=float)
-        hess = np.asarray(hess, dtype=float)
-        n = x.shape[0]
-        if grad.shape != (n,) or hess.shape != (n, n):
-            raise EvaluationError(
-                f"oracle returned gradient {grad.shape} / hessian {hess.shape} for n={n}"
-            )
-        # symmetrize at the boundary; callers rely on exact symmetry
-        hess = 0.5 * (hess + hess.T)
-        return value, grad, hess
+        se = _sweep((self,), x)
+        return float(se.values[0]), se.gradients[0], se.hessians[0]
 
 
 @dataclass(frozen=True)
@@ -276,25 +271,44 @@ class ProblemInstance:
             raise ConfigError(f"lip_grad must be finite and >= 0, got {v}")
 
 
-def _checked_stack(outputs, m: int, n: int) -> SmoothEval:
-    """Stack per-objective oracle outputs (value, gradient, Hessian) in order.
+def _sweep(smooth, x: np.ndarray) -> SmoothEval:
+    """Call each oracle of smooth once at x and stack the outputs in order.
 
-    Raises EvaluationError (with the objective index) at the first output
-    with a non-finite value, gradient, or Hessian; a lazy iterable is checked
-    before its next output is drawn.
+    Raises EvaluationError at the first output whose gradient is not (n,)
+    or whose Hessian is not (n, n). The Hessian stack is symmetrized once,
+    elementwise as 0.5 * (h + h') per objective. Finiteness is not checked
+    here; see _check_finite.
     """
-    values = np.empty(m)
-    grads = np.empty((m, n))
-    hesses = np.empty((m, n, n))
-    for i, (v, g, h) in enumerate(outputs):
-        if not np.isfinite(v) or not np.all(np.isfinite(g)) or not np.all(np.isfinite(h)):
-            raise EvaluationError(
-                f"smooth objective {i} returned non-finite output", objective_index=i
-            )
-        values[i] = v
-        grads[i] = g
-        hesses[i] = h
-    return SmoothEval(values=values, gradients=grads, hessians=hesses)
+    m, n = len(smooth), x.shape[0]
+    values, grads, hesses = np.empty(m), np.empty((m, n)), np.empty((m, n, n))
+    for i, obj in enumerate(smooth):
+        value, grad, hess = obj.fn(x)
+        if np.shape(grad) != (n,) or np.shape(hess) != (n, n):
+            raise EvaluationError(f"oracle returned gradient {np.shape(grad)} / "
+                                  f"hessian {np.shape(hess)} for n={n}")
+        values[i], grads[i], hesses[i] = float(value), grad, hess
+    # symmetrize at the boundary; callers rely on exact symmetry
+    return SmoothEval(values=values, gradients=grads,
+                      hessians=0.5 * (hesses + hesses.transpose(0, 2, 1)))
+
+
+def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
+    """Return se, or raise EvaluationError naming the first non-finite objective.
+
+    An objective is non-finite when its value, gradient or Hessian has a
+    non-finite entry ("non-finite output"), or, with values_only, when its
+    value does ("non-finite value").
+    """
+    finite = np.isfinite(se.values)
+    if not values_only:
+        finite &= (np.isfinite(se.gradients).all(axis=1)
+                   & np.isfinite(se.hessians).all(axis=(1, 2)))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        part = "value" if values_only else "output"
+        raise EvaluationError(f"smooth objective {i} returned non-finite {part}",
+                              objective_index=i)
+    return se
 
 
 def eval_smooth(problem: ProblemInstance, x) -> SmoothEval:
@@ -303,31 +317,21 @@ def eval_smooth(problem: ProblemInstance, x) -> SmoothEval:
     Raises EvaluationError (with the objective index) if any oracle returns a
     non-finite value, gradient, or Hessian.
     """
-    x = _as_point(x, problem.n)
-    return _checked_stack((obj.evaluate(x) for obj in problem.smooth),
-                          problem.m, problem.n)
+    return _check_finite(_sweep(problem.smooth, _as_point(x, problem.n)))
 
 
 def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None) -> np.ndarray:
     """Componentwise full objective values F_i(x) = f_i(x) + g(x), shape (m,).
 
     g(x) is evaluated once and added to every smooth value, so all values
-    are +inf when a box indicator is violated; smooth parts must be finite or
-    EvaluationError is raised. When keep is a list, each objective's oracle
-    output (value, gradient, Hessian) is appended to it in order; only the
-    values are checked here.
+    are +inf when a box indicator is violated; smooth values must be finite
+    or EvaluationError is raised. When keep is a list, its contents are
+    replaced by the one SmoothEval of x, whose gradients and Hessians are
+    not checked here.
     """
     x = _as_point(x, problem.n)
     g = problem.nonsmooth.value(x)
-    out = np.empty(problem.m)
-    for i, obj in enumerate(problem.smooth):
-        output = obj.evaluate(x)
-        v = output[0]
-        if not np.isfinite(v):
-            raise EvaluationError(
-                f"smooth objective {i} returned non-finite value", objective_index=i
-            )
-        out[i] = v + g
-        if keep is not None:
-            keep.append(output)
-    return out
+    se = _check_finite(_sweep(problem.smooth, x), values_only=True)
+    if keep is not None:
+        keep[:] = [se]
+    return se.values + g

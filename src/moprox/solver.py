@@ -32,7 +32,7 @@ from .errors import (
     SingularMetricError,
     check_field_types,
 )
-from .problems import ProblemInstance, eval_smooth, _as_point, _checked_stack
+from .problems import ProblemInstance, eval_smooth, _as_point, _check_finite
 from .subproblem import Metric, solve_direction
 
 __all__ = [
@@ -48,7 +48,10 @@ VARIANT_NEWTON = "newton"
 VARIANT_GRADIENT = "gradient"
 
 _EPS = np.finfo(float).eps
-# Powers of gamma the line search tries beyond the unit step before it gives
+# The Armijo test's sufficient decrease fraction and backtracking ratio.
+SIGMA = 0.1
+GAMMA = 0.5
+# Powers of GAMMA the line search tries beyond the unit step before it gives
 # up. The benchmark pools need at most 2.
 MAX_HALVINGS = 60
 
@@ -65,22 +68,20 @@ class Status(enum.Enum):
 class SolverConfig:
     """Outer-loop parameters.
 
-    eps is the direction-norm stopping threshold, sigma the sufficient
-    decrease fraction, gamma the backtracking ratio. variant and ell only
+    eps is the direction-norm stopping threshold. variant and ell only
     select the metric object that solve() builds once and hands to every
     direction solve: "newton" for the true Hessians, "gradient" for ell
     times the identity, which requires ell > 0.
-    The caps on the direction subproblem's dual loop
-    (subproblem.MAX_DUAL_ITERS), on each inner active-set solve
-    (subproblem.MAX_INNER_PASSES) and on the line search's halvings
-    (MAX_HALVINGS) are fixed.
+    The line search's sufficient decrease fraction (SIGMA) and backtracking
+    ratio (GAMMA) are fixed, and so are the caps on the direction
+    subproblem's dual loop (subproblem.MAX_DUAL_ITERS), on each inner
+    active-set solve (subproblem.MAX_INNER_PASSES) and on the line search's
+    halvings (MAX_HALVINGS).
     max_outer must be an integer and the other numeric fields real numbers
     (bool is neither); a ConfigError names the first field that is not.
     """
 
     eps: float = 1e-8
-    sigma: float = 0.1
-    gamma: float = 0.5
     max_outer: int = 500
     tol_gap: float = 1e-10
     variant: str = VARIANT_NEWTON
@@ -88,14 +89,10 @@ class SolverConfig:
 
     def __post_init__(self):
         check_field_types(self, integers=("max_outer",),
-                          reals=("eps", "sigma", "gamma", "tol_gap")
+                          reals=("eps", "tol_gap")
                           + (() if self.ell is None else ("ell",)))
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"must be finite and > 0, got {self.eps}", "eps")
-        if not (0.0 < self.sigma < 1.0):
-            raise ConfigError(f"must lie in (0, 1), got {self.sigma}", "sigma")
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError(f"must lie in (0, 1), got {self.gamma}", "gamma")
         if self.max_outer < 0:
             raise ConfigError(f"must be >= 0, got {self.max_outer}", "max_outer")
         if not (np.isfinite(self.tol_gap) and self.tol_gap > 0):
@@ -117,7 +114,7 @@ class TraceRecord:
     direction fields are nan when the iteration cap stopped the run before a
     subproblem was solved there. snaps and passes are the direction solve's
     inner solves and their active-set passes (DirectionResult.dual_iters
-    and .inner_iters), halvings the power of gamma in the accepted step;
+    and .inner_iters), halvings the power of GAMMA in the accepted step;
     each is 0 where there was no such solve or step.
     """
 
@@ -172,10 +169,10 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     Accepts t when F_i(x + t d) - F_i(x) <= t * sigma * theta for every i.
     Comparisons involving +inf (an infeasible trial point) fail the test and
     trigger further backtracking. A trial point is judged on its values
-    only. When keep is a list, on return it holds the oracle output at the
-    accepted point x + t * d (value, gradient and Hessian per objective, in
-    order), with its gradients and Hessians unchecked; a caller that forms
-    its next iterate by the same expression gets the same bits. Raises
+    only. When keep is a list, on return it holds the one SmoothEval of the
+    accepted point x + t * d (eval_full's keep), with its gradients and
+    Hessians unchecked; a caller that forms its next iterate by the same
+    expression gets the same bits. Raises
     LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works, and
     InputError when d is zero or theta >= 0 (the test is meaningless without
     a descent prediction).
@@ -195,8 +192,6 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
         raise InputError("line search requires finite objective values at x")
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
-        if keep is not None:
-            keep.clear()
         trial = eval_full(problem, x + t * d, keep)
         decrease = trial - f_x
         bound = t * sigma * theta
@@ -209,11 +204,11 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     )
 
 
-def _halvings(t: float, gamma: float) -> int:
-    """The power j with t = gamma^j, formed as armijo_backtrack forms it."""
+def _halvings(t: float) -> int:
+    """The power j with t = GAMMA^j, formed as armijo_backtrack forms it."""
     j, s = 0, 1.0
     while s != t and j < MAX_HALVINGS:
-        j, s = j + 1, s * gamma
+        j, s = j + 1, s * GAMMA
     return j
 
 
@@ -229,15 +224,15 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     Each iteration solves the direction subproblem in the configured metric,
     its dual loop started from the previous accepted direction's weights,
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
-    and moves. The oracle output the line search keeps at the accepted point
+    and moves. The SmoothEval the line search keeps at the accepted point
     is the next iteration's evaluation; its finiteness is checked there, as
     a fresh evaluation's would be. It also stops with CRITICAL_REACHED at the
-    precision limit, when sigma * theta >= -machine_eps * max(1, max_i
+    precision limit, when SIGMA * theta >= -machine_eps * max(1, max_i
     |F_i(x)|): there even the unit-step decrease bound is below one ulp of
     F, so a step could only be accepted by rounding. Such a stop records the
     zero direction (direction norm, theta and gap 0), as the subproblem does
     for theta > 0, and, when the direction norm was still >= eps, sets the
-    trace message to name the stop with sigma * theta and the ulp bound.
+    trace message to name the stop with SIGMA * theta and the ulp bound.
     The direction solve is given eps: once a dual value phi >= -mu eps^2 / 2
     (mu the metric's modulus, problem.mu or ell) shows ||d*|| <= eps, it
     returns the zero direction before closing its gap, and the run stops
@@ -261,12 +256,12 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
               else Metric.hessian())
-    accepted = []  # oracle output at the last accepted step, filled by the line search
+    accepted = []  # the SmoothEval of the last accepted step, kept by the line search
     weights = None  # dual weights of the last accepted direction, the next dual start
 
     for k in range(config.max_outer):
         try:
-            se = _checked_stack(accepted, m, problem.n) if accepted else eval_smooth(problem, x)
+            se = _check_finite(accepted[0]) if accepted else eval_smooth(problem, x)
             f_x = se.values + problem.nonsmooth.value(x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
@@ -280,12 +275,12 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
         dnorm = float(np.linalg.norm(res.direction))
         theta, gap, message = res.theta, res.gap, res.message
         ulp_bound = -_EPS * max(1.0, float(np.max(np.abs(f_x))))
-        if config.sigma * theta >= ulp_bound:
+        if SIGMA * theta >= ulp_bound:
             # even the unit-step decrease bound is below one ulp of F, so any
             # accepted step would pass by rounding: record the zero direction
             if dnorm >= config.eps:
                 message = (f"stopped at the precision limit: sigma*theta = "
-                           f"{config.sigma * theta:.3e} >= {ulp_bound:.3e} = "
+                           f"{SIGMA * theta:.3e} >= {ulp_bound:.3e} = "
                            f"-eps_mach*max(1, max|F_i|), with dnorm {dnorm:.3e}")
             dnorm = theta = gap = 0.0
         cost = {"snaps": res.dual_iters, "passes": res.inner_iters}
@@ -297,8 +292,8 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                               config=config, message=message)
 
         try:
-            t = armijo_backtrack(problem, x, res.direction, res.theta, config.sigma,
-                                 config.gamma, f_x=f_x, keep=accepted)
+            t = armijo_backtrack(problem, x, res.direction, res.theta, SIGMA, GAMMA,
+                                 f_x=f_x, keep=accepted)
         except (LineSearchError, InputError, EvaluationError) as exc:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                        direction_norm=dnorm, theta=res.theta, step=0.0,
@@ -309,7 +304,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
         records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                    direction_norm=dnorm, theta=res.theta, step=t,
                                    weights=res.weights.copy(), gap=res.gap,
-                                   halvings=_halvings(t, config.gamma), **cost))
+                                   halvings=_halvings(t), **cost))
         x = x + t * res.direction
         weights = res.weights
 

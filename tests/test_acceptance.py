@@ -34,6 +34,7 @@ from moprox import (
     tau_check,
 )
 from moprox.cli import main as cli_main, read_trace_csv
+from moprox.solver import SIGMA
 from moprox.subproblem import solve_direction
 from moprox.zoo import quadratic_objective
 
@@ -161,10 +162,9 @@ def test_a01_whole_grid_one_step_termination():
 
 
 def test_a03_logged_decrease_reverified_from_csv(tmp_path):
-    # accepted steps must satisfy F_i(x_{k+1}) - F_i(x_k) <= t * sigma * theta
+    # accepted steps must satisfy F_i(x_{k+1}) - F_i(x_k) <= t * SIGMA * theta
     # exactly as logged: the CSV stores 17-significant-digit floats, so the
     # recheck reproduces the solver's own arithmetic bit for bit
-    sigma = 0.1
     configs = [
         ("unit-steps", {"family": "logsumexp", "n": 10, "m": 2, "mu": 1.0,
                         "seed": 0}, {"seed": 500, "scale": 3.0}, 1e-12),
@@ -176,7 +176,7 @@ def test_a03_logged_decrease_reverified_from_csv(tmp_path):
     for label, instance, x0_cfg, eps in configs:
         cfg = {
             "instance": instance,
-            "solver": {"eps": eps, "tol_gap": 1e-13, "sigma": sigma},
+            "solver": {"eps": eps, "tol_gap": 1e-13},
             "run": {"x0": x0_cfg, "trace_csv": f"{label}.csv"},
         }
         cfg_path = tmp_path / f"{label}.json"
@@ -191,7 +191,7 @@ def test_a03_logged_decrease_reverified_from_csv(tmp_path):
         assert accepted.size >= 5, label
         for k in accepted:
             decrease = fvals[k + 1] - fvals[k]
-            bound = data["t"][k] * sigma * data["theta"][k]
+            bound = data["t"][k] * SIGMA * data["theta"][k]
             assert np.all(decrease <= bound), (label, k, decrease, bound)
             checked_rows += 1
             if data["t"][k] < 1.0:
@@ -296,7 +296,7 @@ def test_a07_step_to_error_ratios(lse_runs):
     # least four orders of magnitude
     near_one_checked = 0
     for prob, tr, ref in lse_runs:
-        eps = (1.0 - tr.config.sigma) * prob.mu
+        eps = (1.0 - SIGMA) * prob.mu
         verdicts = tau_check(tr, ref, prob.mu, eps)
         for v in verdicts:
             if v.applicable:

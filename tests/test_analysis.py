@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from moprox import (
     InputError,
     InstanceSpec,
     InsufficientDataError,
+    SmoothObjective,
     SolverConfig,
     Status,
     check_descent_bound,
@@ -15,6 +18,8 @@ from moprox import (
     criticality_measure,
     decreasing_tail,
     estimate_order,
+    eval_full,
+    eval_smooth,
     generate_instance,
     iterate_errors,
     refine_reference,
@@ -236,6 +241,45 @@ class TestCheckFunctions:
         probes = tr.final_x + rng.standard_normal((10, 4))
         v = check_fundamental_inequality_quadratic(tr, prob, probes)
         assert v.passed and v.applicable
+
+    def test_fundamental_inequality_sweeps_each_probe_once(self):
+        # gradient steps with ell = L are all unit steps; U unit steps and P
+        # probes take U Hessian sweeps, U successor sweeps and P probe
+        # sweeps, and the margin is the float a sweep per probe and step gives
+        spec = InstanceSpec(family="quadratic", n=4, m=3, cond=10.0, seed=7)
+        prob = generate_instance(spec)
+        rng = np.random.Generator(np.random.PCG64(7))
+        tr = solve(prob, SolverConfig(variant="gradient", ell=prob.lip_grad,
+                                      max_outer=6), rng.standard_normal(4))
+        unit = [i for i, r in enumerate(tr.records[:-1]) if r.step == 1.0]
+        probes = tr.final_x + rng.standard_normal((5, 4))
+        assert len(unit) == 6
+
+        calls = [0] * prob.m
+
+        def counting(i, fn):
+            def oracle(x):
+                calls[i] += 1
+                return fn(x)
+            return SmoothObjective(oracle)
+
+        counted = dataclasses.replace(prob, smooth=tuple(
+            counting(i, obj.fn) for i, obj in enumerate(prob.smooth)))
+        v = check_fundamental_inequality_quadratic(tr, counted, probes)
+        assert calls == [2 * len(unit) + len(probes)] * prob.m
+
+        worst = np.inf
+        for i in unit:
+            lam = tr.records[i].weights
+            a_lam = np.tensordot(lam, eval_smooth(prob, tr.records[i].x).hessians, axes=1)
+            x_next = tr.records[i + 1].x
+            f_next = float(lam @ eval_full(prob, x_next))
+            for z in probes:
+                diff = x_next - z
+                margin = (float(lam @ eval_full(prob, z))
+                          - 0.5 * float(diff @ (a_lam @ diff))) - f_next
+                worst = min(worst, margin)
+        assert v.margin == worst
 
     def test_fundamental_inequality_not_applicable_without_unit_steps(self, biquadratic):
         tr = solve(biquadratic, SolverConfig(eps=1e-10, tol_gap=1e-12),

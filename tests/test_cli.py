@@ -126,7 +126,7 @@ class TestSolveVerb:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("mangle, needle", [
-        (lambda c: c["solver"].update(sigma=2.0), "solver.sigma"),
+        (lambda c: c["solver"].update(sigma=2.0), "unknown key solver.sigma"),
         (lambda c: c["solver"].update(bogus=1), "solver.bogus"),
         (lambda c: c["instance"].update(cond=0.5), "instance.cond"),
         (lambda c: c["instance"].pop("family"), "instance.family"),

@@ -18,6 +18,23 @@ from conftest import fd_gradient, fd_hessian, subdiff_residual
 
 RNG = np.random.Generator(np.random.PCG64(101))
 
+# every entry point to the oracle sweep
+ENTRY_POINTS = ("evaluate", "eval_smooth", "eval_full")
+
+
+def _hessian_through(entry, fn, n):
+    # the Hessian of oracle fn at the origin, read through one entry point
+    x = np.zeros(n)
+    if entry == "evaluate":
+        return SmoothObjective(fn).evaluate(x)[2]
+    prob = ProblemInstance(n=n, m=1, smooth=(SmoothObjective(fn),),
+                           nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+    if entry == "eval_smooth":
+        return eval_smooth(prob, x).hessians[0]
+    keep = []
+    eval_full(prob, x, keep)
+    return keep[0].hessians[0]
+
 
 class TestSmoothObjective:
     def test_quadratic_oracle_matches_finite_differences(self):
@@ -50,16 +67,18 @@ class TestSmoothObjective:
         def fn(x):
             return 0.0, np.zeros(2), np.array([[1.0, 2.0], [0.0, 1.0]])
 
-        _, _, H = SmoothObjective(fn).evaluate(np.zeros(2))
-        assert np.array_equal(H, H.T)
-        assert H[0, 1] == 1.0
+        for entry in ENTRY_POINTS:
+            H = _hessian_through(entry, fn, 2)
+            assert np.array_equal(H, H.T), entry
+            assert H[0, 1] == 1.0, entry
 
     def test_bad_oracle_shapes_rejected(self):
         def fn(x):
             return 0.0, np.zeros(3), np.eye(2)
 
-        with pytest.raises(EvaluationError):
-            SmoothObjective(fn).evaluate(np.zeros(2))
+        for entry in ENTRY_POINTS:
+            with pytest.raises(EvaluationError, match=r"gradient \(3,\) / hessian \(2, 2\)"):
+                _hessian_through(entry, fn, 2)
 
 
 class TestNonsmoothTerm:
@@ -252,6 +271,38 @@ class TestProblemInstance:
         with pytest.raises(EvaluationError) as exc:
             eval_smooth(prob, np.zeros(1))
         assert exc.value.objective_index == 0
+
+    def test_stacked_symmetrization_matches_per_objective(self):
+        # 0.5 * (H + H') over the stack gives each objective's 0.5 * (h + h')
+        hesses = RNG.standard_normal((3, 4, 4))
+        prob = ProblemInstance(n=4, m=3, smooth=tuple(
+            SmoothObjective(lambda x, h=h: (0.0, np.zeros(4), h)) for h in hesses),
+            nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        x = np.zeros(4)
+        se = eval_smooth(prob, x)
+        for i, h in enumerate(hesses):
+            assert np.array_equal(se.hessians[i], 0.5 * (h + h.T))
+            assert np.array_equal(prob.smooth[i].evaluate(x)[2], se.hessians[i])
+
+    @pytest.mark.parametrize("entry, bad_gradient, index, part", [
+        ("eval_smooth", False, 1, "output"), ("eval_full", False, 1, "value"),
+        ("eval_smooth", True, 1, "output"), ("eval_full", True, 2, "value"),
+    ])
+    def test_first_nonfinite_objective_is_named(self, entry, bad_gradient, index, part):
+        # objective 1 has a nan value (or, with bad_gradient, a nan gradient
+        # only) and objective 2 an inf value; eval_full checks values only
+        def oracle(value, grad):
+            return SmoothObjective(lambda x: (value, grad, np.eye(2)))
+
+        fine = np.zeros(2)
+        one = oracle(0.0, np.full(2, np.nan)) if bad_gradient else oracle(np.nan, fine)
+        prob = ProblemInstance(n=2, m=3, smooth=(oracle(0.0, fine), one, oracle(np.inf, fine)),
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        evaluate = eval_smooth if entry == "eval_smooth" else eval_full
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(prob, np.zeros(2))
+        assert exc.value.objective_index == index
+        assert str(exc.value) == f"smooth objective {index} returned non-finite {part}"
 
     def test_eval_full_adds_indicator(self):
         prob = _quad_instance()

@@ -37,13 +37,12 @@ class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
         assert cfg.variant == "newton"
-        assert cfg.sigma == 0.1
+        # the Armijo fraction and ratio are constants, not settings
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "eps", "max_outer", "tol_gap", "variant", "ell"]
+        assert (moprox.solver.SIGMA, moprox.solver.GAMMA) == (0.1, 0.5)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            SolverConfig(sigma=1.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(gamma=0.0)
         with pytest.raises(ConfigError):
             SolverConfig(eps=0.0)
         with pytest.raises(ConfigError):
@@ -56,7 +55,7 @@ class TestSolverConfig:
 
 
     @pytest.mark.parametrize("kwargs, field", [
-        ({"eps": 0.0}, "eps"), ({"sigma": 1.0}, "sigma"), ({"gamma": 0.0}, "gamma"),
+        ({"eps": 0.0}, "eps"), ({"eps": np.nan}, "eps"), ({"tol_gap": 0.0}, "tol_gap"),
         ({"max_outer": -1}, "max_outer"), ({"tol_gap": np.inf}, "tol_gap"),
         ({"variant": "secant"}, "variant"), ({"variant": "gradient"}, "ell"),
     ])
