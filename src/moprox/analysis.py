@@ -266,7 +266,8 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
     every probe z, the weighted objective must satisfy
     F_w(x_next) - F_w(z) <= -0.5 (x_next - z)' A_w (x_next - z) + CHECK_TOL,
     where A_w is the weighted (constant) Hessian. Margin is the worst slack.
-    Each probe's objectives are evaluated once, not once per unit step.
+    Each probe's objectives are evaluated once, not once per unit step, and
+    each iterate's oracles are swept once, for its Hessians and its values.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     unit_idx = [i for i, r in enumerate(trace.records[:-1]) if r.step == 1.0]
@@ -278,15 +279,15 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
         return float("inf") if np.isinf(vals[0]) else float(lam @ vals)
 
     probe_vals = [eval_full(problem, z) for z in probes]
+    sweeps = {j: eval_smooth(problem, trace.records[j].x)
+              for j in sorted({k for i in unit_idx for k in (i, i + 1)})}
 
     worst = float("inf")
     for i in unit_idx:
-        rec = trace.records[i]
         x_next = trace.records[i + 1].x
-        lam = rec.weights
-        hessians = eval_smooth(problem, rec.x).hessians
-        a_lam = np.tensordot(lam, hessians, axes=1)
-        f_next = weighted_full(lam, eval_full(problem, x_next))
+        lam = trace.records[i].weights
+        a_lam = np.tensordot(lam, sweeps[i].hessians, axes=1)
+        f_next = weighted_full(lam, sweeps[i + 1].values + problem.nonsmooth.value(x_next))
         for z, vals in zip(probes, probe_vals):
             f_z = weighted_full(lam, vals)
             diff = x_next - z

@@ -14,18 +14,24 @@ Each term also describes, per coordinate, the pieces on which it is affine
 and its subdifferential at their kinks and bounds; the direction solver and
 the outer loop read g only through these, its value and its proximal map.
 
-All oracles are read by one sweep per point: it calls each oracle once,
-checks the output shapes, stacks the outputs and symmetrizes the Hessians
-once per sweep, so all downstream linear algebra may assume exact symmetry;
-one finiteness check on the stacked arrays names the first non-finite
-objective. Extended-real arithmetic is explicit:
+All oracles are read by one sweep per point through one stacked oracle,
+x, hessians -> (values (m,), gradients (m, n), Hessians (m, n, n) or None).
+An instance whose objectives are the rows of one stacked oracle, in order,
+sweeps by one call to it; any other sweeps by a loop that calls each
+objective's oracle once and checks its shapes. The sweep checks the stacked
+shapes and symmetrizes the Hessians once, so all downstream linear algebra
+may assume exact symmetry; one finiteness check on the stacked arrays names
+the first non-finite objective. Hessians are asked for only when a caller
+needs them (the proximal Newton-type metric); without them, only values and
+gradients are stacked and checked. Extended-real arithmetic is explicit:
 nonsmooth values may be +inf, and descent tests elsewhere treat any
 comparison involving +inf as a failed decrease.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,12 +71,17 @@ class SmoothObjective:
         returned Hessian need not be exactly symmetric; it is symmetrized by
         the sweep, which :meth:`evaluate` runs over this one oracle without a
         finiteness check.
+    stack : tuple, optional
+        ``(oracle, i, m)`` when fn gives row i of the m rows of a stacked
+        oracle (module docstring); an instance whose objectives are rows 0
+        to m - 1 of one stacked oracle calls it once per sweep.
     """
 
     fn: Callable[[np.ndarray], tuple]
+    stack: Optional[tuple] = None
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        se = _sweep((self,), x)
+        se = _sweep(partial(_loop, (self,)), 1, x)
         return float(se.values[0]), se.gradients[0], se.hessians[0]
 
 
@@ -216,11 +227,15 @@ class NonsmoothTerm:
 
 @dataclass(frozen=True)
 class SmoothEval:
-    """Stacked smooth-oracle output at one point: values (m,), gradients (m, n), hessians (m, n, n)."""
+    """Stacked smooth-oracle output at one point.
+
+    values (m,), gradients (m, n), and hessians (m, n, n), or None when the
+    sweep did not ask for them.
+    """
 
     values: np.ndarray
     gradients: np.ndarray
-    hessians: np.ndarray
+    hessians: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -242,6 +257,10 @@ class ProblemInstance:
     lip_grad : float, optional
         Gradient Lipschitz constant (an upper bound) when known; the CLI's
         default ell for the gradient metric.
+
+    oracle, set at construction, is the stacked oracle of smooth that the
+    sweep calls: the one whose rows 0 to m - 1 smooth holds in order, or
+    else a loop over every objective's fn.
     """
 
     n: int
@@ -250,6 +269,7 @@ class ProblemInstance:
     nonsmooth: NonsmoothTerm
     mu: float
     lip_grad: Optional[float] = None
+    oracle: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -269,40 +289,63 @@ class ProblemInstance:
         v = self.lip_grad
         if v is not None and (not np.isfinite(v) or v < 0):
             raise ConfigError(f"lip_grad must be finite and >= 0, got {v}")
+        oracle = self.smooth[0].stack and self.smooth[0].stack[0]
+        if any(obj.stack != (oracle, i, self.m) for i, obj in enumerate(self.smooth)):
+            oracle = partial(_loop, self.smooth)
+        object.__setattr__(self, "oracle", oracle)
 
 
-def _sweep(smooth, x: np.ndarray) -> SmoothEval:
-    """Call each oracle of smooth once at x and stack the outputs in order.
+def _loop(smooth, x: np.ndarray, hessians: bool) -> tuple:
+    """The stacked oracle of any objectives: call each fn once at x, in order.
 
     Raises EvaluationError at the first output whose gradient is not (n,)
-    or whose Hessian is not (n, n). The Hessian stack is symmetrized once,
-    elementwise as 0.5 * (h + h') per objective. Finiteness is not checked
-    here; see _check_finite.
+    or whose Hessian is not (n, n). Hessians are stacked only when asked for.
     """
     m, n = len(smooth), x.shape[0]
-    values, grads, hesses = np.empty(m), np.empty((m, n)), np.empty((m, n, n))
+    values, grads = np.empty(m), np.empty((m, n))
+    hesses = np.empty((m, n, n)) if hessians else None
     for i, obj in enumerate(smooth):
         value, grad, hess = obj.fn(x)
         if np.shape(grad) != (n,) or np.shape(hess) != (n, n):
             raise EvaluationError(f"oracle returned gradient {np.shape(grad)} / "
                                   f"hessian {np.shape(hess)} for n={n}")
-        values[i], grads[i], hesses[i] = float(value), grad, hess
+        values[i], grads[i] = float(value), grad
+        if hessians:
+            hesses[i] = hess
+    return values, grads, hesses
+
+
+def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
+    """One call of the stacked oracle at x, shape-checked; Hessians when asked for.
+
+    Raises EvaluationError unless the values are (m,), the gradients (m, n)
+    and, when asked for, the Hessians (m, n, n). The Hessian stack is
+    symmetrized once, elementwise as 0.5 * (h + h') per objective.
+    Finiteness is not checked here; see _check_finite.
+    """
+    n = x.shape[0]
+    values, grads, hesses = oracle(x, hessians)
+    shapes = (np.shape(values), np.shape(grads), np.shape(hesses) if hessians else ())
+    if shapes != ((m,), (m, n), (m, n, n) if hessians else ()):
+        raise EvaluationError(f"stacked oracle returned values, gradients, hessians of "
+                              f"shapes {shapes} for m={m}, n={n}")
     # symmetrize at the boundary; callers rely on exact symmetry
-    return SmoothEval(values=values, gradients=grads,
-                      hessians=0.5 * (hesses + hesses.transpose(0, 2, 1)))
+    hesses = 0.5 * (hesses + hesses.transpose(0, 2, 1)) if hessians else None
+    return SmoothEval(values=values, gradients=grads, hessians=hesses)
 
 
 def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
     """Return se, or raise EvaluationError naming the first non-finite objective.
 
-    An objective is non-finite when its value, gradient or Hessian has a
-    non-finite entry ("non-finite output"), or, with values_only, when its
-    value does ("non-finite value").
+    An objective is non-finite when its value, gradient or Hessian (if se
+    has Hessians) has a non-finite entry ("non-finite output"), or, with
+    values_only, when its value does ("non-finite value").
     """
     finite = np.isfinite(se.values)
     if not values_only:
-        finite &= (np.isfinite(se.gradients).all(axis=1)
-                   & np.isfinite(se.hessians).all(axis=(1, 2)))
+        finite &= np.isfinite(se.gradients).all(axis=1)
+        if se.hessians is not None:
+            finite &= np.isfinite(se.hessians).all(axis=(1, 2))
     if not finite.all():
         i = int(np.argmin(finite))
         part = "value" if values_only else "output"
@@ -311,27 +354,30 @@ def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
     return se
 
 
-def eval_smooth(problem: ProblemInstance, x) -> SmoothEval:
-    """Evaluate all smooth oracles at x; Hessians come back exactly symmetric.
+def eval_smooth(problem: ProblemInstance, x, hessians: bool = True) -> SmoothEval:
+    """Evaluate all smooth oracles at x; Hessians, if asked for, come back exactly symmetric.
 
     Raises EvaluationError (with the objective index) if any oracle returns a
     non-finite value, gradient, or Hessian.
     """
-    return _check_finite(_sweep(problem.smooth, _as_point(x, problem.n)))
+    return _check_finite(_sweep(problem.oracle, problem.m, _as_point(x, problem.n), hessians))
 
 
-def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None) -> np.ndarray:
+def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None,
+              hessians: bool = True) -> np.ndarray:
     """Componentwise full objective values F_i(x) = f_i(x) + g(x), shape (m,).
 
     g(x) is evaluated once and added to every smooth value, so all values
     are +inf when a box indicator is violated; smooth values must be finite
     or EvaluationError is raised. When keep is a list, its contents are
-    replaced by the one SmoothEval of x, whose gradients and Hessians are
-    not checked here.
+    replaced by the one SmoothEval of x, with Hessians if hessians is true,
+    whose gradients and Hessians are not checked here; without keep no
+    Hessian is asked for.
     """
     x = _as_point(x, problem.n)
     g = problem.nonsmooth.value(x)
-    se = _check_finite(_sweep(problem.smooth, x), values_only=True)
+    se = _check_finite(_sweep(problem.oracle, problem.m, x, hessians and keep is not None),
+                       values_only=True)
     if keep is not None:
         keep[:] = [se]
     return se.values + g

@@ -5,8 +5,9 @@ to the direction subproblem, built once per solve from the config's
 ``variant`` and ``ell``: ``newton`` uses the true Hessians, ``gradient``
 replaces every Hessian by ell times the identity (a scaled-identity
 majorization, solved in closed form by one proximal map per snap). Each
-iterate sweeps the smooth oracles once: the line search keeps the oracle
-output at the step it accepts, and the next iteration uses it. In the same
+iterate sweeps the smooth oracles once, asking for Hessians only under
+``newton``: the line search keeps the oracle output at the step it
+accepts, and the next iteration uses it. In the same
 way each direction solve starts its dual loop from the weights of the
 previous accepted direction (uniform weights at iteration 0); that state
 lives in one solve() call, so reruns give the same bits. Iterations stop
@@ -163,16 +164,17 @@ class SolveTrace:
 
 
 def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
-                     gamma: float, f_x=None, keep: Optional[list] = None) -> float:
+                     gamma: float, f_x=None, keep: Optional[list] = None,
+                     hessians: bool = True) -> float:
     """Largest step t = gamma^j with componentwise sufficient decrease.
 
     Accepts t when F_i(x + t d) - F_i(x) <= t * sigma * theta for every i.
     Comparisons involving +inf (an infeasible trial point) fail the test and
     trigger further backtracking. A trial point is judged on its values
     only. When keep is a list, on return it holds the one SmoothEval of the
-    accepted point x + t * d (eval_full's keep), with its gradients and
-    Hessians unchecked; a caller that forms its next iterate by the same
-    expression gets the same bits. Raises
+    accepted point x + t * d (eval_full's keep), with its gradients and,
+    if hessians is true, its Hessians, unchecked; a caller that forms its
+    next iterate by the same expression gets the same bits. Raises
     LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works, and
     InputError when d is zero or theta >= 0 (the test is meaningless without
     a descent prediction).
@@ -192,7 +194,7 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
         raise InputError("line search requires finite objective values at x")
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
-        trial = eval_full(problem, x + t * d, keep)
+        trial = eval_full(problem, x + t * d, keep, hessians=hessians)
         decrease = trial - f_x
         bound = t * sigma * theta
         # nan/inf-robust acceptance: all decreases must provably satisfy the bound
@@ -226,10 +228,12 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
     and moves. The SmoothEval the line search keeps at the accepted point
     is the next iteration's evaluation; its finiteness is checked there, as
-    a fresh evaluation's would be. It also stops with CRITICAL_REACHED at the
-    precision limit, when SIGMA * theta >= -machine_eps * max(1, max_i
-    |F_i(x)|): there even the unit-step decrease bound is below one ulp of
-    F, so a step could only be accepted by rounding. Such a stop records the
+    a fresh evaluation's would be. Hessians are asked for only under the
+    Hessian metric; under ell I the sweeps leave them out. It also stops
+    with CRITICAL_REACHED at the precision limit, when SIGMA * theta >=
+    -machine_eps * max(1, max_i |F_i(x)|): there even the unit-step decrease
+    bound is below one ulp of F, so a step could only be accepted by
+    rounding. Such a stop records the
     zero direction (direction norm, theta and gap 0), as the subproblem does
     for theta > 0, and, when the direction norm was still >= eps, sets the
     trace message to name the stop with SIGMA * theta and the ulp bound.
@@ -256,12 +260,14 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
               else Metric.hessian())
+    hessians = metric.ell is None  # only the Hessian metric reads them
     accepted = []  # the SmoothEval of the last accepted step, kept by the line search
     weights = None  # dual weights of the last accepted direction, the next dual start
 
     for k in range(config.max_outer):
         try:
-            se = _check_finite(accepted[0]) if accepted else eval_smooth(problem, x)
+            se = (_check_finite(accepted[0]) if accepted
+                  else eval_smooth(problem, x, hessians=hessians))
             f_x = se.values + problem.nonsmooth.value(x)
             if not np.all(np.isfinite(f_x)):
                 raise InputError("objective values at the current iterate are not finite")
@@ -293,7 +299,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
         try:
             t = armijo_backtrack(problem, x, res.direction, res.theta, SIGMA, GAMMA,
-                                 f_x=f_x, keep=accepted)
+                                 f_x=f_x, keep=accepted, hessians=hessians)
         except (LineSearchError, InputError, EvaluationError) as exc:
             records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                        direction_norm=dnorm, theta=res.theta, step=0.0,

@@ -2,6 +2,11 @@
 
 All randomness flows through numpy's documented PCG64 generator seeded from
 the instance spec, so the same spec reproduces the same instance bit for bit.
+Each family has one stacked oracle, which evaluates all m objectives from
+(m, ...) arrays in one call and forms their Hessians only when asked; an
+instance's objectives are its rows (problems.SmoothObjective.stack), so the
+solver's sweep calls it once per point. A single objective is a one-row
+stack.
 """
 
 from __future__ import annotations
@@ -74,16 +79,54 @@ class InstanceSpec:
             raise ConfigError(f"must be < hi for the box, got [{self.lo}, {self.hi}]", "lo")
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dots of the rows of an (m, n) stack a with b, (m, n) or (n,), each one vector dot."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _rows(oracle, m: int) -> tuple:
+    """The m objectives of a stacked oracle; row i's fn is row i of one full call."""
+    return tuple(SmoothObjective(fn=lambda x, i=i: tuple(out[i] for out in oracle(x, True)),
+                                 stack=(oracle, i, m)) for i in range(m))
+
+
+def _quadratic_oracle(A: np.ndarray, b: np.ndarray):
+    """Stacked f_i(x) = 0.5 x'A_i x - b_i'x for A (m, n, n), b (m, n); Hessians A."""
+    def oracle(x, hessians):
+        Ax = A @ x
+        return 0.5 * _dots(Ax, x) - _dots(b, x), Ax - b, A if hessians else None
+
+    return oracle
+
+
+def _logsumexp_oracle(mu: float, rows: np.ndarray, offsets: np.ndarray,
+                      centers: np.ndarray):
+    """Stacked logsumexp_objective for rows (m, k, n), offsets (m, k), centers (m, n)."""
+    rows_t = rows.transpose(0, 2, 1)
+    mu_eye = mu * np.eye(rows.shape[2])
+
+    def oracle(x, hessians):
+        t = rows @ x + offsets
+        tmax = t.max(axis=1)
+        w = np.exp(t - tmax[:, None])
+        total = w.sum(axis=1)
+        p = w / total[:, None]
+        diff = x - centers
+        values = tmax + np.log(total) + 0.5 * mu * _dots(diff, diff)
+        mean_row = (rows_t @ p[:, :, None])[:, :, 0]
+        grads = mean_row + mu * diff
+        if not hessians:
+            return values, grads, None
+        hesses = ((rows * p[:, :, None]).transpose(0, 2, 1) @ rows
+                  - mean_row[:, :, None] * mean_row[:, None, :])
+        return values, grads, hesses + mu_eye
+
+    return oracle
+
+
 def quadratic_objective(A: np.ndarray, b: np.ndarray) -> SmoothObjective:
     """f(x) = 0.5 x'Ax - b'x with constant Hessian A."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-
-    def fn(x):
-        Ax = A @ x
-        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b, A
-
-    return SmoothObjective(fn=fn)
+    return _rows(_quadratic_oracle(*(np.asarray(a, dtype=float)[None] for a in (A, b))), 1)[0]
 
 
 def logsumexp_objective(rows: np.ndarray, offsets: np.ndarray, mu: float,
@@ -93,26 +136,8 @@ def logsumexp_objective(rows: np.ndarray, offsets: np.ndarray, mu: float,
     The log-sum-exp is evaluated with max subtraction so large exponents do
     not overflow.
     """
-    rows = np.asarray(rows, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    center = np.asarray(center, dtype=float)
-    mu = float(mu)
-
-    def fn(x):
-        t = rows @ x + offsets
-        tmax = float(np.max(t))
-        w = np.exp(t - tmax)
-        total = float(np.sum(w))
-        p = w / total
-        diff = x - center
-        value = tmax + np.log(total) + 0.5 * mu * float(diff @ diff)
-        mean_row = rows.T @ p
-        grad = mean_row + mu * diff
-        hess = (rows * p[:, None]).T @ rows - np.outer(mean_row, mean_row)
-        hess = hess + mu * np.eye(x.size)
-        return value, grad, hess
-
-    return SmoothObjective(fn=fn)
+    arrays = (np.asarray(a, dtype=float)[None] for a in (rows, offsets, center))
+    return _rows(_logsumexp_oracle(float(mu), *arrays), 1)[0]
 
 
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -138,22 +163,21 @@ def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
             raise ConfigError(
                 f"shifts must have shape ({spec.m}, {spec.n}), got {shifts.shape}"
             )
-    smooth = []
+    A, b = np.empty((spec.m, spec.n, spec.n)), np.empty((spec.m, spec.n))
     for i in range(spec.m):
         if spec.n == 1:
-            a = np.array([[spec.mu]])
+            A[i] = spec.mu
         else:
             q = _random_orthogonal(rng, spec.n)
             eigs = spec.mu * spec.cond ** rng.random(spec.n)
             eigs[0] = spec.mu
             eigs[-1] = spec.mu * spec.cond
             a = (q * eigs) @ q.T
-            a = 0.5 * (a + a.T)
-        b = shifts[i] if shifts is not None else rng.standard_normal(spec.n)
-        smooth.append(quadratic_objective(a, b))
+            A[i] = 0.5 * (a + a.T)
+        b[i] = shifts[i] if shifts is not None else rng.standard_normal(spec.n)
     lip = spec.mu if spec.n == 1 else spec.mu * spec.cond
     return ProblemInstance(
-        n=spec.n, m=spec.m, smooth=tuple(smooth),
+        n=spec.n, m=spec.m, smooth=_rows(_quadratic_oracle(A, b), spec.m),
         nonsmooth=NonsmoothTerm.zero(), mu=spec.mu, lip_grad=lip,
     )
 
@@ -166,17 +190,16 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
     mu + max_ij ||a_ij||^2, the CLI's default ell for the gradient metric.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    smooth = []
-    max_row_sq = 0.0
-    for _ in range(spec.m):
-        rows = _LSE_ROW_SCALE * rng.standard_normal((_LSE_ROWS, spec.n))
-        offsets = 0.5 * rng.standard_normal(_LSE_ROWS)
-        center = 0.5 * rng.standard_normal(spec.n)
-        norms = np.linalg.norm(rows, axis=1)
-        max_row_sq = max(max_row_sq, float(np.max(norms) ** 2))
-        smooth.append(logsumexp_objective(rows, offsets, spec.mu, center))
+    rows = np.empty((spec.m, _LSE_ROWS, spec.n))
+    offsets, centers = np.empty((spec.m, _LSE_ROWS)), np.empty((spec.m, spec.n))
+    for i in range(spec.m):
+        rows[i] = _LSE_ROW_SCALE * rng.standard_normal((_LSE_ROWS, spec.n))
+        offsets[i] = 0.5 * rng.standard_normal(_LSE_ROWS)
+        centers[i] = 0.5 * rng.standard_normal(spec.n)
+    max_row_sq = float(np.max(np.linalg.norm(rows, axis=2)) ** 2)
     return ProblemInstance(
-        n=spec.n, m=spec.m, smooth=tuple(smooth),
+        n=spec.n, m=spec.m,
+        smooth=_rows(_logsumexp_oracle(float(spec.mu), rows, offsets, centers), spec.m),
         nonsmooth=NonsmoothTerm.zero(), mu=spec.mu,
         lip_grad=spec.mu + max_row_sq,
     )

@@ -243,9 +243,9 @@ class TestCheckFunctions:
         assert v.passed and v.applicable
 
     def test_fundamental_inequality_sweeps_each_probe_once(self):
-        # gradient steps with ell = L are all unit steps; U unit steps and P
-        # probes take U Hessian sweeps, U successor sweeps and P probe
-        # sweeps, and the margin is the float a sweep per probe and step gives
+        # gradient steps with ell = L are all unit steps; U consecutive unit
+        # steps and P probes take U + 1 iterate sweeps and P probe sweeps,
+        # and the margin is the float a sweep per probe and step gives
         spec = InstanceSpec(family="quadratic", n=4, m=3, cond=10.0, seed=7)
         prob = generate_instance(spec)
         rng = np.random.Generator(np.random.PCG64(7))
@@ -266,7 +266,7 @@ class TestCheckFunctions:
         counted = dataclasses.replace(prob, smooth=tuple(
             counting(i, obj.fn) for i, obj in enumerate(prob.smooth)))
         v = check_fundamental_inequality_quadratic(tr, counted, probes)
-        assert calls == [2 * len(unit) + len(probes)] * prob.m
+        assert calls == [len(unit) + 1 + len(probes)] * prob.m
 
         worst = np.inf
         for i in unit:
