@@ -144,7 +144,8 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     # fix signs so the factor is a deterministic function of z
-    return q * np.sign(np.diag(r))
+    q *= np.sign(np.diag(r))
+    return q
 
 
 def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
@@ -172,8 +173,12 @@ def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
             eigs = spec.mu * spec.cond ** rng.random(spec.n)
             eigs[0] = spec.mu
             eigs[-1] = spec.mu * spec.cond
-            a = (q * eigs) @ q.T
-            A[i] = 0.5 * (a + a.T)
+            # a = Q D Q', then A_i = 0.5 (a + a'), formed in place with Q D
+            # as scratch: fresh (n, n) temporaries per objective cost page
+            # faults that showed in newton_smooth's setup_s at n = 200
+            a, qe = A[i], q * eigs
+            np.matmul(qe, q.T, out=a)
+            np.multiply(0.5, np.add(a, a.T, out=qe), out=a)
         b[i] = shifts[i] if shifts is not None else rng.standard_normal(spec.n)
     lip = spec.mu if spec.n == 1 else spec.mu * spec.cond
     return ProblemInstance(

@@ -19,7 +19,7 @@ from moprox import (
     generate_instance,
     solve,
 )
-from moprox.zoo import FAMILIES, _random_orthogonal
+from moprox.zoo import FAMILIES
 
 
 def _quadratic_reference(A, b, x):
@@ -40,6 +40,11 @@ def _logsumexp_reference(rows, offsets, mu, center, x):
     hess = (rows * p[:, None]).T @ rows - np.outer(mean_row, mean_row)
     hess = hess + mu * np.eye(x.size)
     return value, grad, hess
+
+
+def _random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
 
 
 def _reference_oracles(spec):
