@@ -144,7 +144,7 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     # fix signs so the factor is a deterministic function of z
-    q *= np.sign(np.diag(r))
+    q *= np.sign(r.diagonal())
     return q
 
 
