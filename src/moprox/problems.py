@@ -54,7 +54,7 @@ def _as_point(x, n=None):
         raise InputError(f"expected a 1-d point, got shape {x.shape}")
     if n is not None and x.shape[0] != n:
         raise InputError(f"point has dimension {x.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("point has non-finite entries")
     return x
 

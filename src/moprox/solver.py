@@ -18,6 +18,7 @@ recorded in a trace for offline verification.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,24 +182,24 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     """
     x = _as_point(x, problem.n)
     d = np.asarray(d, dtype=float)
-    if not np.any(d != 0.0):
+    if not (d != 0.0).any():
         raise InputError("line search requires a nonzero direction")
     if not (np.isfinite(theta) and theta < 0.0):
         raise InputError(f"line search requires theta < 0, got {theta}")
+    # looked up at call time, not at import: perfbench/tracing.py counts the
+    # sweeps by patching moprox.problems.eval_full
     from .problems import eval_full
 
     if f_x is None:
         f_x = eval_full(problem, x)
     f_x = np.asarray(f_x, dtype=float)
-    if not np.all(np.isfinite(f_x)):
+    if not np.isfinite(f_x).all():
         raise InputError("line search requires finite objective values at x")
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
         trial = eval_full(problem, x + t * d, keep, hessians=hessians)
-        decrease = trial - f_x
-        bound = t * sigma * theta
         # nan/inf-robust acceptance: all decreases must provably satisfy the bound
-        if np.all(decrease <= bound):
+        if (trial - f_x <= t * sigma * theta).all():
             return t
         t *= gamma
     raise LineSearchError(
@@ -269,7 +270,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
             se = (_check_finite(accepted[0]) if accepted
                   else eval_smooth(problem, x, hessians=hessians))
             f_x = se.values + problem.nonsmooth.value(x)
-            if not np.all(np.isfinite(f_x)):
+            if not np.isfinite(f_x).all():
                 raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap, smooth_eval=se,
                                   metric=metric, weights=weights, eps=config.eps)
@@ -278,9 +279,9 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
             return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
                               config=config, message=str(exc))
 
-        dnorm = float(np.linalg.norm(res.direction))
+        dnorm = math.sqrt(res.direction @ res.direction)  # np.linalg.norm's bits
         theta, gap, message = res.theta, res.gap, res.message
-        ulp_bound = -_EPS * max(1.0, float(np.max(np.abs(f_x))))
+        ulp_bound = -_EPS * max(1.0, float(np.abs(f_x).max()))
         if SIGMA * theta >= ulp_bound:
             # even the unit-step decrease bound is below one ulp of F, so any
             # accepted step would pass by rounding: record the zero direction

@@ -206,7 +206,7 @@ def project_simplex(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise InputError("project_simplex expects a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError("project_simplex input has non-finite entries")
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
@@ -318,7 +318,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         d = np.zeros_like(x)
     else:
         d = np.array(d0, dtype=float)
-        if d.shape != x.shape or not np.all(np.isfinite(d)):
+        if d.shape != x.shape or not np.isfinite(d).all():
             raise InputError(f"d0 must be a finite vector of shape {x.shape}")
     a, b, slope = term.pieces(x + d)
     free = a < b
@@ -394,7 +394,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Snapshot:
     lam: np.ndarray
     d: np.ndarray
@@ -449,7 +449,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     """
     x = _as_point(x, problem.n)
     tol_gap = float(tol_gap)
-    if not np.isfinite(tol_gap) or tol_gap <= 0:
+    if not math.isfinite(tol_gap) or tol_gap <= 0:
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
     if eps is not None and not (np.isfinite(eps) and eps > 0):
         raise InputError(f"eps must be finite and > 0, got {eps}")
@@ -458,8 +458,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         weights = np.full(m, 1.0 / m)
     else:
         weights = np.array(weights, dtype=float)
-        if (weights.shape != (m,) or not np.all(np.isfinite(weights))
-                or np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 4 * m * _EPS):
+        if (weights.shape != (m,) or not np.isfinite(weights).all()
+                or (weights < 0.0).any() or abs(weights.sum() - 1.0) > 4 * m * _EPS):
             raise InputError(f"weights must be {m} finite nonnegative numbers "
                              f"summing to 1, got {weights!r}")
     se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
@@ -484,13 +484,13 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         psi, hd = _model_values_hi(d, grads_hi, products, term, x_hi, at_x)
         phi = lam @ psi
         here = _Snapshot(lam=lam, d=d, free=free, solve_free=solve_free, hd=hd, psi=psi,
-                         phi=phi, gap=np.max(psi) - phi)
+                         phi=phi, gap=psi.max() - phi)
         if best is None or here.gap < best.gap:
             best = here
         return here
 
     def finalize(s: _Snapshot, message: str = "") -> DirectionResult:
-        theta = float(np.max(s.psi))
+        theta = float(s.psi.max())
         d = s.d.copy()
         gap = float(s.gap)
         if theta > 0.0 or message:
@@ -512,13 +512,13 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     # snap's solve_free and H_i d with no factorization; it converges
     # quadratically near optima interior to the face.
     def newton_step(here: _Snapshot):
-        lam = here.lam
-        support = np.flatnonzero(lam > 0.0)
-        outside = np.flatnonzero(lam == 0.0)
+        lam, psi = here.lam, here.psi
+        face = lam > 0.0
+        outside = (lam == 0.0).nonzero()[0]
         if outside.size:
-            j = int(outside[np.argmax(here.psi[outside])])
-            if here.psi[j] > here.phi:
-                support = np.sort(np.append(support, j))
+            j = outside[psi[outside].argmax()]
+            face[j] = psi[j] > here.phi
+        support = face.nonzero()[0]
         if support.size == 1:
             return None  # vertex-optimal face; no Newton direction
         free = here.free
@@ -526,8 +526,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             # the model no longer responds to d, so the dual is linear in the
             # weights and the best vertex is exact
             unit = np.zeros(m)
-            unit[int(np.argmax(here.psi))] = 1.0
-            if np.array_equal(unit, lam):
+            unit[psi.argmax()] = 1.0
+            if (unit == lam).all():
                 return None
             cand = snap(unit)
             return cand if cand.phi >= here.phi else None
@@ -535,24 +535,25 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         curv = q @ here.solve_free(q.T)
         curv = 0.5 * (curv + curv.T)
         h_red = curv[:-1, :-1] - curv[-1, :-1] - (curv[:-1, -1:] - curv[-1, -1])
-        g_red = (here.psi[support[:-1]] - here.psi[support[-1]]).astype(float)
+        g_red = (psi[support[:-1]] - psi[support[-1]]).astype(float)
         try:
             du = np.linalg.solve(h_red, g_red)
         except np.linalg.LinAlgError:
             du, *_ = np.linalg.lstsq(h_red, g_red, rcond=None)
-        if not np.all(np.isfinite(du)):
+        if not np.isfinite(du).all():
             return None
         move = np.zeros(m)
-        move[support] = np.append(du, -du.sum())
+        move[support[:-1]] = du
+        move[support[-1]] = -du.sum()
         neg = move < 0.0
-        t = float(np.min(lam[neg] / -move[neg], initial=1.0))
+        t = float((lam[neg] / -move[neg]).min(initial=1.0))
         if t <= 0.0:
             return None
         for _ in range(8):
             lam_new = lam + t * move
             lam_new[lam_new < 1e-15] = 0.0  # negatives too; the sum stays near 1
             lam_new /= lam_new.sum()
-            if np.array_equal(lam_new, lam):
+            if (lam_new == lam).all():
                 return None
             cand = snap(lam_new)
             if cand.phi >= here.phi:
@@ -569,7 +570,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         s = min(1.0, 4.0 * s_prev)
         for _ in range(60):
             lam_t = project_simplex(here.lam + s * psi64)
-            if np.array_equal(lam_t, here.lam):
+            if (lam_t == here.lam).all():
                 return None  # projection no longer moves: dual-stationary here
             cand = snap(lam_t)
             if cand.phi >= here.phi:

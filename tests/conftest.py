@@ -69,9 +69,9 @@ def lse_hessian_lipschitz(spec: InstanceSpec) -> float:
     for _ in range(5):
         u = rng.standard_normal(spec.n)
         u /= np.linalg.norm(u)
-        for obj in problem.smooth:
-            diff = (obj.evaluate(anchor + h * u)[2] - obj.evaluate(anchor - h * u)[2]) / (2.0 * h)
-            norms.append(float(np.linalg.norm(diff, 2)))
+        diffs = (eval_smooth(problem, anchor + h * u).hessians
+                 - eval_smooth(problem, anchor - h * u).hessians) / (2.0 * h)
+        norms.extend(float(np.linalg.norm(diff, 2)) for diff in diffs)
     return float(np.median(norms))
 
 

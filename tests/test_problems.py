@@ -304,6 +304,13 @@ class TestProblemInstance:
         assert exc.value.objective_index == index
         assert str(exc.value) == f"smooth objective {index} returned non-finite {part}"
 
+    @pytest.mark.parametrize("entry", ["eval_smooth", "eval_full"])
+    @pytest.mark.parametrize("x", [[0.0, np.nan, 0.0], [-np.inf, 0.0, 0.0]])
+    def test_nonfinite_point_rejected(self, entry, x):
+        evaluate = eval_smooth if entry == "eval_smooth" else eval_full
+        with pytest.raises(InputError, match="point has non-finite entries"):
+            evaluate(_quad_instance(), np.array(x))
+
     def test_eval_full_adds_indicator(self):
         prob = _quad_instance()
         box = NonsmoothTerm.box(-0.5 * np.ones(3), 0.5 * np.ones(3))

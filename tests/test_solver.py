@@ -127,14 +127,36 @@ class TestArmijoBacktrack:
 
     def test_zero_direction_rejected(self):
         prob = _single_quadratic()
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="line search requires a nonzero direction"):
             armijo_backtrack(prob, np.array([1.0]), np.array([0.0]), -0.5,
                              sigma=0.1, gamma=0.5)
 
     def test_nonnegative_theta_rejected(self):
         prob = _single_quadratic()
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="line search requires theta < 0"):
             armijo_backtrack(prob, np.array([1.0]), np.array([-1.0]), 0.0,
+                             sigma=0.1, gamma=0.5)
+
+    @pytest.mark.parametrize("theta", [np.nan, -np.inf])
+    def test_nonfinite_theta_rejected(self, theta):
+        prob = _single_quadratic()
+        with pytest.raises(InputError, match="line search requires theta < 0"):
+            armijo_backtrack(prob, np.array([1.0]), np.array([-1.0]), theta,
+                             sigma=0.1, gamma=0.5)
+
+    @pytest.mark.parametrize("f_x", [[np.nan], [np.inf], [-np.inf]])
+    def test_nonfinite_values_at_x_rejected(self, f_x):
+        prob = _single_quadratic()
+        with pytest.raises(InputError,
+                           match="line search requires finite objective values at x"):
+            armijo_backtrack(prob, np.array([1.0]), np.array([-1.0]), -0.5,
+                             sigma=0.1, gamma=0.5, f_x=np.array(f_x))
+
+    @pytest.mark.parametrize("x", [[np.nan], [np.inf]])
+    def test_nonfinite_point_rejected(self, x):
+        prob = _single_quadratic()
+        with pytest.raises(InputError, match="point has non-finite entries"):
+            armijo_backtrack(prob, np.array(x), np.array([-1.0]), -0.5,
                              sigma=0.1, gamma=0.5)
 
     def test_exhaustion_raises(self):
@@ -390,6 +412,21 @@ class TestOracleSweeps:
         assert last.k == 0 and last.step == 0.0 and last.halvings == 0
         assert last.x[0] == 1.0 and last.objectives[0] == 0.5
         assert last.direction_norm > 0.0 and last.theta < 0.0
+
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_nonfinite_objective_at_the_iterate(self, variant):
+        # f = 0 is finite everywhere, but g = ||x||_1 overflows to inf at
+        # x0 = (1e308, 1e308); the overflow is the premise, not a fault
+        prob = ProblemInstance(
+            n=2, m=1, smooth=(SmoothObjective(lambda x: (0.0, np.zeros(2), np.eye(2))),),
+            nonsmooth=NonsmoothTerm.scaled_l1(1.0), mu=1.0)
+        extra = {"variant": "gradient", "ell": 1.0} if variant == "gradient" else {}
+        with np.errstate(over="ignore"):
+            tr = solve(prob, SolverConfig(**extra), np.array([1e308, 1e308]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message == "objective values at the current iterate are not finite"
+        (last,) = tr.records
+        assert last.k == 0 and last.step == 0.0 and np.isnan(last.direction_norm)
 
 
 class TestWarmStart:

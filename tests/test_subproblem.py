@@ -49,8 +49,9 @@ class TestProjectSimplex:
             assert np.all(got >= 0.0)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(InputError):
-            project_simplex(np.array([np.nan, 0.0]))
+        for v in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(InputError, match="project_simplex input has non-finite"):
+                project_simplex(np.array(v))
         with pytest.raises(InputError):
             project_simplex(np.zeros((2, 2)))
 
@@ -451,6 +452,18 @@ class TestWarmStart:
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
         with pytest.raises(InputError, match="weights must be 3 finite nonnegative"):
             solve_direction(prob, np.ones(4), weights=weights)
+
+    @pytest.mark.parametrize("x", [[1.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
+    def test_rejects_a_nonfinite_point(self, x):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        with pytest.raises(InputError, match="point has non-finite entries"):
+            solve_direction(prob, np.array(x))
+
+    @pytest.mark.parametrize("tol_gap", [0.0, -1e-12, np.nan, np.inf])
+    def test_rejects_a_bad_tol_gap(self, tol_gap):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        with pytest.raises(InputError, match="tol_gap must be finite and > 0"):
+            solve_direction(prob, np.ones(4), tol_gap=tol_gap)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-9, np.nan, np.inf])
     def test_rejects_a_bad_eps(self, eps):
