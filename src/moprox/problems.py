@@ -145,12 +145,17 @@ class NonsmoothTerm:
 
         The l1 sum keeps the precision of x, so an extended-precision point
         gives an extended-precision value; box and zero values are 0 or inf.
+        An l1 value beyond the float range is +inf, without a RuntimeWarning:
+        callers test it for finiteness and report it themselves.
         """
         if self.kind == self.KIND_ZERO:
             return 0.0
         if self.kind == self.KIND_L1:
-            return self.rho * np.sum(np.abs(x))
-        return float("inf") if np.any(self.outside(x)) else 0.0
+            with np.errstate(over="ignore"):
+                return self.rho * np.abs(x).sum()
+        # a point inside the box itself is inside its slack too
+        inside = (x >= self.lo).all() and (x <= self.hi).all()
+        return 0.0 if inside or not self.outside(x).any() else float("inf")
 
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Mask of the coordinates of x outside the domain; all False unless a box.
@@ -329,9 +334,13 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     if shapes != ((m,), (m, n), (m, n, n) if hessians else ()):
         raise EvaluationError(f"stacked oracle returned values, gradients, hessians of "
                               f"shapes {shapes} for m={m}, n={n}")
-    # symmetrize at the boundary; callers rely on exact symmetry
-    hesses = 0.5 * (hesses + hesses.transpose(0, 2, 1)) if hessians else None
-    return SmoothEval(values=values, gradients=grads, hessians=hesses)
+    if hessians:
+        # symmetrize at the boundary, into a new buffer: the oracle may
+        # return an array it returns again (the quadratic family's A);
+        # callers rely on exact symmetry
+        hesses = np.add(hesses, hesses.transpose(0, 2, 1), dtype=float)
+        hesses *= 0.5
+    return SmoothEval(values=values, gradients=grads, hessians=hesses if hessians else None)
 
 
 def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:

@@ -148,7 +148,8 @@ class Metric:
         m, n, _ = smooth_eval.hessians.shape
         beta = (51 - (n - 1).bit_length()) // 2
         rows = smooth_eval.hessians.reshape(m * n, n)
-        head = _head(rows, np.frexp(np.max(np.abs(rows), axis=1, keepdims=True))[1], beta)
+        head = np.abs(rows)  # |H|, then the head in the same buffer
+        _head(rows, np.frexp(head.max(axis=1, keepdims=True))[1], beta, out=head)
         tail = rows - head
 
         def product(dl):
@@ -177,22 +178,20 @@ class Metric:
         v = np.asarray(weights, dtype=float) @ smooth_eval.gradients
         u = term.prox(x - v / self.ell, 1.0 / self.ell)
         a, b, _ = term.pieces(u)
-        return u - x, a < b, self._divide, 1
-
-    def _divide(self, rhs):
-        return rhs / self.ell
+        return u - x, a < b, lambda rhs: rhs / self.ell, 1
 
 
-def _head(a: np.ndarray, e, beta: int) -> np.ndarray:
+def _head(a: np.ndarray, e, beta: int, out=None) -> np.ndarray:
     """a rounded to the nearest multiple of 2^(e - beta), where 2^e > |a|.
 
-    e is an integer, or a column of them, one per row of a. The result has
-    magnitude at most 2^e, so it is an integer of at most beta + 1 bits in
-    that unit, and a - head is exact. Scaling by powers of two with ldexp,
+    e is an integer, or a column of them, one per row of a. The result,
+    written to out when given (an array of a's shape), has magnitude at
+    most 2^e, so it is an integer of at most beta + 1 bits in that unit,
+    and a - head is exact. Scaling by powers of two with ldexp,
     rather than adding and subtracting 0.75 * 2^(e + 53 - beta), keeps rows
     near the float64 maximum from overflowing.
     """
-    head = np.ldexp(a, beta - e)
+    head = np.ldexp(a, beta - e, out=out)
     np.rint(head, out=head)
     return np.ldexp(head, e - beta, out=head)
 
@@ -312,8 +311,11 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     lam = np.asarray(weights, dtype=float)
     x = np.asarray(x, dtype=float)
     v = lam @ smooth_eval.gradients
-    M = np.tensordot(lam, smooth_eval.hessians, axes=1)
-    M = 0.5 * (M + M.T)
+    # the one BLAS call np.tensordot(lam, hessians, axes=1) makes, without
+    # its wrapper; symmetrized into the one temporary
+    M = np.dot(lam[None], smooth_eval.hessians.reshape(lam.size, -1)).reshape(x.size, -1)
+    M = M + M.T
+    M *= 0.5
     if d0 is None:
         d = np.zeros_like(x)
     else:
@@ -321,41 +323,46 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         if d.shape != x.shape or not np.isfinite(d).all():
             raise InputError(f"d0 must be a finite vector of shape {x.shape}")
     a, b, slope = term.pieces(x + d)
+    c = v + slope  # linear coefficients of q on free coordinates
+    if not (np.isfinite(a).any() or np.isfinite(b).any()):
+        # a coordinate leaves its piece only through a finite end: with none
+        # (the zero term) nothing is ever held, and the first solve is exact
+        solve = _cholesky(M)
+        return solve(-c), a < b, solve, 1
     free = a < b
     d[~free] = a[~free] - x[~free]
-    c = v + slope  # linear coefficients of q on free coordinates
-    # a coordinate leaves its piece only through a finite end: with none (the
-    # zero term) nothing is ever held, and the first solve is exact
-    ends = np.isfinite(a).any() or np.isfinite(b).any()
 
     def q(dq):
         return v @ dq + 0.5 * (dq @ (M @ dq)) + term.value(x + dq)
 
+    reach = np.empty(x.shape)
     block = True  # hold and release whole sets until q stops falling
     q_last = np.inf  # q at the last releasing full-step pass
     for it in range(1, MAX_INNER_PASSES + 1):
-        if free.all():
+        held = (~free).nonzero()[0]
+        if held.size:
+            # integer-array blocks are the C-order copies np.ix_ makes; the
+            # F-order copies of chained boolean masks change the bits
+            solve, d_new = None, d.copy()
+            fi = free.nonzero()[0]
+            if fi.size:
+                solve = _cholesky(M[fi[:, None], fi])
+                d_new[fi] = solve(-c[fi] - M[fi[:, None], held] @ d[held])
+        else:
             solve = _cholesky(M)
             d_new = solve(-c)
-            if not ends:
-                return d_new, free, solve, it
-        else:
-            solve = None
-            d_new = d.copy()
-            if free.any():
-                solve = _cholesky(M[np.ix_(free, free)])
-                d_new[free] = solve(-c[free] - M[np.ix_(free, ~free)] @ d[~free])
 
         # ratio test: the fraction of the step at which each coordinate
         # leaves its piece (0 for one already outside it); held coordinates
         # do not move, so p = 0 and they never leave
         p = d_new - d
         end = np.where(p < 0.0, a, b)  # the end of its piece each coordinate moves to
-        reach = np.divide(end - (x + d), p, out=np.full(p.shape, np.inf), where=p != 0.0)
-        reach = np.maximum(reach, 0.0)
-        leave = np.flatnonzero(reach < 1.0)
+        reach.fill(np.inf)
+        np.divide(end - (x + d), p, out=reach, where=p != 0.0)
+        np.maximum(reach, 0.0, out=reach)
+        leave = (reach < 1.0).nonzero()[0]
         if leave.size:
-            j = int(np.argmin(reach))
+            j = int(reach.argmin())
             hold = [j]
             d = d + reach[j] * p
             d[j] = end[j] - x[j]
@@ -369,13 +376,13 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
             continue
         d = d_new
 
-        held = np.flatnonzero(~free)
         if not held.size:
             return d, free, solve, it
-        r = v[held] + M[held] @ d
+        v_held, M_held = v[held], M[held]
+        r = v_held + M_held @ d
         viol, a_in, b_in, slope_in = term.kink(a[held], r, held)
-        slack = 4.0 * _EPS * (np.abs(v[held]) + np.abs(M[held]) @ np.abs(d) + np.abs(slope_in))
-        out = np.flatnonzero(viol > slack)
+        slack = 4.0 * _EPS * (np.abs(v_held) + np.abs(M_held) @ np.abs(d) + np.abs(slope_in))
+        out = (viol > slack).nonzero()[0]
         if not out.size:
             return d, free, solve, it
         if block:
@@ -383,7 +390,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
             block = q_d < q_last
             q_last = q_d
         if not block:
-            out = [int(np.argmax(viol - slack))]
+            out = [int((viol - slack).argmax())]
         release = held[out]
         free[release] = True
         a[release], b[release] = a_in[out], b_in[out]
@@ -498,8 +505,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             # so a positive rounded value certifies criticality at precision;
             # a message says a dual value certified ||d*|| <= eps
             d = np.zeros_like(d)
-            theta = 0.0
-            gap = 0.0
+            theta = gap = 0.0
         return DirectionResult(direction=d, theta=theta, weights=s.lam.copy(), gap=gap,
                                inner_iters=counts["inner"], dual_iters=counts["dual"],
                                dual_history=tuple(history), message=message)

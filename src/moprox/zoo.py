@@ -117,9 +117,10 @@ def _logsumexp_oracle(mu: float, rows: np.ndarray, offsets: np.ndarray,
         grads = mean_row + mu * diff
         if not hessians:
             return values, grads, None
-        hesses = ((rows * p[:, :, None]).transpose(0, 2, 1) @ rows
-                  - mean_row[:, :, None] * mean_row[:, None, :])
-        return values, grads, hesses + mu_eye
+        hesses = (rows * p[:, :, None]).transpose(0, 2, 1) @ rows
+        hesses -= mean_row[:, :, None] * mean_row[:, None, :]
+        hesses += mu_eye
+        return values, grads, hesses
 
     return oracle
 

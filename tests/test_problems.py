@@ -126,6 +126,28 @@ class TestNonsmoothTerm:
         x = np.array([1.0 + np.finfo(float).eps])
         assert t.value(x) == 0.0
 
+    def test_l1_value_overflows_to_inf_without_a_warning(self):
+        # a finite point whose l1 norm exceeds the float64 range; the suite
+        # turns any RuntimeWarning into an error
+        t = NonsmoothTerm.scaled_l1(1.0)
+        x = np.array([1e308, 1e308])
+        assert t.value(x) == np.inf
+        zero = SmoothObjective(lambda x: (0.0, np.zeros(2), np.eye(2)))
+        prob = ProblemInstance(n=2, m=2, smooth=(zero, zero), nonsmooth=t, mu=1.0)
+        assert (eval_full(prob, x) == np.inf).all()
+
+    def test_box_value_agrees_with_outside(self):
+        # the inside fast path and the slack test give one verdict, also a
+        # few ulps around the bounds, beyond them and at nan
+        lo, hi = np.array([-1.0, 0.0, -3e300]), np.array([1.0, 2.0, 1e-300])
+        t = NonsmoothTerm.box(lo, hi)
+        near = [np.nextafter(b, s * np.inf) for b in (*lo, *hi) for s in (1, -1)]
+        for c in [*lo, *hi, *near, 0.0, 5.0, -5.0, np.nan]:
+            for point in (np.clip(np.full(3, c), lo, hi), np.full(3, c)):
+                for p in (point, point.astype(np.longdouble)):
+                    want = np.inf if t.outside(p).any() else 0.0
+                    assert t.value(p) == want
+
     def test_box_prox_clips(self):
         t = NonsmoothTerm.box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
         out = t.prox(np.array([-3.0, 5.0]), 0.7)

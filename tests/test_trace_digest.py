@@ -1,0 +1,61 @@
+"""tools/trace_digest.py's --against comparison, on canned digest lines; nothing is solved."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
+_spec = importlib.util.spec_from_file_location("trace_digest", _PATH)
+trace_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_digest)
+
+PARENT = """\
+grad_smooth: jobs=24 critical_reached=24 records=2968 snaps=4885 passes=4885 sha1=0258bf8a
+newton_prox: jobs=48 critical_reached=48 records=96 snaps=444 passes=909 sha1=4a26f600
+newton_smooth: jobs=32 critical_reached=32 records=173 snaps=744 passes=744 sha1=a65a2627
+"""
+
+
+def test_lines_are_read_per_workload():
+    lines = trace_digest.parse_lines(PARENT)
+    assert list(lines) == ["grad_smooth", "newton_prox", "newton_smooth"]
+    assert lines["newton_prox"] == ("jobs=48 critical_reached=48 records=96 snaps=444 "
+                                    "passes=909 sha1=4a26f600")
+
+
+def test_equal_digests_print_same_and_exit_0():
+    lines, code = trace_digest.compare(trace_digest.parse_lines(PARENT),
+                                       trace_digest.parse_lines(PARENT), label="f84e03f87e07")
+    assert code == 0
+    assert len(lines) == 9
+    assert lines[:3] == [
+        "grad_smooth @f84e03f87e07: jobs=24 critical_reached=24 records=2968 snaps=4885 "
+        "passes=4885 sha1=0258bf8a",
+        "grad_smooth @checkout: jobs=24 critical_reached=24 records=2968 snaps=4885 "
+        "passes=4885 sha1=0258bf8a",
+        "grad_smooth: same"]
+    assert [line for line in lines if not line.startswith(tuple(
+        f"{w} @" for w in ("grad_smooth", "newton_prox", "newton_smooth")))] == [
+        "grad_smooth: same", "newton_prox: same", "newton_smooth: same"]
+
+
+def test_one_differing_sha_prints_differs_and_exits_1():
+    # the same counts with other bits, as a change of block memory order gave
+    changed = PARENT.replace("sha1=4a26f600", "sha1=c5d3153a")
+    lines, code = trace_digest.compare(trace_digest.parse_lines(PARENT),
+                                       trace_digest.parse_lines(changed), label="HEAD")
+    assert code == 1
+    verdicts = [line for line in lines if line.endswith(("same", "DIFFERS"))]
+    assert verdicts == ["grad_smooth: same", "newton_prox: DIFFERS", "newton_smooth: same"]
+    assert "newton_prox @checkout: jobs=48 critical_reached=48 records=96 snaps=444 " \
+           "passes=909 sha1=c5d3153a" in lines
+
+
+def test_a_workload_missing_on_one_side_differs():
+    here = "\n".join(PARENT.splitlines()[:2]) + "\nextra: jobs=1\n"
+    lines, code = trace_digest.compare(trace_digest.parse_lines(PARENT),
+                                       trace_digest.parse_lines(here), label="HEAD")
+    assert code == 1
+    assert "newton_smooth @checkout: (none)" in lines
+    assert "extra @HEAD: (none)" in lines
+    assert lines[-1] == "extra: DIFFERS"
+    assert "newton_smooth: DIFFERS" in lines

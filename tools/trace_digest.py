@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python3 tools/trace_digest.py
+    python3 tools/trace_digest.py --against HEAD~1
 
 For each workload of perfbench/workloads.py this solves every job of its
 fixed pool as perfbench does (zoo.generate_instance on the job's spec,
@@ -15,16 +16,26 @@ snaps, passes, halvings and the bytes of x, objectives and weights.
 
 Two checkouts that print the same lines ran the same iterations to the
 last bit. The bits depend on the BLAS build, so compare lines taken on
-one host only.
+one host only. --against REV does that comparison: it checks REV out by
+`git worktree add` into a temporary directory, removed at exit, digests
+that checkout and this one, each in its own process, and prints per
+workload both lines and `same` or `DIFFERS`. --root DIR digests the
+checkout at DIR in place of this one.
 
-Exit codes: 0 digest printed, 2 moprox source not found.
+Exit codes: 0 digest printed (with --against: every line the same), 1 a
+line differs, 2 moprox source not found, a digest run failed, or git
+failed.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -59,14 +70,12 @@ def digest_pool(mp, np, jobs) -> str:
             f"passes={passes} sha1={sha.hexdigest()}")
 
 
-def main() -> int:
-    # pin BLAS before numpy (imported by the modules below) loads it
-    for var in BLAS_THREAD_VARS:
-        os.environ[var] = "1"
-    if not (ROOT / "src" / "moprox" / "__init__.py").is_file():
-        print(f"trace_digest: no moprox source under {ROOT / 'src'}", file=sys.stderr)
+def digest(root: Path) -> int:
+    """Print the digest lines of the checkout at root."""
+    if not (root / "src" / "moprox" / "__init__.py").is_file():
+        print(f"trace_digest: no moprox source under {root / 'src'}", file=sys.stderr)
         return 2
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import numpy as np
 
     import moprox.cli
@@ -77,6 +86,82 @@ def main() -> int:
     for name, workload in workloads.WORKLOADS.items():
         print(f"{name}: {digest_pool(moprox, np, workloads.pool(workload))}", flush=True)
     return 0
+
+
+def parse_lines(text: str) -> dict:
+    """Workload name -> its digest line, from the output of a digest run."""
+    return dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+
+
+def compare(against: dict, here: dict, label: str) -> tuple:
+    """(lines, exit code) comparing two parse_lines maps, workload by workload.
+
+    label names the against side. A workload that one side lacks differs.
+    """
+    lines, differs = [], False
+    for name in [*against, *(k for k in here if k not in against)]:
+        a, h = against.get(name, "(none)"), here.get(name, "(none)")
+        differs |= a != h
+        lines += [f"{name} @{label}: {a}", f"{name} @checkout: {h}",
+                  f"{name}: {'same' if a == h else 'DIFFERS'}"]
+    return lines, 1 if differs else 0
+
+
+def _run_digest(root: Path) -> str:
+    """The digest lines of the checkout at root, from a fresh process."""
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--root",
+                           str(root)], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"digest of {root} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return proc.stdout
+
+
+def against(rev: str) -> int:
+    """Digest REV, checked out in a temporary worktree, and this checkout; compare."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    tmp = Path(tempfile.mkdtemp(prefix="trace_digest-"))
+    other = tmp / "against"
+    try:
+        try:
+            full = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+            git("worktree", "add", "--detach", str(other), full)
+        except subprocess.CalledProcessError as exc:
+            print(f"trace_digest: git: {exc.stderr.strip()}", file=sys.stderr)
+            return 2
+        try:
+            texts = [_run_digest(other), _run_digest(ROOT)]
+        except RuntimeError as exc:
+            print(f"trace_digest: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if other.exists():
+            subprocess.run(["git", "worktree", "remove", "--force", str(other)],
+                           cwd=ROOT, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    lines, code = compare(*map(parse_lines, texts), label=full[:12])
+    print("\n".join(lines))
+    return code
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="REV",
+                    help="git revision to digest beside this checkout and compare")
+    ap.add_argument("--root", type=Path, default=ROOT,
+                    help="checkout to digest (default: this one)")
+    args = ap.parse_args(argv)
+    # pin BLAS before numpy (imported by the modules below) loads it; the
+    # digest runs of --against inherit it
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    if args.against is not None:
+        return against(args.against)
+    return digest(args.root.resolve())
 
 
 if __name__ == "__main__":
