@@ -372,13 +372,24 @@ def eval_smooth(problem: ProblemInstance, x, hessians: bool = True) -> SmoothEva
     return _check_finite(_sweep(problem.oracle, problem.m, _as_point(x, problem.n), hessians))
 
 
+def _plus_g(values: np.ndarray, g) -> np.ndarray:
+    """values + g elementwise, +inf with no RuntimeWarning where a sum overflows.
+
+    The sums are taken as Python floats, which overflow silently to the same
+    IEEE bits; np.errstate would cost more than the sums on every iterate.
+    """
+    g = float(g)
+    return np.array([v + g for v in values.tolist()])
+
+
 def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None,
               hessians: bool = True) -> np.ndarray:
     """Componentwise full objective values F_i(x) = f_i(x) + g(x), shape (m,).
 
     g(x) is evaluated once and added to every smooth value, so all values
-    are +inf when a box indicator is violated; smooth values must be finite
-    or EvaluationError is raised. When keep is a list, its contents are
+    are +inf when a box indicator is violated; a sum that overflows is +inf
+    too, with no warning. Smooth values must be finite or EvaluationError is
+    raised. When keep is a list, its contents are
     replaced by the one SmoothEval of x, with Hessians if hessians is true,
     whose gradients and Hessians are not checked here; without keep no
     Hessian is asked for.
@@ -389,4 +400,4 @@ def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None,
                        values_only=True)
     if keep is not None:
         keep[:] = [se]
-    return se.values + g
+    return _plus_g(se.values, g)

@@ -34,7 +34,7 @@ from .errors import (
     SingularMetricError,
     check_field_types,
 )
-from .problems import ProblemInstance, eval_smooth, _as_point, _check_finite
+from .problems import ProblemInstance, eval_smooth, _as_point, _check_finite, _plus_g
 from .subproblem import Metric, solve_direction
 
 __all__ = [
@@ -215,12 +215,6 @@ def _halvings(t: float) -> int:
     return j
 
 
-def _nan_record(k: int, x: np.ndarray, objectives: np.ndarray, m: int) -> TraceRecord:
-    return TraceRecord(k=k, x=x.copy(), objectives=objectives.copy(),
-                       direction_norm=float("nan"), theta=float("nan"), step=0.0,
-                       weights=np.full(m, float("nan")), gap=float("nan"))
-
-
 def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     """Run the solver from x0 and return the full iteration trace.
 
@@ -259,6 +253,15 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     records = []
     m = problem.m
 
+    def stop(status: Status, message: str = "", x_end=None) -> SolveTrace:
+        if x_end is not None:  # no direction was solved at x_end: nan direction fields
+            records.append(TraceRecord(k=len(records), x=x_end.copy(),
+                                       objectives=_safe_objectives(problem, x_end, m),
+                                       direction_norm=np.nan, theta=np.nan, step=0.0,
+                                       weights=np.full(m, np.nan), gap=np.nan))
+        return SolveTrace(records=tuple(records), status=status, config=config,
+                          message=message)
+
     metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
               else Metric.hessian())
     hessians = metric.ell is None  # only the Hessian metric reads them
@@ -269,15 +272,13 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
         try:
             se = (_check_finite(accepted[0]) if accepted
                   else eval_smooth(problem, x, hessians=hessians))
-            f_x = se.values + problem.nonsmooth.value(x)
+            f_x = _plus_g(se.values, problem.nonsmooth.value(x))
             if not np.isfinite(f_x).all():
                 raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap, smooth_eval=se,
                                   metric=metric, weights=weights, eps=config.eps)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
-            records.append(_nan_record(k, x, _safe_objectives(problem, x, m), m))
-            return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
-                              config=config, message=str(exc))
+            return stop(Status.SUBPROBLEM_FAILURE, str(exc), x)
 
         dnorm = math.sqrt(res.direction @ res.direction)  # np.linalg.norm's bits
         theta, gap, message = res.theta, res.gap, res.message
@@ -290,33 +291,27 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                            f"{SIGMA * theta:.3e} >= {ulp_bound:.3e} = "
                            f"-eps_mach*max(1, max|F_i|), with dnorm {dnorm:.3e}")
             dnorm = theta = gap = 0.0
-        cost = {"snaps": res.dual_iters, "passes": res.inner_iters}
-        if dnorm < config.eps:
-            records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
-                                       direction_norm=dnorm, theta=theta, step=0.0,
-                                       weights=res.weights.copy(), gap=gap, **cost))
-            return SolveTrace(records=tuple(records), status=Status.CRITICAL_REACHED,
-                              config=config, message=message)
-
-        try:
-            t = armijo_backtrack(problem, x, res.direction, res.theta, SIGMA, GAMMA,
-                                 f_x=f_x, keep=accepted, hessians=hessians)
-        except (LineSearchError, InputError, EvaluationError) as exc:
-            records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
-                                       direction_norm=dnorm, theta=res.theta, step=0.0,
-                                       weights=res.weights.copy(), gap=res.gap, **cost))
-            return SolveTrace(records=tuple(records), status=Status.SUBPROBLEM_FAILURE,
-                              config=config, message=str(exc))
-
+        # the zeroing above always stops critical, so a line search sees
+        # theta and gap as the direction solve returned them
+        status, t = Status.CRITICAL_REACHED, 0.0
+        if dnorm >= config.eps:
+            try:
+                t = armijo_backtrack(problem, x, res.direction, theta, SIGMA, GAMMA,
+                                     f_x=f_x, keep=accepted, hessians=hessians)
+                status = None
+            except (LineSearchError, InputError, EvaluationError) as exc:
+                status, message = Status.SUBPROBLEM_FAILURE, str(exc)
         records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
-                                   direction_norm=dnorm, theta=res.theta, step=t,
-                                   weights=res.weights.copy(), gap=res.gap,
-                                   halvings=_halvings(t), **cost))
+                                   direction_norm=dnorm, theta=theta, step=t,
+                                   weights=res.weights.copy(), gap=gap,
+                                   snaps=res.dual_iters, passes=res.inner_iters,
+                                   halvings=_halvings(t) if t else 0))
+        if status is not None:
+            return stop(status, message)
         x = x + t * res.direction
         weights = res.weights
 
-    records.append(_nan_record(config.max_outer, x, _safe_objectives(problem, x, m), m))
-    return SolveTrace(records=tuple(records), status=Status.MAX_ITERS, config=config)
+    return stop(Status.MAX_ITERS, x_end=x)
 
 
 def _safe_objectives(problem: ProblemInstance, x: np.ndarray, m: int) -> np.ndarray:

@@ -200,7 +200,8 @@ def project_simplex(v) -> np.ndarray:
     """Euclidean projection of v onto the unit simplex {w >= 0, sum w = 1}.
 
     Uses the sort-and-threshold rule, then renormalizes so the sum is exact
-    to the last bit. Idempotent on simplex points.
+    to the last bit. Idempotent on simplex points. Entries so far apart that
+    rounding fails every threshold test are shifted by their max first.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -211,6 +212,12 @@ def project_simplex(v) -> np.ndarray:
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, v.size + 1)
     mask = u - css / ks > 0.0
+    if not mask.any():
+        # entries about 2^53 apart or more round every test false; shifted by
+        # the max the first passes, and entries below -1 (clipped, so the
+        # shift cannot overflow) take no weight either way
+        with np.errstate(over="ignore"):
+            return project_simplex(np.maximum(v - u[0], -2.0))
     k = int(ks[mask][-1])
     tau = css[k - 1] / k
     w = np.maximum(v - tau, 0.0)
@@ -430,13 +437,15 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     subproblems nearly coincide, and after a full step on a quadratic those
     weights certify the new point at the first snap. From the second snap
     on, each inner solve starts its active set from the most recent snap's
-    direction. Each iteration first takes a Newton step on the current face
-    (the support of the weights plus the outside index with the largest
-    model value, when that value exceeds the dual value), cut back to the
-    simplex boundary and halved until the dual value does not decrease.
-    When it gives no ascent, it is retried from the snapshot with the
-    smallest gap, and then a projected supergradient step with a
-    warm-started step length is taken.
+    direction. Every dual step follows one trial rule: snap the weights
+    proposed at a step length, accept them if the dual value does not
+    decrease, else halve the length and try again. Each iteration first
+    takes a Newton step on the current face (the support of the weights
+    plus the outside index with the largest model value, when that value
+    exceeds the dual value), cut back to the simplex boundary; with no free
+    coordinate left it jumps to the best vertex instead. When it gives no
+    ascent, it is retried from the snapshot with the smallest gap, and then
+    a projected supergradient step with a warm-started step length is taken.
     Terminates once the gap certificate reaches tol_gap. Failing that, given
     eps, it stops once the current dual value phi >= -mu eps^2 / 2, mu the
     metric's modulus: every model is mu-strongly convex with value 0 at
@@ -513,6 +522,21 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     cur = snap(weights)
     history = [float(cur.phi)]
 
+    def ascend(here: _Snapshot, propose: Callable, t: float, tries: int):
+        """(snapshot or None, t): snap propose(t), halving t, until phi does not fall.
+
+        Gives up when a proposal equals here.lam or after tries trials.
+        """
+        for _ in range(tries):
+            lam = propose(t)
+            if (lam == here.lam).all():
+                return None, t
+            cand = snap(lam)
+            if cand.phi >= here.phi:
+                return cand, t
+            t *= 0.5
+        return None, t
+
     # On a face the dual Hessian restricted to zero-sum directions is
     # -Q W^-1 Q' (module docstring), taken in the basis e_k - e_last from the
     # snap's solve_free and H_i d with no factorization; it converges
@@ -533,10 +557,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             # weights and the best vertex is exact
             unit = np.zeros(m)
             unit[psi.argmax()] = 1.0
-            if (unit == lam).all():
-                return None
-            cand = snap(unit)
-            return cand if cand.phi >= here.phi else None
+            return ascend(here, lambda t: unit, 1.0, 1)[0]
         q = (grads_hi + here.hd)[support][:, free].astype(float)
         curv = q @ here.solve_free(q.T)
         curv = 0.5 * (curv + curv.T)
@@ -555,36 +576,16 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         t = float((lam[neg] / -move[neg]).min(initial=1.0))
         if t <= 0.0:
             return None
-        for _ in range(8):
+
+        def clamped(t):
             lam_new = lam + t * move
             lam_new[lam_new < 1e-15] = 0.0  # negatives too; the sum stays near 1
             lam_new /= lam_new.sum()
-            if (lam_new == lam).all():
-                return None
-            cand = snap(lam_new)
-            if cand.phi >= here.phi:
-                return cand
-            t *= 0.5
-        return None
+            return lam_new
 
-    # safeguard: projected supergradient step with a backtracked step length
-    s_prev = 1.0
+        return ascend(here, clamped, t, 8)[0]
 
-    def supergradient_step(here: _Snapshot):
-        nonlocal s_prev
-        psi64 = here.psi.astype(float)
-        s = min(1.0, 4.0 * s_prev)
-        for _ in range(60):
-            lam_t = project_simplex(here.lam + s * psi64)
-            if (lam_t == here.lam).all():
-                return None  # projection no longer moves: dual-stationary here
-            cand = snap(lam_t)
-            if cand.phi >= here.phi:
-                s_prev = s
-                return cand
-            s *= 0.5
-        return None
-
+    s_prev = 1.0  # the last accepted supergradient step length
     retried = None
     for _ in range(MAX_DUAL_ITERS):
         if best.gap <= tol_gap or cur.phi >= stop_phi:
@@ -597,9 +598,13 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             if best.gap <= tol_gap:
                 break
         if nxt is None:
-            nxt = supergradient_step(cur)
-        if nxt is None:
-            break
+            # safeguard: a projected supergradient step, warm-started
+            psi64 = cur.psi.astype(float)
+            nxt, s = ascend(cur, lambda s: project_simplex(cur.lam + s * psi64),
+                            min(1.0, 4.0 * s_prev), 60)
+            if nxt is None:
+                break
+            s_prev = s
         cur = nxt
         history.append(float(cur.phi))
 

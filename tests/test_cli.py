@@ -240,6 +240,52 @@ class TestConfigErrors:
     def test_bad_verb_usage(self, tmp_path):
         assert main(["tune", "--config", "x.json"]) == 64
 
+    @pytest.mark.parametrize("verb, mangle, message", [
+        ("solve", lambda c: [1, 2], "config root must be a JSON object"),
+        ("solve", lambda c: c.update(instance=3), "config section instance must be an object"),
+        ("bench", lambda c: c["run"].update(sweep=[1]), "run.sweep must be an object"),
+        ("solve", lambda c: c.update(instance={"family": "quadratic", "m": 2}),
+         "missing required key instance.n or instance.m"),
+        ("solve", lambda c: c.update(instance={"family": "quadratic", "n": 4}),
+         "missing required key instance.n or instance.m"),
+        ("solve", lambda c: c["instance"].update(family="cubic"),
+         f"instance.family must be one of {', '.join(moprox.cli.FAMILIES)}, got 'cubic'"),
+        ("solve", lambda c: c["run"]["x0"].update(scale=float("inf")),
+         "run.x0.scale must be finite, got inf"),
+        ("solve", lambda c: c["run"].update(x0=[1.0, 2.0]),
+         "run.x0 must be a list of 4 numbers or an object with seed/scale, got shape (2,)"),
+        ("solve", lambda c: c["run"].update(x0=[float("nan"), 0.0, 0.0, 0.0]),
+         "run.x0 has non-finite entries"),
+        ("bench", lambda c: c["run"].update(sweep={"cond": []}),
+         "run.sweep.cond must be a nonempty list"),
+        ("bench", lambda c: c["run"].update(sweep={"seeds": []}),
+         "run.sweep.seeds must be a nonempty list"),
+        ("check", lambda c: c.update(checks={}), "missing required key checks.names"),
+        ("check", lambda c: c.update(checks={"names": "descent_bound"}),
+         "checks.names must be a list"),
+    ])
+    def test_guard_messages_exit_64(self, tmp_path, capsys, verb, mangle, message):
+        # mangle edits the config in place or returns its replacement; json
+        # writes inf and nan as Infinity and NaN, which json.loads reads back
+        cfg = _base_solve_config()
+        cfg_path = _write_config(tmp_path / "cfg.json", mangle(cfg) or cfg)
+        assert main([verb, "--config", cfg_path, "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "cfg.json", _base_solve_config())
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 64
+        assert capsys.readouterr().err.startswith("io error: ")
+
+    def test_gradient_variant_without_any_ell(self):
+        with pytest.raises(moprox.ConfigError) as info:
+            moprox.cli.build_solver_config({"solver": {"variant": "gradient"}},
+                                           default_ell=None)
+        assert str(info.value) == ("solver.ell is required for the gradient variant when "
+                                   "the instance records no gradient Lipschitz constant")
+
 
 class TestBenchVerb:
     def _bench_config(self):
@@ -410,6 +456,18 @@ class TestCheckVerb:
         code = main(["check", "--config", cfg_path, "--out", str(tmp_path)])
         assert code == 1
         assert "order_fit: FAIL" in (tmp_path / "checks.txt").read_text()
+
+    def test_inapplicable_check_is_skipped(self, tmp_path):
+        # a one-step quadratic run spans too few error magnitudes for the
+        # final tau test: it is reported SKIP and does not fail the verb
+        cfg = {"instance": {"family": "quadratic", "n": 3, "m": 2},
+               "checks": {"names": ["tau_bracket", "descent_bound"]}}
+        cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+        assert main(["check", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "checks.txt").read_text()
+        assert ("final_tau_near_one: SKIP margin=0 errors span fewer than four orders "
+                "of magnitude\n") in report
+        assert "FAIL" not in report
 
     def test_unknown_check_name_rejected(self, tmp_path, capsys):
         cfg = self._check_config(["spectral_gap"])

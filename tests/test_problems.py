@@ -181,6 +181,8 @@ class TestNonsmoothTerm:
             NonsmoothTerm.box(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ConfigError):
             NonsmoothTerm.box(np.array([np.nan]), np.array([1.0]))
+        with pytest.raises(ConfigError, match="^box bounds must have matching shapes$"):
+            NonsmoothTerm.box(np.zeros(2), np.ones(1))
 
     def test_subdiff_residual_l1(self):
         t = NonsmoothTerm.scaled_l1(1.0)
@@ -271,6 +273,18 @@ class TestProblemInstance:
         with pytest.raises(ConfigError):
             ProblemInstance(n=base.n, m=2, smooth=base.smooth, nonsmooth=base.nonsmooth,
                             mu=0.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"m": 0, "smooth": ()}, "m must be >= 1, got 0"),
+        ({"lip_grad": -1.0}, "lip_grad must be finite and >= 0, got -1.0"),
+    ])
+    def test_dimension_and_lip_grad_guards(self, fields, message):
+        base = _quad_instance()
+        kwargs = dict(n=base.n, m=2, smooth=base.smooth, nonsmooth=base.nonsmooth, mu=1.0)
+        with pytest.raises(ConfigError) as info:
+            ProblemInstance(**{**kwargs, **fields})
+        assert str(info.value) == message
 
     def test_eval_smooth_stacks_and_validates(self):
         prob = _quad_instance()

@@ -23,7 +23,7 @@ from moprox import (
     solve,
 )
 from moprox.subproblem import DirectionResult, Metric, solve_direction
-from moprox.zoo import attach_nonsmooth, quadratic_objective
+from moprox.zoo import attach_nonsmooth, gen_quadratic, quadratic_objective
 
 
 def _single_quadratic(a=1.0, b=0.0):
@@ -427,6 +427,36 @@ class TestOracleSweeps:
         (last,) = tr.records
         assert last.k == 0 and last.step == 0.0 and np.isnan(last.direction_norm)
 
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_overflowing_sum_at_the_iterate(self, variant):
+        # f = 1e308 and g = ||x||_1 = 1e308 at x0 = (1e308, 0) are each
+        # finite, but their sum overflows: +inf with no RuntimeWarning, which
+        # the guard reports, and eval_full returns as it is
+        prob = ProblemInstance(
+            n=2, m=1, smooth=(SmoothObjective(lambda x: (1e308, np.zeros(2), np.eye(2))),),
+            nonsmooth=NonsmoothTerm.scaled_l1(1.0), mu=1.0)
+        x0 = np.array([1e308, 0.0])
+        assert eval_full(prob, x0).tolist() == [np.inf]
+        extra = {"variant": "gradient", "ell": 1.0} if variant == "gradient" else {}
+        tr = solve(prob, SolverConfig(**extra), x0)
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message == "objective values at the current iterate are not finite"
+        (last,) = tr.records
+        assert last.k == 0 and last.objectives.tolist() == [np.inf]
+
+    def test_nan_value_at_the_start_records_nan_objectives(self):
+        # the failed record's objectives come from eval_full, which raises
+        # on the nan value too; the record then holds a nan row
+        prob = ProblemInstance(
+            n=2, m=2, smooth=(SmoothObjective(lambda x: (np.nan, np.zeros(2), np.eye(2))),
+                              SmoothObjective(lambda x: (0.0, np.zeros(2), np.eye(2)))),
+            nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        tr = solve(prob, SolverConfig(), np.array([0.3, 0.2]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message == "smooth objective 0 returned non-finite output"
+        (last,) = tr.records
+        assert last.k == 0 and np.isnan(last.objectives).all() and last.objectives.size == 2
+
 
 class TestWarmStart:
     def test_dual_loop_starts_from_the_last_accepted_weights(self, monkeypatch):
@@ -518,6 +548,36 @@ class TestHardCells:
         tr = solve(prob, cfg, x1)
         assert tr.status is Status.CRITICAL_REACHED, tr.message
         assert len(tr.records) == 1 and tr.records[0].k == 0
+
+
+class TestFailuresEndTheTrace:
+    def test_indefinite_user_hessian(self):
+        # f = (x1^2 - x2^2) / 2 breaks the mu > 0 promise; the first
+        # Cholesky of the weighted Hessian fails, and the run records it
+        H = np.diag([1.0, -1.0])
+        prob = ProblemInstance(
+            n=2, m=1, smooth=(SmoothObjective(lambda x: (0.5 * float(x @ H @ x), H @ x, H)),),
+            nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        tr = solve(prob, SolverConfig(), np.array([0.3, 0.2]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message == "weighted Hessian is not positive definite (potrf info 2)"
+        (last,) = tr.records
+        assert last.objectives.tolist() == [0.5 * (0.3 ** 2 - 0.2 ** 2)]
+        assert np.isnan(last.theta) and last.snaps == 0
+
+    def test_shifts_of_scale_1e9_return_a_trace(self):
+        # shifts of scale 1e9 put the supergradient step's proposals about
+        # 2^53 apart; project_simplex shifts them by their max, and the run
+        # ends on the dual loop's own failure
+        rng = np.random.default_rng(3)
+        shifts = 1e9 * rng.standard_normal((3, 5))
+        x0 = rng.standard_normal(5)
+        spec = InstanceSpec("quadratic", n=5, m=3, cond=100, seed=3)
+        prob = attach_nonsmooth(gen_quadratic(spec, shifts), NonsmoothTerm.scaled_l1(1.0))
+        tr = solve(prob, SolverConfig(), x0)
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message.startswith("direction subproblem stopped with duality gap 1.550e+01")
+        assert len(tr.records) == 1
 
 
 class TestDualBoundStop:

@@ -48,6 +48,15 @@ class TestProjectSimplex:
             assert abs(got.sum() - 1.0) < 1e-12
             assert np.all(got >= 0.0)
 
+    @pytest.mark.parametrize("v, want", [([1e16, -1e16], [1.0, 0.0]),
+                                         ([1e20, 1e20], [0.5, 0.5]),
+                                         ([1.7e308, -1.7e308], [1.0, 0.0])])
+    def test_entries_2_pow_53_apart(self, v, want):
+        # rounding fails every threshold test of the sorted entries; the
+        # projection falls back to the entries shifted by their max, where
+        # the last difference overflows without a RuntimeWarning
+        assert project_simplex(np.array(v)).tolist() == want
+
     def test_rejects_bad_input(self):
         for v in ([np.nan, 0.0], [np.inf, 0.0]):
             with pytest.raises(InputError, match="project_simplex input has non-finite"):

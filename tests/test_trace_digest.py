@@ -1,7 +1,13 @@
-"""tools/trace_digest.py's --against comparison, on canned digest lines; nothing is solved."""
+"""tools/trace_digest.py's --against comparison, on canned digest lines, and its
+A01 grid's runs; nothing is solved."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import moprox.solver
+import moprox.zoo
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
 _spec = importlib.util.spec_from_file_location("trace_digest", _PATH)
@@ -59,3 +65,18 @@ def test_a_workload_missing_on_one_side_differs():
     assert "extra @HEAD: (none)" in lines
     assert lines[-1] == "extra: DIFFERS"
     assert "newton_smooth: DIFFERS" in lines
+
+
+def test_a01_grid_is_the_acceptance_grid_from_ten_start_seeds():
+    # the cells of test_a01_whole_grid_one_step_termination, from the starts
+    # PCG64(b + cell index), b = 1000, 2000, ..., 10000
+    runs = list(trace_digest.a01_runs(moprox, np))
+    assert len(runs) == 1350
+    problem, cfg, x0 = runs[0]
+    assert (problem.n, problem.m, cfg.eps, cfg.tol_gap) == (2, 2, 1e-9, 1e-12)
+    assert np.array_equal(x0, 2.0 * np.random.Generator(np.random.PCG64(1000))
+                          .standard_normal(2))
+    problem, _, x0 = runs[-1]  # b = 10000, the last box cell
+    assert (problem.n, problem.m) == (50, 8) and (problem.nonsmooth.lo == -1.0).all()
+    assert np.array_equal(x0, np.random.Generator(np.random.PCG64(10134))
+                          .uniform(-1.0, 1.0, 50))

@@ -130,6 +130,13 @@ class TestGenQuadratic:
             assert abs(g[0]) < 1e-12
 
 
+    def test_shifts_of_the_wrong_shape(self):
+        spec = InstanceSpec(family="quadratic", n=5, m=3, cond=100.0, seed=3)
+        with pytest.raises(ConfigError) as info:
+            gen_quadratic(spec, shifts=np.zeros((3, 4)))
+        assert str(info.value) == "shifts must have shape (3, 5), got (3, 4)"
+
+
 class TestGenLogsumexp:
     def test_oracles_match_finite_differences(self):
         spec = InstanceSpec(family="logsumexp", n=4, m=2, mu=1.0, seed=5)

@@ -8,10 +8,17 @@ Run from the repository root:
 For each workload of perfbench/workloads.py this solves every job of its
 fixed pool as perfbench does (zoo.generate_instance on the job's spec,
 cli.build_solver_config on its solver section, solver.solve from its
-start), with BLAS pinned to one thread before numpy is imported. It prints
-one line per workload: the count of each status, and the records, snaps
-and passes summed over the pool, then a SHA-1 over each job's status and
-message and over every record's k, step, theta, direction norm, gap,
+start), with BLAS pinned to one thread before numpy is imported. A last
+line, a01_grid, solves the 135 cells of the A01 whole-grid acceptance
+test (tests/test_acceptance.py) from the starts PCG64(b + cell index), b =
+1000, 2000, ..., 10000: 1,350 solves, some of which end
+subproblem_failure. It covers the dual loop's rare paths, which the pools
+seldom take: when this line was added the pools took no lstsq fallback of
+the face Newton step, 6 retries from the best snapshot and 42
+supergradient steps in all, and the grid 201, 136 and 334.
+It prints one line per pool: the count of each status, and the records,
+snaps and passes summed over the pool, then a SHA-1 over each job's status
+and message and over every record's k, step, theta, direction norm, gap,
 snaps, passes, halvings and the bytes of x, objectives and weights.
 
 Two checkouts that print the same lines ran the same iterations to the
@@ -45,16 +52,50 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
                     "NUMEXPR_NUM_THREADS")
 
 
-def digest_pool(mp, np, jobs) -> str:
-    """The workload's line: status counts, summed costs and the SHA-1."""
-    sha = hashlib.sha1()
-    statuses = Counter()
-    records = snaps = passes = 0
+def workload_runs(mp, jobs):
+    """(problem, config, x0) of each job of a workload pool, as perfbench builds them."""
     for job in jobs:
         problem = mp.zoo.generate_instance(mp.zoo.InstanceSpec(**job.spec_kwargs))
-        cfg = mp.cli.build_solver_config({"solver": job.solver_section()},
-                                         default_ell=problem.lip_grad)
-        trace = mp.solver.solve(problem, cfg, job.x0)
+        yield problem, mp.cli.build_solver_config({"solver": job.solver_section()},
+                                                  default_ell=problem.lip_grad), job.x0
+
+
+def a01_runs(mp, np):
+    """(problem, config, x0) of the A01 whole-grid cells, from ten start seeds each.
+
+    The cells and starts are those of test_a01_whole_grid_one_step_termination,
+    with PCG64(b + cell index) for b = 1000, 2000, ..., 10000.
+    """
+    cfg = mp.solver.SolverConfig(eps=1e-9, tol_gap=1e-12)
+    cells = []
+    for kind, family in (("zero", "quadratic"), ("l1", "quadratic_l1"),
+                         ("box", "quadratic_box")):
+        for m in (2, 3, 4, 5, 8):
+            for n in (2, 10, 50):
+                for cond in (1.0, 1e2, 1e4):
+                    spec = mp.zoo.InstanceSpec(family=family, n=n, m=m, cond=cond,
+                                               rho=0.1 if kind == "l1" else 0.0,
+                                               seed=len(cells))
+                    cells.append((kind, spec, mp.zoo.generate_instance(spec)))
+    for base in range(1000, 10001, 1000):
+        for index, (kind, spec, problem) in enumerate(cells):
+            rng = np.random.Generator(np.random.PCG64(base + index))
+            x0 = (rng.uniform(spec.lo, spec.hi, spec.n) if kind == "box"
+                  else 2.0 * rng.standard_normal(spec.n))
+            yield problem, cfg, x0
+
+
+def digest_pool(mp, np, runs) -> str:
+    """The pool's line: status counts, summed costs and the SHA-1.
+
+    runs yields (problem, config, x0) for each solve.
+    """
+    sha = hashlib.sha1()
+    statuses = Counter()
+    jobs = records = snaps = passes = 0
+    for problem, cfg, x0 in runs:
+        trace = mp.solver.solve(problem, cfg, x0)
+        jobs += 1
         statuses[trace.status.value] += 1
         records += len(trace.records)
         snaps += trace.snaps
@@ -66,7 +107,7 @@ def digest_pool(mp, np, jobs) -> str:
             for a in (r.x, r.objectives, r.weights):
                 sha.update(np.ascontiguousarray(a, dtype=float).tobytes())
     counts = " ".join(f"{s}={c}" for s, c in sorted(statuses.items()))
-    return (f"jobs={len(jobs)} {counts} records={records} snaps={snaps} "
+    return (f"jobs={jobs} {counts} records={records} snaps={snaps} "
             f"passes={passes} sha1={sha.hexdigest()}")
 
 
@@ -84,7 +125,9 @@ def digest(root: Path) -> int:
     import workloads
 
     for name, workload in workloads.WORKLOADS.items():
-        print(f"{name}: {digest_pool(moprox, np, workloads.pool(workload))}", flush=True)
+        runs = workload_runs(moprox, workloads.pool(workload))
+        print(f"{name}: {digest_pool(moprox, np, runs)}", flush=True)
+    print(f"a01_grid: {digest_pool(moprox, np, a01_runs(moprox, np))}", flush=True)
     return 0
 
 
