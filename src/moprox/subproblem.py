@@ -44,10 +44,10 @@ from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _
 _EPS = np.finfo(float).eps
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=float)
 # Passes of one inner active-set solve before it gives up: a guard against
-# cycling at degenerate ratio steps. The benchmark pools need at most 16.
+# cycling at degenerate ratio steps. The benchmark pools need at most 23.
 MAX_INNER_PASSES = 10000
 # Iterations of the dual loop before a direction solve gives up: a guard, as
-# the loop stops on a certificate. Tier-1 and the benchmark pools need at most 46.
+# the loop stops on a certificate. Tier-1 and the benchmark pools need at most 45.
 MAX_DUAL_ITERS = 500
 
 __all__ = [
@@ -442,19 +442,23 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     decrease, else halve the length and try again. Each iteration first
     takes a Newton step on the current face (the support of the weights
     plus the outside index with the largest model value, when that value
-    exceeds the dual value), cut back to the simplex boundary; with no free
-    coordinate left it jumps to the best vertex instead. When it gives no
-    ascent, it is retried from the snapshot with the smallest gap, and then
-    a projected supergradient step with a warm-started step length is taken.
-    Terminates once the gap certificate reaches tol_gap. Failing that, given
-    eps, it stops once the current dual value phi >= -mu eps^2 / 2, mu the
-    metric's modulus: every model is mu-strongly convex with value 0 at
-    d = 0, so ||d*||^2 <= -2 phi / mu, and the zero direction is returned
-    with a message. Both tests run before each dual iteration and after the
-    loop, the gap test first, so a gap-certified direction does not depend
-    on eps. When neither holds and no step ascends, or MAX_DUAL_ITERS
-    iterations pass first, ConvergenceError is raised; so it is when an
-    inner solve is not certified within MAX_INNER_PASSES passes.
+    exceeds the dual value); when the full step leaves the simplex, its
+    projection onto the simplex is tried first, and then the step cut back
+    to the simplex boundary. With no free coordinate left it jumps to the
+    best vertex instead. When it gives no ascent, it is retried from the
+    snapshot with the smallest gap, and then a projected supergradient step
+    with a warm-started step length is taken. Terminates at the first snap
+    whose gap certificate reaches tol_gap, whether its trial was accepted
+    or not; a rejected trial that certifies is neither halved nor retried.
+    Failing that, given eps, it stops once the current dual value
+    phi >= -mu eps^2 / 2, mu the metric's modulus: every model is
+    mu-strongly convex with value 0 at d = 0, so ||d*||^2 <= -2 phi / mu,
+    and the zero direction is returned with a message. Both tests run
+    before each dual iteration and after the loop, the gap test first, so
+    a gap-certified direction does not depend on eps. When neither holds
+    and no step ascends, or MAX_DUAL_ITERS iterations pass first,
+    ConvergenceError is raised; so it is when an inner solve is not
+    certified within MAX_INNER_PASSES passes.
 
     Returns a DirectionResult whose theta is nonpositive: if rounding at a
     critical point produces a positive model optimum, the zero direction
@@ -525,7 +529,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     def ascend(here: _Snapshot, propose: Callable, t: float, tries: int):
         """(snapshot or None, t): snap propose(t), halving t, until phi does not fall.
 
-        Gives up when a proposal equals here.lam or after tries trials.
+        Gives up when a proposal equals here.lam, when a rejected trial
+        certifies the gap, or after tries trials.
         """
         for _ in range(tries):
             lam = propose(t)
@@ -534,6 +539,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             cand = snap(lam)
             if cand.phi >= here.phi:
                 return cand, t
+            if best.gap <= tol_gap:
+                return None, t
             t *= 0.5
         return None, t
 
@@ -576,6 +583,12 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         t = float((lam[neg] / -move[neg]).min(initial=1.0))
         if t <= 0.0:
             return None
+        if t < 1.0:
+            # the full step projected first: it drops every weight the step
+            # carries out at once, where the cut-back drops one per snap
+            nxt = ascend(here, lambda _: project_simplex(lam + move), 1.0, 1)[0]
+            if nxt is not None or best.gap <= tol_gap:
+                return nxt
 
         def clamped(t):
             lam_new = lam + t * move
@@ -591,6 +604,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         if best.gap <= tol_gap or cur.phi >= stop_phi:
             break
         nxt = newton_step(cur)
+        if nxt is None and best.gap <= tol_gap:
+            break  # a rejected trial certified the gap
         if nxt is None and best is not cur and best is not retried:
             # rounding can reject a trial that lowered the gap; retry from it
             retried = best

@@ -602,11 +602,25 @@ class TestDualBoundStop:
         assert "-mu*eps^2/2" in tr.message
 
     def test_far_from_critical_still_fails(self, monkeypatch):
+        # a start whose dual optimum one dual iteration does not reach (from
+        # PCG64(1004) the projected Newton step reaches it; see below)
         monkeypatch.setattr(moprox.subproblem, "MAX_DUAL_ITERS", 1)
-        prob, x0 = self._quadratic()
+        prob, _ = self._quadratic()
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(1002)).standard_normal(10)
         tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-300), x0)
         assert tr.status is Status.SUBPROBLEM_FAILURE
         assert tr.message.startswith("direction subproblem stopped with duality gap")
+
+    def test_one_dual_iteration_reaches_a_vertex_optimum(self, monkeypatch):
+        # the projected full Newton step lands on the optimal vertex, where
+        # the cut-back to the simplex boundary drops one weight per snap; the
+        # full step then ends the solve (quadratic termination)
+        monkeypatch.setattr(moprox.subproblem, "MAX_DUAL_ITERS", 1)
+        prob, x0 = self._quadratic()
+        tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), x0)
+        assert tr.status is Status.CRITICAL_REACHED
+        assert len(tr.records) == 2
+        assert tr.records[0].gap == 0.0 and tr.records[0].weights.tolist() == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("variant,modulus", [("newton", 2.0), ("gradient", 8.0)])
     def test_bound_uses_the_metric_modulus(self, variant, modulus):

@@ -12,10 +12,14 @@ from moprox import (
     InstanceSpec,
     NonsmoothTerm,
     SmoothEval,
+    SolverConfig,
+    Status,
     eval_smooth,
     gen_quadratic,
     generate_instance,
+    solve,
 )
+import moprox.solver
 import moprox.subproblem
 from moprox.subproblem import (
     Metric,
@@ -504,6 +508,70 @@ class TestWarmStart:
             assert np.linalg.norm(warm.direction) < 1e-9
             cold = solve_direction(prob, x1, tol_gap=1e-12)
             assert cold.dual_iters > 1, seed
+
+
+class TestDualTrialRule:
+    """The dual loop's trials: where they stop, and the projected Newton step."""
+
+    @pytest.mark.parametrize("family", ["logsumexp", "quadratic_box"])
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_stops_at_the_first_certifying_snap(self, family, m, monkeypatch):
+        # along whole solves, no snap follows one whose gap reaches tol_gap,
+        # whether the trial that made it was accepted or not
+        snaps, directions = [], []  # [weights, psi] per snap; (result, snaps) per solve
+        real_inner = moprox.subproblem.inner_minimize
+        real_certificate = moprox.subproblem._model_values_hi
+        real_direction = moprox.solver.solve_direction
+
+        def inner(weights, *args, **kwargs):
+            snaps.append([np.array(weights, dtype=float)])
+            return real_inner(weights, *args, **kwargs)
+
+        def certificate(*args):
+            psi, hd = real_certificate(*args)
+            snaps[-1].append(psi)
+            return psi, hd
+
+        def direction(*args, **kwargs):
+            snaps.clear()
+            res = real_direction(*args, **kwargs)
+            directions.append((res, list(snaps)))
+            return res
+
+        monkeypatch.setattr(moprox.subproblem, "inner_minimize", inner)
+        monkeypatch.setattr(moprox.subproblem, "_model_values_hi", certificate)
+        monkeypatch.setattr(moprox.solver, "solve_direction", direction)
+        records = 0
+        for seed in range(6):
+            spec = InstanceSpec(family=family, n=10, m=m, seed=seed,
+                                cond=1.0 if family == "logsumexp" else 100.0)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            x0 = (rng.uniform(spec.lo, spec.hi, 10) if family == "quadratic_box"
+                  else 2.0 * rng.standard_normal(10))
+            trace = solve(generate_instance(spec), SolverConfig(eps=1e-9, tol_gap=1e-12), x0)
+            assert trace.status is Status.CRITICAL_REACHED
+            records += len(trace.records)
+        assert len(directions) == records
+        for res, direction_snaps in directions:
+            assert res.dual_iters == len(direction_snaps)
+            certified = [psi.max() - w @ psi <= 1e-12 for w, psi in direction_snaps]
+            if any(certified):
+                assert certified.index(True) == len(certified) - 1
+            assert np.all(np.diff(res.dual_history) >= 0.0)
+
+    def test_projected_newton_step_cuts_the_snaps(self):
+        # the full face-Newton step, projected, drops at once the weights a
+        # cut-back to the simplex boundary would drop one snap at a time; the
+        # cut-back alone took 48 snaps here
+        iters = 0
+        for seed in range(6):
+            spec = InstanceSpec(family="quadratic_l1", n=10, m=8, cond=100.0, rho=0.1,
+                                seed=seed)
+            x0 = 2.0 * np.random.Generator(np.random.PCG64(seed)).standard_normal(10)
+            res = solve_direction(generate_instance(spec), x0, tol_gap=1e-12)
+            assert res.gap <= 1e-12 and not res.message
+            iters += res.dual_iters
+        assert iters <= 36
 
 
 class TestScaledIdentityMetric:
