@@ -143,8 +143,8 @@ class NonsmoothTerm:
     def value(self, x: np.ndarray):
         """Extended-real value of the term; +inf outside a box.
 
-        The l1 sum keeps the precision of x, so an extended-precision point
-        gives an extended-precision value; box and zero values are 0 or inf.
+        The l1 sum is taken in the precision of x; box and zero values are 0
+        or inf.
         An l1 value beyond the float range is +inf, without a RuntimeWarning:
         callers test it for finiteness and report it themselves.
         """

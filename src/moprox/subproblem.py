@@ -20,12 +20,12 @@ each snap keeps W's factor (division by ell under ell I) and H_i d, so the
 Newton step reuses them. Work also carries forward: the dual loop starts
 from the weights it is given (the outer loop passes the previous
 direction's), and each snap after the first starts its active set from the
-previous snap's d. Every model value comes from one extended-precision
-evaluation per snap: it gives phi, the gap certificate and theta, so
-tolerances near 1e-12 remain meaningful when model values are large. Its
-products H_i d come from float64 BLAS products by error-free splitting
-(Ozaki, Ogita, Oishi & Rump 2012; see :meth:`Metric.products`), the one
-precision path for every n.
+previous snap's d. Every model value comes from one float64 evaluation per
+snap, which gives phi, the gap certificate and theta. A float64 sum of
+products is exact only to a small multiple of eps64 times the sum of the
+magnitudes of its terms (Higham 2002, ch. 3), so a snap certifies its gap
+at max(tol_gap, GAP_FLOOR eps64 S), with S that sum for its model values
+(:func:`solve_direction`): a tol_gap below the floor is raised to it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ MAX_INNER_PASSES = 10000
 # Iterations of the dual loop before a direction solve gives up: a guard, as
 # the loop stops on a certificate. Tier-1 and the benchmark pools need at most 45.
 MAX_DUAL_ITERS = 500
+# A snap certifies when its gap is at most max(tol_gap, GAP_FLOOR * eps64 * S),
+# S the scale of its model values (solve_direction), below which float64
+# cannot resolve the gap. With 16 the 8,100-run A01 sweep left 3 starts
+# uncertified; with 64 it leaves none.
+GAP_FLOOR = 64
 
 __all__ = [
     "DirectionResult",
@@ -69,13 +74,14 @@ class DirectionResult:
     direction : ndarray
         Minimizing direction d, shape (n,).
     theta : float
-        Optimal model value max_i psi_i(d), rounded from the same
-        extended-precision values that certify the gap; nonpositive, and
-        zero only at (numerically) critical points.
+        Optimal model value max_i psi_i(d), from the same float64 values
+        that certify the gap; nonpositive, and zero only at (numerically)
+        critical points.
     weights : ndarray
         Dual simplex weights at termination, shape (m,).
     gap : float
-        Duality gap certificate max_i psi_i(d) - sum_i w_i psi_i(d).
+        Duality gap certificate max_i psi_i(d) - sum_i w_i psi_i(d), at most
+        max(tol_gap, GAP_FLOOR eps64 S) for the scale S of the model values.
     inner_iters, dual_iters : int
         Total passes of the inner active-set solve (one Cholesky solve each)
         and number of dual weight vectors visited.
@@ -124,41 +130,17 @@ class Metric:
         return problem.mu if self.ell is None else self.ell
 
     def products(self, smooth_eval: SmoothEval) -> Callable:
-        """d -> H_i d in extended precision: a row per objective, or ell d shared.
+        """d -> H_i d in float64: a row per objective, or ell d shared.
 
-        Under the Hessian metric each row H_j of the (m n, n) Hessian stack is
-        split once, here, into H_j = H1_j + Hr_j: H1_j is H_j rounded to a
-        multiple of 2^(e_j - beta), 2^e_j > max |H_j|, with beta = floor((51 -
-        ceil(log2 n)) / 2), and Hr_j is the exact remainder (:func:`_head`).
-        Each call splits d = d1 + dr by the same rule, makes one BLAS product
-        H1 [d1, dr] and one Hr d, and returns H1 d1 + (H1 dr + Hr d), the sum
-        taken in extended precision. H1 d1 is exact in float64 for every BLAS
-        summation order: in the unit 2^(e_j + f - 2 beta) its n products are
-        integers of magnitude at most 2^(2 beta), so every partial sum is an
-        integer of magnitude at most n 2^(2 beta) <= 2^51. Since |dr| <=
-        2^-beta |d|_inf, |H1_j| <= 2 |H_j| and |Hr_j| <= 2^-beta |H_j|_inf,
-        the other two products are formed with an error of at most about
-        n 2^-53 2^-beta (2 |H_j|_1 |d|_inf + |H_j|_inf |d|_1), near 2^-66
-        of that norm at n = 200 (beta = 21); on rows and directions of one
-        scale it is below 2^-62 (|H||d|)_j. There is no other path; d must
-        be finite and H d must not overflow.
+        Under the Hessian metric it is one BLAS product of the (m n, n)
+        Hessian stack with d, so entry j is within about n eps64 (|H||d|)_j
+        of exact (Higham 2002, ch. 3).
         """
         if self.ell is not None:
-            return partial(np.multiply, np.longdouble(self.ell))
+            return partial(np.multiply, self.ell)
         m, n, _ = smooth_eval.hessians.shape
-        beta = (51 - (n - 1).bit_length()) // 2
         rows = smooth_eval.hessians.reshape(m * n, n)
-        head = np.abs(rows)  # |H|, then the head in the same buffer
-        _head(rows, np.frexp(head.max(axis=1, keepdims=True))[1], beta, out=head)
-        tail = rows - head
-
-        def product(dl):
-            d = dl.astype(float)
-            d1 = _head(d, math.frexp(np.abs(d).max())[1], beta)
-            p = np.array((d1, d - d1)) @ head.T
-            return (p[0].astype(np.longdouble) + (p[1] + tail @ d)).reshape(m, n)
-
-        return product
+        return lambda d: (rows @ d).reshape(m, n)
 
     def minimize(self, weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, d0=None):
         """Minimize the weighted model at fixed weights; (d, free, solve_free, passes).
@@ -179,21 +161,6 @@ class Metric:
         u = term.prox(x - v / self.ell, 1.0 / self.ell)
         a, b, _ = term.pieces(u)
         return u - x, a < b, lambda rhs: rhs / self.ell, 1
-
-
-def _head(a: np.ndarray, e, beta: int, out=None) -> np.ndarray:
-    """a rounded to the nearest multiple of 2^(e - beta), where 2^e > |a|.
-
-    e is an integer, or a column of them, one per row of a. The result,
-    written to out when given (an array of a's shape), has magnitude at
-    most 2^e, so it is an integer of at most beta + 1 bits in that unit,
-    and a - head is exact. Scaling by powers of two with ldexp,
-    rather than adding and subtracting 0.75 * 2^(e + 53 - beta), keeps rows
-    near the float64 maximum from overflowing.
-    """
-    head = np.ldexp(a, beta - e, out=out)
-    np.rint(head, out=head)
-    return np.ldexp(head, e - beta, out=head)
 
 
 def project_simplex(v) -> np.ndarray:
@@ -228,36 +195,41 @@ def project_simplex(v) -> np.ndarray:
 def model_values(d, smooth_eval: SmoothEval, term: NonsmoothTerm, x) -> np.ndarray:
     """Per-objective model values psi_i(d) at the base point x.
 
-    psi_i(d) = grad f_i' d + g(x + d) - g(x) + 0.5 d' H_i d, the float
-    rounding of the extended-precision values the direction solver takes
-    phi, the gap and theta from. Entries may be +inf when x + d leaves the
-    domain of an indicator term; x itself must lie inside it.
+    psi_i(d) = grad f_i' d + g(x + d) - g(x) + 0.5 d' H_i d, the float64
+    values the direction solver takes phi, the gap and theta from. Entries
+    may be +inf when x + d leaves the domain of an indicator term; x itself
+    must lie inside it.
     """
+    x = np.asarray(x, dtype=float)
     products = Metric.hessian().products(smooth_eval)
-    psi, _ = _model_values_hi(d, smooth_eval.gradients, products, term, x, _term_at(term, x))
-    return psi.astype(float)
+    psi, _ = _model_values_hi(np.asarray(d, dtype=float), smooth_eval.gradients, products,
+                              term, x, _term_at(term, x))
+    return psi
 
 
 def _term_at(term: NonsmoothTerm, x):
-    """g(x) in extended precision; raises InputError outside the term's domain."""
-    at_x = term.value(np.asarray(x, dtype=np.longdouble))
+    """g(x); raises InputError outside the term's domain."""
+    at_x = term.value(x)
     if not np.isfinite(at_x):
         raise InputError("base point lies outside the domain of the nonsmooth term")
     return at_x
 
 
+# perfbench's tracing times this function by its name, as
+# subproblem.certificate, and tests wrap it; so callers reach it through this
+# module-level name, and it returns a pair, the first item psi.
 def _model_values_hi(d, gradients, products, term: NonsmoothTerm, x, at_x):
-    """All m model values in extended precision, and the products H_i d.
+    """All m model values, with the products H_i d and g(x + d).
 
-    products is :meth:`Metric.products`, at_x is g(x) from :func:`_term_at`,
-    and gradients (m, n) and x are promoted to the precision of d. Returns
-    (psi, products(d)). The shift g(x + d) - g(x) is common to every
-    objective, because g is shared. Extended precision keeps duality gaps
-    near 1e-12 resolvable when the model values are large.
+    products is :meth:`Metric.products` and at_x is g(x) from
+    :func:`_term_at`. Returns (psi, (products(d), g(x + d))): with d and
+    the gradients these give the gap floor's scale S (:func:`solve_direction`)
+    without evaluating g again. The shift g(x + d) - g(x) is common to every
+    objective, because g is shared.
     """
-    dl = np.asarray(d, dtype=np.longdouble)
-    hd = products(dl)
-    return gradients @ dl + 0.5 * (hd @ dl) + (term.value(x + dl) - at_x), hd
+    hd = products(d)
+    at_u = term.value(x + d)
+    return gradients @ d + 0.5 * (hd @ d) + (at_u - at_x), (hd, at_u)
 
 
 def _cholesky(block: np.ndarray):
@@ -414,10 +386,11 @@ class _Snapshot:
     d: np.ndarray
     free: np.ndarray
     solve_free: Optional[Callable]
-    hd: np.ndarray  # H_i d in extended precision, as are psi, phi and gap
+    hd: np.ndarray  # H_i d, or ell d under ell I, for the Newton step
     psi: np.ndarray
-    phi: np.floating
-    gap: np.floating
+    phi: float
+    gap: float
+    tol: float  # max(tol_gap, the floor): gap <= tol certifies the snap
 
 
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
@@ -448,8 +421,12 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     best vertex instead. When it gives no ascent, it is retried from the
     snapshot with the smallest gap, and then a projected supergradient step
     with a warm-started step length is taken. Terminates at the first snap
-    whose gap certificate reaches tol_gap, whether its trial was accepted
-    or not; a rejected trial that certifies is neither halved nor retried.
+    whose gap certificate reaches max(tol_gap, GAP_FLOOR eps64 S), whether
+    its trial was accepted or not; a rejected trial that certifies is
+    neither halved nor retried. S = max_i(|grad f_i|'|d| + |H_i d|'|d| / 2)
+    + |g(x + d)| + |g(x)| is the sum of the magnitudes that the snap's model
+    values add up, and float64 resolves them, and the gap, only to a small
+    multiple of eps64 S (Higham 2002, ch. 3).
     Failing that, given eps, it stops once the current dual value
     phi >= -mu eps^2 / 2, mu the metric's modulus: every model is
     mu-strongly convex with value 0 at d = 0, so ||d*||^2 <= -2 phi / mu,
@@ -487,9 +464,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     # a dual value at or above stop_phi certifies ||d*|| <= eps
     stop_phi = math.inf if eps is None else -0.5 * metric.modulus(problem) * eps * eps
     term = problem.nonsmooth
-    x_hi = x.astype(np.longdouble)
-    at_x = _term_at(term, x_hi)
-    grads_hi = se.gradients.astype(np.longdouble)
+    at_x = _term_at(term, x)
     products = metric.products(se)
     counts = {"inner": 0, "dual": 0}
     best = None  # the snapshot with the smallest gap
@@ -501,18 +476,23 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         prev_d = d
         counts["inner"] += passes
         counts["dual"] += 1
-        psi, hd = _model_values_hi(d, grads_hi, products, term, x_hi, at_x)
+        psi, (hd, at_u) = _model_values_hi(d, se.gradients, products, term, x, at_x)
         phi = lam @ psi
+        gap, tol = psi.max() - phi, tol_gap
+        if gap > tol_gap:
+            # the floor: float64 resolves psi, and so the gap, to eps64 S
+            scale = ((np.abs(se.gradients) + 0.5 * np.abs(hd)) @ np.abs(d)).max()
+            tol = max(tol_gap, GAP_FLOOR * _EPS * (scale + abs(at_u) + abs(at_x)))
         here = _Snapshot(lam=lam, d=d, free=free, solve_free=solve_free, hd=hd, psi=psi,
-                         phi=phi, gap=psi.max() - phi)
-        if best is None or here.gap < best.gap:
+                         phi=phi, gap=gap, tol=tol)
+        # a certified snap is the last of the solve, so it stays best
+        if best is None or here.gap < best.gap or here.gap <= here.tol:
             best = here
         return here
 
     def finalize(s: _Snapshot, message: str = "") -> DirectionResult:
-        theta = float(s.psi.max())
+        theta, gap = s.psi.max(), s.gap
         d = s.d.copy()
-        gap = float(s.gap)
         if theta > 0.0 or message:
             # the exact optimum is nonpositive (d = 0 is feasible with value 0),
             # so a positive rounded value certifies criticality at precision;
@@ -524,7 +504,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
                                dual_history=tuple(history), message=message)
 
     cur = snap(weights)
-    history = [float(cur.phi)]
+    history = [cur.phi]
 
     def ascend(here: _Snapshot, propose: Callable, t: float, tries: int):
         """(snapshot or None, t): snap propose(t), halving t, until phi does not fall.
@@ -539,7 +519,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             cand = snap(lam)
             if cand.phi >= here.phi:
                 return cand, t
-            if best.gap <= tol_gap:
+            if best.gap <= best.tol:
                 return None, t
             t *= 0.5
         return None, t
@@ -565,11 +545,11 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             unit = np.zeros(m)
             unit[psi.argmax()] = 1.0
             return ascend(here, lambda t: unit, 1.0, 1)[0]
-        q = (grads_hi + here.hd)[support][:, free].astype(float)
+        q = (se.gradients + here.hd)[support][:, free]
         curv = q @ here.solve_free(q.T)
         curv = 0.5 * (curv + curv.T)
         h_red = curv[:-1, :-1] - curv[-1, :-1] - (curv[:-1, -1:] - curv[-1, -1])
-        g_red = (psi[support[:-1]] - psi[support[-1]]).astype(float)
+        g_red = psi[support[:-1]] - psi[support[-1]]
         try:
             du = np.linalg.solve(h_red, g_red)
         except np.linalg.LinAlgError:
@@ -587,7 +567,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             # the full step projected first: it drops every weight the step
             # carries out at once, where the cut-back drops one per snap
             nxt = ascend(here, lambda _: project_simplex(lam + move), 1.0, 1)[0]
-            if nxt is not None or best.gap <= tol_gap:
+            if nxt is not None or best.gap <= best.tol:
                 return nxt
 
         def clamped(t):
@@ -601,35 +581,34 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     s_prev = 1.0  # the last accepted supergradient step length
     retried = None
     for _ in range(MAX_DUAL_ITERS):
-        if best.gap <= tol_gap or cur.phi >= stop_phi:
+        if best.gap <= best.tol or cur.phi >= stop_phi:
             break
         nxt = newton_step(cur)
-        if nxt is None and best.gap <= tol_gap:
+        if nxt is None and best.gap <= best.tol:
             break  # a rejected trial certified the gap
         if nxt is None and best is not cur and best is not retried:
             # rounding can reject a trial that lowered the gap; retry from it
             retried = best
             newton_step(best)
-            if best.gap <= tol_gap:
+            if best.gap <= best.tol:
                 break
         if nxt is None:
             # safeguard: a projected supergradient step, warm-started
-            psi64 = cur.psi.astype(float)
-            nxt, s = ascend(cur, lambda s: project_simplex(cur.lam + s * psi64),
+            nxt, s = ascend(cur, lambda s: project_simplex(cur.lam + s * cur.psi),
                             min(1.0, 4.0 * s_prev), 60)
             if nxt is None:
                 break
             s_prev = s
         cur = nxt
-        history.append(float(cur.phi))
+        history.append(cur.phi)
 
-    if best.gap <= tol_gap:
+    if best.gap <= best.tol:
         return finalize(best)
     if cur.phi >= stop_phi:
-        return finalize(cur, f"certified critical by the dual bound: phi = {float(cur.phi):.3e}"
+        return finalize(cur, f"certified critical by the dual bound: phi = {cur.phi:.3e}"
                              f" >= {stop_phi:.3e} = -mu*eps^2/2, so ||d*|| <= eps")
     raise ConvergenceError(
-        f"direction subproblem stopped with duality gap {float(best.gap):.3e} "
-        f"above {tol_gap:.3e}",
-        residual=float(best.gap),
+        f"direction subproblem stopped with duality gap {best.gap:.3e} "
+        f"above {best.tol:.3e}",
+        residual=best.gap,
     )

@@ -6,6 +6,7 @@ differences) so they cannot share a bug with the library code they check.
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from moprox import (
     InstanceSpec,
@@ -105,6 +106,29 @@ def subdiff_residual(term: NonsmoothTerm, u, r) -> float:
     res[at_hi] = np.maximum(r[at_hi], 0.0)
     res[at_lo & at_hi] = 0.0
     return float(np.linalg.norm(res))
+
+
+def min_norm_residual(problem: ProblemInstance, x) -> float:
+    """Distance from 0 to conv{grad f_i(x)} + the term's subdifferential at x.
+
+    Relative to max_i ||grad f_i(x)||, for the zero and l1 terms. The
+    weights come from scipy's nnls on the coordinates where the term is
+    differentiable, with the simplex's sum as one heavily weighted row;
+    renormalized, they are a feasible point, so the residual there (by
+    subdiff_residual) bounds the distance from above.
+    """
+    x = np.asarray(x, dtype=float)
+    term = problem.nonsmooth
+    assert term.kind in (NonsmoothTerm.KIND_ZERO, NonsmoothTerm.KIND_L1)
+    grads = eval_smooth(problem, x).gradients
+    scale = np.linalg.norm(grads, axis=1).max()
+    smooth, slope = np.ones(x.size, dtype=bool), np.zeros(x.size)
+    if term.kind == NonsmoothTerm.KIND_L1:
+        smooth, slope = x != 0.0, term.rho * np.sign(x)
+    big = 1e3
+    a = np.vstack([grads[:, smooth].T / scale, np.full(problem.m, big)])
+    w = nnls(a, np.append(-slope[smooth] / scale, big))[0]
+    return subdiff_residual(term, x, (w / w.sum()) @ grads) / scale
 
 
 def simplex_projection_oracle(v):

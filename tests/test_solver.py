@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from moprox import (
 )
 from moprox.subproblem import DirectionResult, Metric, solve_direction
 from moprox.zoo import attach_nonsmooth, gen_quadratic, quadratic_objective
+
+from conftest import min_norm_residual
 
 
 def _single_quadratic(a=1.0, b=0.0):
@@ -550,6 +553,58 @@ class TestHardCells:
         assert len(tr.records) == 1 and tr.records[0].k == 0
 
 
+class TestGapFloor:
+    """Starts and objective scales where model values are too large for a
+    gap of tol_gap = 1e-12 to be resolved in float64: the gap is certified
+    at the floor GAP_FLOOR eps64 S instead, and the runs end critical."""
+
+    # (start base, cell index) of the 8,100-run A01 sweep, the 135 cells of
+    # test_a01_whole_grid_one_step_termination from starts PCG64(base +
+    # index) for base = 1000, 2000, ..., 60000, that ended
+    # subproblem_failure at k = 0 under a gap test of tol_gap alone; all
+    # have cond = 1e4
+    SWEEP_CELLS = [(2000, 35), (2000, 128), (10000, 116), (12000, 2), (14000, 11),
+                   (17000, 131), (21000, 107), (21000, 116), (28000, 83), (33000, 38),
+                   (34000, 56), (35000, 107), (36000, 101), (37000, 119), (40000, 101),
+                   (48000, 110), (56000, 110), (57000, 92)]
+
+    @pytest.mark.parametrize("base,index", SWEEP_CELLS)
+    def test_a01_sweep_cells_end_in_one_step(self, base, index):
+        cells = list(itertools.product(("zero", "l1", "box"), (2, 3, 4, 5, 8), (2, 10, 50),
+                                       (1.0, 1e2, 1e4)))
+        kind, m, n, cond = cells[index]
+        family = {"zero": "quadratic", "l1": "quadratic_l1", "box": "quadratic_box"}[kind]
+        spec = InstanceSpec(family=family, n=n, m=m, cond=cond,
+                            rho=0.1 if kind == "l1" else 0.0, seed=index)
+        rng = np.random.Generator(np.random.PCG64(base + index))
+        x0 = (rng.uniform(spec.lo, spec.hi, spec.n) if kind == "box"
+              else 2.0 * rng.standard_normal(spec.n))
+        tr = solve(generate_instance(spec), SolverConfig(eps=1e-9, tol_gap=1e-12), x0)
+        assert spec.cond == 1e4
+        assert tr.status is Status.CRITICAL_REACHED, tr.message
+        assert len(tr.records) == 2 and tr.records[0].step == 1.0
+
+    @pytest.mark.parametrize("term", ["zero", "l1"])
+    @pytest.mark.parametrize("m", [3, 8])
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_shifted_quadratics_end_critical(self, scale, m, term):
+        # shifts of scale 1e4 and 1e6 put gradients, and so model values,
+        # that far above 1; at the final point the min-norm element of the
+        # convex hull of the gradients plus the term's subdifferential is
+        # checked independently
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            shifts = scale * rng.standard_normal((m, 5))
+            x0 = rng.standard_normal(5)
+            prob = gen_quadratic(InstanceSpec("quadratic", n=5, m=m, cond=100, seed=seed),
+                                 shifts)
+            if term == "l1":
+                prob = attach_nonsmooth(prob, NonsmoothTerm.scaled_l1(1.0))
+            tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), x0)
+            assert tr.status is Status.CRITICAL_REACHED, (seed, tr.message)
+            assert min_norm_residual(prob, tr.final_x) <= 1e-9, seed
+
+
 class TestFailuresEndTheTrace:
     def test_indefinite_user_hessian(self):
         # f = (x1^2 - x2^2) / 2 breaks the mu > 0 promise; the first
@@ -567,17 +622,18 @@ class TestFailuresEndTheTrace:
 
     def test_shifts_of_scale_1e9_return_a_trace(self):
         # shifts of scale 1e9 put the supergradient step's proposals about
-        # 2^53 apart; project_simplex shifts them by their max, and the run
-        # ends on the dual loop's own failure
+        # 2^53 apart; project_simplex shifts them by their max, and the gap,
+        # certified at float64's resolution of model values near 1e18,
+        # lets the run end in one full step (quadratic termination)
         rng = np.random.default_rng(3)
         shifts = 1e9 * rng.standard_normal((3, 5))
         x0 = rng.standard_normal(5)
         spec = InstanceSpec("quadratic", n=5, m=3, cond=100, seed=3)
         prob = attach_nonsmooth(gen_quadratic(spec, shifts), NonsmoothTerm.scaled_l1(1.0))
         tr = solve(prob, SolverConfig(), x0)
-        assert tr.status is Status.SUBPROBLEM_FAILURE
-        assert tr.message.startswith("direction subproblem stopped with duality gap 1.550e+01")
-        assert len(tr.records) == 1
+        assert tr.status is Status.CRITICAL_REACHED, tr.message
+        assert len(tr.records) == 2
+        assert tr.records[0].step == 1.0
 
 
 class TestDualBoundStop:
@@ -640,8 +696,10 @@ class TestDualBoundStop:
         assert res.dual_iters > 1
 
     def test_bound_stops_the_dual_loop_early(self, monkeypatch):
-        # at the critical point no gap reaches 1e-300; given eps the dual
-        # loop stops on the bound instead of running until it stalls
+        # at the critical point no gap reaches 1e-300 with the gap floor
+        # off; given eps the dual loop stops on the bound instead of running
+        # until it stalls
+        monkeypatch.setattr(moprox.subproblem, "GAP_FLOOR", 0)
         prob, x0 = self._quadratic()
         x1 = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), x0).final_x
         res = solve_direction(prob, x1, tol_gap=1e-300, eps=1e-9)
