@@ -43,9 +43,12 @@ from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _
 
 _EPS = np.finfo(float).eps
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=float)
-# Passes of one inner active-set solve before it gives up: a guard against
-# cycling at degenerate ratio steps. The benchmark pools need at most 23.
+# Passes of one inner active-set solve before it gives up: a guard, as the
+# backup rule already ends the exchanges. The benchmark pools need at most 8.
 MAX_INNER_PASSES = 10000
+# Passes of block exchanges the inner solve allows without a new fewest count
+# of infeasible coordinates before it exchanges one coordinate a pass.
+BACKUP_PASSES = 3
 # Iterations of the dual loop before a direction solve gives up: a guard, as
 # the loop stops on a certificate. Tier-1 and the benchmark pools need at most 45.
 MAX_DUAL_ITERS = 500
@@ -244,40 +247,36 @@ def _cholesky(block: np.ndarray):
 def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, d0=None):
     """Minimize the weighted model sum_i w_i psi_i(d) for fixed weights, exactly.
 
-    A primal active-set loop on u = x + d, started from d = d0 (d = 0 when
-    d0 is None), with block moves in the manner of block principal pivoting
-    (Judice & Pires 1994; Kim & Park 2011). Each coordinate moves in a piece
-    [a, b] of g on which g is affine (:meth:`NonsmoothTerm.pieces`): a free
-    one in a piece with a < b, a held one in the single point a = b of a
-    kink or bound. The loop reads g only through the term's pieces, its
-    kink test and its value, so it runs the same code for every term. The
-    start gives the first split: each coordinate starts on the piece
-    x + d0 lies on, and a held one exactly at its kink or bound. One pass
-    solves the weighted Hessian's free block by Cholesky with the held
-    coordinates fixed.
+    Block principal pivoting on u = x + d (Judice & Pires 1994; Kim & Park
+    2011), started from d = d0 (d = 0 when d0 is None). Each coordinate
+    moves in a piece [a, b] of g on which g is affine
+    (:meth:`NonsmoothTerm.pieces`): a free one in a piece with a < b, a
+    held one in the single point a = b of a kink or bound. The loop reads g
+    only through the term's pieces and its kink test, so it runs the same
+    code for every term. The start gives the first split: each coordinate
+    starts on the piece x + d0 lies on, and a held one exactly at its kink
+    or bound.
 
-    Write q(d) = grad_w'd + d'H_w d/2 + g(x + d), the weighted model up to
-    a constant. If the free solve would carry free coordinates out of their
-    pieces, a ratio test stops the step where the first one leaves and holds
-    that one at the exact end it reached (x + (end - x) may round inside a
-    bound, so the end itself is kept as its piece). When two or more leave,
-    the solve with each of them clipped to the end it crossed is taken
-    instead, and all of them are held, if its q is no larger than q at the
-    ratio-test point. Otherwise the step is taken in full and every held
-    coordinate whose -r, with r = grad_w + H_w d its multiplier, lies
-    outside the subdifferential of g by more than a few ulps of |grad_w|,
-    |H_w||d| and g's slope on the piece entered (:meth:`NonsmoothTerm.kink`)
-    is released onto the piece a step along -r enters; with none left the
-    solve is exact. As a safeguard q must fall strictly from one such
-    releasing pass to the next; the first time it does not, the rest of the
-    solve holds only the first leaving coordinate and releases only the
-    most violated one. When no piece has a finite end, as for the zero
+    One pass solves the weighted Hessian's free block by Cholesky with the
+    held coordinates fixed, then counts the infeasible coordinates: the
+    free ones the solve carries out of their pieces, and the held ones
+    whose -r, with r = grad_w + H_w d their multiplier, lies outside the
+    subdifferential of g by more than a few ulps of |grad_w|, |H_w||d| and
+    g's slope on the piece entered (:meth:`NonsmoothTerm.kink`). With none
+    the solve is exact. Otherwise every infeasible coordinate is exchanged:
+    a leaving one is held at the exact end it crossed (x + (end - x) may
+    round past a bound, so the end itself is kept as its piece), and a
+    violating one is released onto the piece a step along -r enters. When
+    BACKUP_PASSES passes in a row bring no new fewest count of infeasible
+    coordinates, only the one of largest index is exchanged (Murty's rule)
+    until the count falls below that fewest; this backup rule is what
+    ends the exchanges. When no piece has a finite end, as for the zero
     term, nothing can leave a piece or be held: the first pass, the plain
-    Cholesky solve H_w d = -grad_w, returns without a ratio test. The
-    result is the last pass's solve with the held coordinates exactly at
-    their kinks or bounds, so two starts that end on the same free set
-    return the same bits; d0 changes only the number of passes, and a
-    start near the solution (the direction solver passes the previous
+    Cholesky solve H_w d = -grad_w, returns. The result is the last pass's
+    solve with the held coordinates exactly at their kinks or bounds, so it
+    depends only on the final free set, and two starts that end on the same
+    free set return the same bits; d0 changes only the number of passes,
+    and a start near the solution (the direction solver passes the previous
     snap's d) usually needs one or two.
 
     Returns (d, free, solve_free, passes) with free the mask of free
@@ -285,7 +284,8 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     factor, whose free set is that mask (None when nothing is free). Raises
     InputError if d0 is not a finite vector of x's shape,
     SingularMetricError if a free block is not positive definite and
-    ConvergenceError if MAX_INNER_PASSES passes do not certify optimality.
+    ConvergenceError if MAX_INNER_PASSES passes do not certify optimality,
+    with the last pass's count of infeasible coordinates as its residual.
     """
     lam = np.asarray(weights, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -302,7 +302,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         if d.shape != x.shape or not np.isfinite(d).all():
             raise InputError(f"d0 must be a finite vector of shape {x.shape}")
     a, b, slope = term.pieces(x + d)
-    c = v + slope  # linear coefficients of q on free coordinates
+    c = v + slope  # linear coefficients of the model on free coordinates
     if not (np.isfinite(a).any() or np.isfinite(b).any()):
         # a coordinate leaves its piece only through a finite end: with none
         # (the zero term) nothing is ever held, and the first solve is exact
@@ -310,73 +310,51 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         return solve(-c), a < b, solve, 1
     free = a < b
     d[~free] = a[~free] - x[~free]
-
-    def q(dq):
-        return v @ dq + 0.5 * (dq @ (M @ dq)) + term.value(x + dq)
-
-    reach = np.empty(x.shape)
-    block = True  # hold and release whole sets until q stops falling
-    q_last = np.inf  # q at the last releasing full-step pass
+    best, allowance = x.size + 1, BACKUP_PASSES  # Judice & Pires's backup rule
     for it in range(1, MAX_INNER_PASSES + 1):
-        held = (~free).nonzero()[0]
-        if held.size:
-            # integer-array blocks are the C-order copies np.ix_ makes; the
-            # F-order copies of chained boolean masks change the bits
-            solve, d_new = None, d.copy()
-            fi = free.nonzero()[0]
-            if fi.size:
-                solve = _cholesky(M[fi[:, None], fi])
-                d_new[fi] = solve(-c[fi] - M[fi[:, None], held] @ d[held])
-        else:
-            solve = _cholesky(M)
-            d_new = solve(-c)
-
-        # ratio test: the fraction of the step at which each coordinate
-        # leaves its piece (0 for one already outside it); held coordinates
-        # do not move, so p = 0 and they never leave
-        p = d_new - d
-        end = np.where(p < 0.0, a, b)  # the end of its piece each coordinate moves to
-        reach.fill(np.inf)
-        np.divide(end - (x + d), p, out=reach, where=p != 0.0)
-        np.maximum(reach, 0.0, out=reach)
-        leave = (reach < 1.0).nonzero()[0]
-        if leave.size:
-            j = int(reach.argmin())
-            hold = [j]
-            d = d + reach[j] * p
-            d[j] = end[j] - x[j]
-            if block and leave.size > 1:
-                d_new[leave] = end[leave] - x[leave]
-                if q(d_new) <= q(d):
-                    hold, d = leave, d_new
-            # held at the exact end: x + (end - x) may round inside a bound
-            free[hold] = False
-            a[hold] = b[hold] = end[hold]
-            continue
-        d = d_new
-
-        if not held.size:
-            return d, free, solve, it
+        # integer-array blocks are the C-order copies np.ix_ makes; the
+        # F-order copies of chained boolean masks change the bits
+        held, fi = (~free).nonzero()[0], free.nonzero()[0]
+        solve = None
+        if fi.size:
+            solve = _cholesky(M[fi[:, None], fi])
+            d[fi] = solve(-c[fi] - M[fi[:, None], held] @ d[held])
+        # free coordinates outside their pieces (a held one is not tested:
+        # x + (end - x) may round past its bound) and held coordinates whose
+        # -r, r = grad_w + H_w d its multiplier, lies outside the
+        # subdifferential of g by more than a few ulps
+        u = x[fi] + d[fi]
+        below = u < a[fi]
+        leave = (below | (u > b[fi])).nonzero()[0]
         v_held, M_held = v[held], M[held]
         r = v_held + M_held @ d
         viol, a_in, b_in, slope_in = term.kink(a[held], r, held)
         slack = 4.0 * _EPS * (np.abs(v_held) + np.abs(M_held) @ np.abs(d) + np.abs(slope_in))
         out = (viol > slack).nonzero()[0]
-        if not out.size:
+        infeasible = leave.size + out.size
+        if not infeasible:
             return d, free, solve, it
-        if block:
-            q_d = q(d)
-            block = q_d < q_last
-            q_last = q_d
-        if not block:
-            out = [int((viol - slack).argmax())]
+        if infeasible < best:
+            best, allowance = infeasible, BACKUP_PASSES
+        elif allowance:
+            allowance -= 1
+        else:  # Murty's rule: exchange only the largest infeasible index
+            last = max(fi[leave].max(initial=-1), held[out].max(initial=-1))
+            leave, out = leave[fi[leave] == last], out[held[out] == last]
+        # hold each leaver at the exact end it crossed, and release each
+        # violator onto the piece a step along -r enters
+        hold = fi[leave]
+        end = np.where(below[leave], a[hold], b[hold])
+        free[hold] = False
+        a[hold] = b[hold] = end
+        d[hold] = end - x[hold]
         release = held[out]
         free[release] = True
         a[release], b[release] = a_in[out], b_in[out]
         c[release] = v[release] + slope_in[out]
     raise ConvergenceError(
         f"inner active-set solve not certified after {MAX_INNER_PASSES} passes",
-        residual=float(np.linalg.norm(p)),
+        residual=float(infeasible),
     )
 
 

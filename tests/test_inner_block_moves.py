@@ -2,7 +2,8 @@
 
 inner_minimize holds every coordinate that leaves its piece, and releases
 every held coordinate whose multiplier breaks optimality, in one pass, and
-falls back to one coordinate at a time once the model value stops falling.
+falls back to one coordinate at a time once three passes bring no new
+fewest count of such coordinates (block principal pivoting's backup rule).
 Whatever path it takes, its answer must be certified exact.
 """
 
@@ -74,15 +75,18 @@ def test_cold_l1_snap_takes_few_passes(seed):
     assert passes <= 20
 
 
-@pytest.mark.parametrize("delta, passes_wanted", [(2.0 ** -10, 3), (2.0 ** -40, 4)])
-def test_safeguard_switches_to_one_release_per_pass(delta, passes_wanted):
+@pytest.mark.parametrize("delta, earlier_passes", [(2.0 ** -10, 3), (2.0 ** -40, 4)])
+def test_safeguard_switches_to_one_release_per_pass(delta, earlier_passes):
     # u = x + d starts at (1, 0, 0, 0): coordinate 0 free, 1-3 held at the
     # kink. Pass 1 releases coordinate 1, whose |r| exceeds rho by delta.
     # That moves d_1 by delta, which pushes |r_2| and |r_3| above rho, and
-    # q falls by delta^2 / 2. With delta = 2^-10 that fall shows, so pass 2
-    # releases 2 and 3 together and pass 3 is exact. With delta = 2^-40 it
-    # is below one ulp of q = -0.5, so q does not fall strictly: pass 2
-    # releases only coordinate 2, pass 3 coordinate 3, and pass 4 is exact.
+    # the model value falls by delta^2 / 2. The earlier loop demanded that
+    # fall from one releasing pass to the next, and with delta = 2^-40,
+    # below one ulp of the model value -0.5, its safeguard went to one
+    # release a pass: earlier_passes is what it took. Block exchanges read
+    # no model value: the violators count 1, 2, 0, and the one pass without
+    # a new fewest count is within the backup rule's allowance of three, so
+    # for either delta pass 2 releases 2 and 3 together and pass 3 is exact.
     M = np.eye(4)
     M[1, 2] = M[2, 1] = M[1, 3] = M[3, 1] = -0.5
     v = np.array([-2.0, -(1.0 + delta), -1.0, -1.0])
@@ -91,7 +95,7 @@ def test_safeguard_switches_to_one_release_per_pass(delta, passes_wanted):
     x = np.zeros(4)
     lam = np.array([1.0])
     d, free, _, passes = inner_minimize(lam, se, term, x, d0=np.array([1.0, 0.0, 0.0, 0.0]))
-    assert passes == passes_wanted
+    assert passes == 3 <= earlier_passes
     assert free.all()
     _check_certified(term, x, lam, se, d, free, passes)
     cold, cold_free, _, _ = inner_minimize(lam, se, term, x)
