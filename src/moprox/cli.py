@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -79,14 +80,6 @@ _STATUS_EXIT = {
     Status.MAX_ITERS: EXIT_MAX_ITERS,
     Status.SUBPROBLEM_FAILURE: EXIT_FAILURE,
 }
-
-CHECK_NAMES = (
-    "quadratic_termination",
-    "tau_bracket",
-    "order_fit",
-    "fundamental_ineq_quadratic",
-    "descent_bound",
-)
 
 _INSTANCE_KEYS = {f.name for f in dataclasses.fields(InstanceSpec)}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
@@ -289,7 +282,8 @@ def cmd_solve(cfg: dict, out_dir: Path, seed_override=None) -> int:
     return _STATUS_EXIT[trace.status]
 
 
-def _bench_cell(cfg: dict, spec: InstanceSpec, problem, x0, variant: str) -> dict:
+def _bench_cell(cfg: dict, spec: InstanceSpec, problem, x0, variant: str) -> tuple:
+    """(sort key, bench.csv row, exit code) of one solve of the sweep."""
     cell_cfg = build_solver_config(cfg, overrides={"variant": variant},
                                    default_ell=problem.lip_grad)
     start = time.perf_counter()
@@ -297,18 +291,10 @@ def _bench_cell(cfg: dict, spec: InstanceSpec, problem, x0, variant: str) -> dic
     wall_ms = 1000.0 * (time.perf_counter() - start)
     last_dir = next((r for r in reversed(trace.records)
                      if np.isfinite(r.direction_norm)), trace.records[-1])
-    return {
-        "family": spec.family,
-        "cond": spec.cond,
-        "seed": spec.seed,
-        "solver": variant,
-        "status": trace.status,
-        "iters": trace.steps_taken,
-        "snaps": trace.snaps,
-        "passes": trace.passes,
-        "final_dnorm": last_dir.direction_norm,
-        "wall_ms": wall_ms,
-    }
+    row = [spec.family, _fmt(spec.cond), spec.seed, variant, trace.status.value,
+           trace.steps_taken, trace.snaps, trace.passes, _fmt(last_dir.direction_norm),
+           _fmt(wall_ms)]
+    return (spec.family, spec.cond, spec.seed, variant), row, _STATUS_EXIT[trace.status]
 
 
 def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
@@ -328,30 +314,67 @@ def cmd_bench(cfg: dict, out_dir: Path, seed_override=None) -> int:
                  for cond in conds for seed in seeds]
     except ConfigError as exc:
         raise _within(exc, "run.sweep") from exc
-    rows = []
+    cells = []
     for spec in specs:
         problem = generate_instance(spec)
         x0 = derive_x0(cfg, spec)
-        for variant in (VARIANT_NEWTON, VARIANT_GRADIENT):
-            rows.append(_bench_cell(cfg, spec, problem, x0, variant))
-    rows.sort(key=lambda r: (r["family"], r["cond"], r["seed"], r["solver"]))
+        cells += [_bench_cell(cfg, spec, problem, x0, variant)
+                  for variant in (VARIANT_NEWTON, VARIANT_GRADIENT)]
+    cells.sort(key=lambda cell: cell[0])
     out_path = out_dir / cfg.get("run", {}).get("trace_csv", "bench.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "cond", "seed", "solver", "status", "iters", "snaps",
                          "passes", "final_dnorm", "wall_ms"])
-        for row in rows:
-            writer.writerow([row["family"], _fmt(row["cond"]), str(row["seed"]),
-                             row["solver"], row["status"].value, str(row["iters"]),
-                             str(row["snaps"]), str(row["passes"]),
-                             _fmt(row["final_dnorm"]), _fmt(row["wall_ms"])])
-    print(f"bench cells={len(rows)} table={out_path}")
+        writer.writerows(row for _, row, _ in cells)
+    print(f"bench cells={len(cells)} table={out_path}")
     # the worst cell decides: any failure beats any iteration cap
-    return max(_STATUS_EXIT[row["status"]] for row in rows)
+    return max(code for _, _, code in cells)
+
+
+def _termination(ctx) -> list:
+    rng = np.random.Generator(np.random.PCG64(ctx.spec.seed + 2000))
+    batch = [_into_box(2.0 * rng.standard_normal(ctx.spec.n), ctx.spec) for _ in range(10)]
+    return [check_quadratic_termination(ctx.problem, ctx.solver_cfg, batch)]
+
+
+def _order_fit(ctx) -> list:
+    """Pass at a fitted order q >= 1.5; errors under 1e-13 (1 + ||x*||) are noise."""
+    ref = ctx.reference()
+    floor = 1e-13 * (1.0 + float(np.linalg.norm(ref)))
+    q, c_fit = estimate_order(iterate_errors(ctx.run(), ref), noise_floor=floor)
+    return [Verdict(name="order_fit", passed=q >= 1.5, margin=q - 1.5,
+                    detail=f"q={q:.3f} constant={c_fit:.3e}")]
+
+
+def _fundamental_ineq(ctx) -> list:
+    trace = ctx.run()
+    rng = np.random.Generator(np.random.PCG64(ctx.spec.seed + 3000))
+    center = trace.final_x if np.all(np.isfinite(trace.final_x)) else np.zeros(ctx.problem.n)
+    probes = center + rng.standard_normal((20, ctx.problem.n))
+    return [check_fundamental_inequality_quadratic(trace, ctx.problem, probes)]
+
+
+# Each check by name: the function of the check context that returns its
+# verdicts, and the exceptions it reports as one failing verdict of its name.
+_CHECKS = {
+    "quadratic_termination": (_termination, ()),
+    "tau_bracket": (lambda ctx: tau_check(ctx.run(), ctx.reference(), ctx.problem.mu,
+                                          (1.0 - SIGMA) * ctx.problem.mu),
+                    (ConvergenceError,)),
+    "order_fit": (_order_fit, (InsufficientDataError, ConvergenceError)),
+    "fundamental_ineq_quadratic": (_fundamental_ineq, ()),
+    "descent_bound": (lambda ctx: [check_descent_bound(ctx.run(), ctx.problem.mu)], ()),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(cfg: dict, seed_override=None) -> list:
-    """Run the named diagnostic checks and return their verdicts."""
+    """Run the named diagnostic checks and return their verdicts.
+
+    The checks share one solve from the configured start and, for those
+    that need it, one refined reference point of that run.
+    """
     names = cfg.get("checks", {}).get("names")
     if not names:
         raise ConfigError("missing required key checks.names")
@@ -364,61 +387,28 @@ def run_checks(cfg: dict, seed_override=None) -> list:
     spec = build_instance_spec(cfg, seed_override)
     problem = generate_instance(spec)
     solver_cfg = build_solver_config(cfg, default_ell=problem.lip_grad)
+
+    @functools.cache
+    def run() -> SolveTrace:
+        return solve(problem, solver_cfg, derive_x0(cfg, spec))
+
+    @functools.cache
+    def reference() -> np.ndarray:
+        if run().status is not Status.CRITICAL_REACHED:
+            raise ConvergenceError(
+                f"check needs a converged run, got status {run().status.value}")
+        return refine_reference(problem, run().final_x, eps=min(1e-13, solver_cfg.eps))
+
+    context = SimpleNamespace(spec=spec, problem=problem, solver_cfg=solver_cfg, run=run,
+                              reference=reference)
     verdicts = []
-
-    trace = None
-    x_star = None
-
-    def shared_trace() -> SolveTrace:
-        nonlocal trace
-        if trace is None:
-            trace = solve(problem, solver_cfg, derive_x0(cfg, spec))
-        return trace
-
-    def shared_reference() -> np.ndarray:
-        nonlocal x_star
-        tr = shared_trace()
-        if x_star is None:
-            if tr.status is not Status.CRITICAL_REACHED:
-                raise ConvergenceError(
-                    f"check needs a converged run, got status {tr.status.value}")
-            x_star = refine_reference(problem, tr.final_x,
-                                      eps=min(1e-13, solver_cfg.eps))
-        return x_star
-
     for name in names:
-        if name == "quadratic_termination":
-            rng = np.random.Generator(np.random.PCG64(spec.seed + 2000))
-            batch = [_into_box(2.0 * rng.standard_normal(spec.n), spec) for _ in range(10)]
-            verdicts.append(check_quadratic_termination(problem, solver_cfg, batch))
-        elif name == "descent_bound":
-            verdicts.append(check_descent_bound(shared_trace(), problem.mu))
-        elif name == "order_fit":
-            try:
-                ref = shared_reference()
-                errors = iterate_errors(shared_trace(), ref)
-                floor = 1e-13 * (1.0 + float(np.linalg.norm(ref)))
-                q, c_fit = estimate_order(errors, noise_floor=floor)
-                verdicts.append(Verdict(
-                    name="order_fit", passed=q >= 1.5, margin=q - 1.5,
-                    detail=f"q={q:.3f} constant={c_fit:.3e}"))
-            except (InsufficientDataError, ConvergenceError) as exc:
-                verdicts.append(Verdict(name="order_fit", passed=False,
-                                        margin=float("-inf"), detail=str(exc)))
-        elif name == "tau_bracket":
-            try:
-                ref = shared_reference()
-                eps = (1.0 - SIGMA) * problem.mu
-                verdicts.extend(tau_check(shared_trace(), ref, problem.mu, eps))
-            except ConvergenceError as exc:
-                verdicts.append(Verdict(name="tau_bracket", passed=False,
-                                        margin=float("-inf"), detail=str(exc)))
-        elif name == "fundamental_ineq_quadratic":
-            tr = shared_trace()
-            rng = np.random.Generator(np.random.PCG64(spec.seed + 3000))
-            center = tr.final_x if np.all(np.isfinite(tr.final_x)) else np.zeros(problem.n)
-            probes = center + rng.standard_normal((20, problem.n))
-            verdicts.append(check_fundamental_inequality_quadratic(tr, problem, probes))
+        check, reported = _CHECKS[name]
+        try:
+            verdicts += check(context)
+        except reported as exc:
+            verdicts.append(Verdict(name=name, passed=False, margin=float("-inf"),
+                                    detail=str(exc)))
     return verdicts
 
 

@@ -2,6 +2,10 @@
 
 import numbers
 
+__all__ = ["MoproxError", "ConfigError", "InputError", "EvaluationError",
+           "SingularMetricError", "ConvergenceError", "LineSearchError",
+           "InsufficientDataError"]
+
 
 class MoproxError(Exception):
     """Base class for all package-specific errors."""

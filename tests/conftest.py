@@ -4,11 +4,20 @@ The oracles here are deliberately naive (enumeration, dense grids, finite
 differences) so they cannot share a bug with the library code they check.
 """
 
-import numpy as np
-import pytest
-from scipy.optimize import nnls
+import os
 
-from moprox import (
+from trace_digest import BLAS_THREAD_VARS
+
+# One BLAS thread, as CI and perfbench run; it takes effect only when set
+# before numpy is first imported, which the imports below do.
+for var in BLAS_THREAD_VARS:
+    os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy.optimize import nnls  # noqa: E402
+
+from moprox import (  # noqa: E402
     InstanceSpec,
     NonsmoothTerm,
     ProblemInstance,

@@ -1,14 +1,8 @@
 """tools/bench_pairs.py's summary, on canned benchmark results; no benchmark runs."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+import bench_pairs
 
 END_TO_END = [{"name": "solved_per_s", "better": "higher"},
               {"name": "solve_s_p50", "better": "lower"}]

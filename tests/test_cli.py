@@ -469,6 +469,24 @@ class TestCheckVerb:
                 "of magnitude\n") in report
         assert "FAIL" not in report
 
+    def test_all_checks_share_one_solve_and_one_reference(self, tmp_path, monkeypatch):
+        calls = {"solve": 0, "refine_reference": 0}
+
+        def counted(name):
+            real = getattr(moprox.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(moprox.cli, name, counted(name))
+        verdicts = moprox.cli.run_checks(self._check_config(list(moprox.cli.CHECK_NAMES)))
+        assert calls == {"solve": 1, "refine_reference": 1}
+        assert {v.name for v in verdicts} >= {"quadratic_termination", "order_fit",
+                                              "fundamental_ineq_quadratic", "descent_bound"}
+
     def test_unknown_check_name_rejected(self, tmp_path, capsys):
         cfg = self._check_config(["spectral_gap"])
         cfg_path = _write_config(tmp_path / "cfg.json", cfg)

@@ -1,18 +1,11 @@
 """tools/trace_digest.py's --against comparison, on canned digest lines, and its
 A01 grid's runs; nothing is solved."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 import moprox.solver
 import moprox.zoo
-
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
-_spec = importlib.util.spec_from_file_location("trace_digest", _PATH)
-trace_digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(trace_digest)
+import trace_digest
 
 PARENT = """\
 grad_smooth: jobs=24 critical_reached=24 records=2968 snaps=4885 passes=4885 sha1=0258bf8a

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from gitrev import ROOT, checkout
+
 BENCHMARK = "BENCHMARK.json"
 BENCH_DIR = "perfbench"
 SIDES = ("parent", "change")
@@ -97,11 +96,6 @@ def format_rows(rows: list) -> list:
                      f"{r['wins']:>3}/{r['ties']}/{r['losses']:<6}  "
                      f"{'yes' if r['gain'] else 'no'}")
     return lines
-
-
-def _git(*args, cwd=ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
-                          text=True).stdout.strip()
 
 
 def benchmark_files(root: Path) -> dict:
@@ -178,36 +172,21 @@ def main(argv=None) -> int:
         print(f"bench_pairs: unknown workload {args.workload!r}", file=sys.stderr)
         return 2
     try:
-        rev = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+        with checkout(args.parent) as (rev, parent_dir):
+            changed = differing(benchmark_files(parent_dir), benchmark_files(ROOT))
+            if changed:
+                print(f"bench_pairs: the benchmark differs from {rev[:12]}, refusing to "
+                      f"compare: {', '.join(changed)}", file=sys.stderr)
+                return 2
+            print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seed "
+                  f"{args.seed}; parent {rev[:12]} against {ROOT}", flush=True)
+            pairs = compare(parent_dir, bench["command"], bench["end_to_end"], args)
     except subprocess.CalledProcessError as exc:
         print(f"bench_pairs: git: {exc.stderr.strip()}", file=sys.stderr)
         return 2
-    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    parent_dir = tmp / "parent"
-    try:
-        try:
-            _git("worktree", "add", "--detach", str(parent_dir), rev)
-        except subprocess.CalledProcessError as exc:
-            print(f"bench_pairs: git: {exc.stderr.strip()}", file=sys.stderr)
-            return 2
-        changed = differing(benchmark_files(parent_dir), benchmark_files(ROOT))
-        if changed:
-            print(f"bench_pairs: the benchmark differs from {rev[:12]}, refusing to "
-                  f"compare: {', '.join(changed)}", file=sys.stderr)
-            return 2
-        print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seed "
-              f"{args.seed}; parent {rev[:12]} against {ROOT}", flush=True)
-        try:
-            pairs = compare(parent_dir, bench["command"], bench["end_to_end"], args)
-        except RunFailed as exc:
-            print(f"bench_pairs: a run failed: {exc}", file=sys.stderr)
-            return 1
-    finally:
-        if parent_dir.exists():
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
-                           cwd=ROOT, capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    except RunFailed as exc:
+        print(f"bench_pairs: a run failed: {exc}", file=sys.stderr)
+        return 1
     for line in format_rows(summarize(bench["end_to_end"], pairs)):
         print(line)
     return 0

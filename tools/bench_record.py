@@ -24,19 +24,14 @@ import json
 import re
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from gitrev import ROOT, git
+
 SEED = 1  # the order seed of every run, as in the CI smoke step
 RUNS = (("end_to_end", ["--seconds", "40", "--trace", "0"]),
         ("per_layer", ["--seconds", "1", "--trace", "1"]))
 CALIB = re.compile(r"host\.calib_s start=(\S+) end=(\S+)")
 PROBE = re.compile(r"host probe median (\S+) s")
-
-
-def _git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
 
 
 def run_one(command: list, workload: str, extra: list) -> dict:
@@ -70,8 +65,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write, relative to the root")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    record = {"commit": _git("rev-parse", "HEAD"),
-              "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+    record = {"commit": git("rev-parse", "HEAD"),
+              "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
               "command": bench["command"], "workloads": {}}
     ok = True
     for workload in (w["name"] for w in bench["workloads"]):

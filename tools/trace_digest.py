@@ -39,14 +39,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from gitrev import ROOT, checkout
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                     "NUMEXPR_NUM_THREADS")
@@ -162,30 +161,15 @@ def _run_digest(root: Path) -> str:
 
 def against(rev: str) -> int:
     """Digest REV, checked out in a temporary worktree, and this checkout; compare."""
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                              text=True).stdout.strip()
-
-    tmp = Path(tempfile.mkdtemp(prefix="trace_digest-"))
-    other = tmp / "against"
     try:
-        try:
-            full = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-            git("worktree", "add", "--detach", str(other), full)
-        except subprocess.CalledProcessError as exc:
-            print(f"trace_digest: git: {exc.stderr.strip()}", file=sys.stderr)
-            return 2
-        try:
+        with checkout(rev) as (full, other):
             texts = [_run_digest(other), _run_digest(ROOT)]
-        except RuntimeError as exc:
-            print(f"trace_digest: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if other.exists():
-            subprocess.run(["git", "worktree", "remove", "--force", str(other)],
-                           cwd=ROOT, capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    except subprocess.CalledProcessError as exc:
+        print(f"trace_digest: git: {exc.stderr.strip()}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        print(f"trace_digest: {exc}", file=sys.stderr)
+        return 2
     lines, code = compare(*map(parse_lines, texts), label=full[:12])
     print("\n".join(lines))
     return code
