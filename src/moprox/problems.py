@@ -19,9 +19,13 @@ x, hessians -> (values (m,), gradients (m, n), Hessians (m, n, n) or None).
 An instance whose objectives are the rows of one stacked oracle, in order,
 sweeps by one call to it; any other sweeps by a loop that calls each
 objective's oracle once and checks its shapes. The sweep checks the stacked
-shapes and symmetrizes the Hessians once, so all downstream linear algebra
-may assume exact symmetry; one finiteness check on the stacked arrays names
-the first non-finite objective. Hessians are asked for only when a caller
+shapes and hands on a Hessian stack that is exactly symmetric: a float64,
+C-contiguous stack whose every matrix equals its transpose passes through
+uncopied, and any other is symmetrized once into a new buffer. Either way
+the Hessians it hands on are read-only, so no reader can write into an array
+an oracle returns again, and all downstream linear algebra may assume exact
+symmetry. One finiteness check on the stacked arrays names the first
+non-finite objective. Hessians are asked for only when a caller
 needs them (the proximal Newton-type metric); without them, only values and
 gradients are stacked and checked. Extended-real arithmetic is explicit:
 nonsmooth values may be +inf, and descent tests elsewhere treat any
@@ -68,9 +72,10 @@ class SmoothObjective:
     fn : callable
         Maps a point ``x`` of shape (n,) to a tuple ``(value, gradient, hessian)``
         with shapes (), (n,), (n, n). The oracle must be deterministic. The
-        returned Hessian need not be exactly symmetric; it is symmetrized by
-        the sweep, which :meth:`evaluate` runs over this one oracle without a
-        finiteness check.
+        returned Hessian need not be exactly symmetric: the sweep, which
+        :meth:`evaluate` runs over this one oracle without a finiteness
+        check, passes an exactly symmetric one through and symmetrizes any
+        other once. :meth:`evaluate` returns it read-only.
     stack : tuple, optional
         ``(oracle, i, m)`` when fn gives row i of the m rows of a stacked
         oracle (module docstring); an instance whose objectives are rows 0
@@ -235,7 +240,8 @@ class SmoothEval:
     """Stacked smooth-oracle output at one point.
 
     values (m,), gradients (m, n), and hessians (m, n, n), or None when the
-    sweep did not ask for them.
+    sweep did not ask for them. The Hessians are exactly symmetric and
+    read-only; they may share memory with an array the oracle returns.
     """
 
     values: np.ndarray
@@ -324,9 +330,15 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     """One call of the stacked oracle at x, shape-checked; Hessians when asked for.
 
     Raises EvaluationError unless the values are (m,), the gradients (m, n)
-    and, when asked for, the Hessians (m, n, n). The Hessian stack is
-    symmetrized once, elementwise as 0.5 * (h + h') per objective.
-    Finiteness is not checked here; see _check_finite.
+    and, when asked for, the Hessians (m, n, n). The Hessians come back
+    exactly symmetric and read-only. A float64, C-contiguous stack whose
+    every matrix equals its transpose is passed through as a view, with no
+    copy: the oracle's array (the quadratic family's A, which it returns
+    again) stays writeable and unchanged. The matrices are compared one by
+    one, so an asymmetric stack stops at its first, and a nan entry fails
+    the comparison. Any other stack is symmetrized once into a new C-order
+    buffer, elementwise as 0.5 * (h + h') per objective. Finiteness is not
+    checked here; see _check_finite.
     """
     n = x.shape[0]
     values, grads, hesses = oracle(x, hessians)
@@ -334,13 +346,16 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     if shapes != ((m,), (m, n), (m, n, n) if hessians else ()):
         raise EvaluationError(f"stacked oracle returned values, gradients, hessians of "
                               f"shapes {shapes} for m={m}, n={n}")
-    if hessians:
-        # symmetrize at the boundary, into a new buffer: the oracle may
-        # return an array it returns again (the quadratic family's A);
-        # callers rely on exact symmetry
-        hesses = np.add(hesses, hesses.transpose(0, 2, 1), dtype=float)
+    if not hessians:
+        return SmoothEval(values=values, gradients=grads, hessians=None)
+    if (hesses.dtype == np.float64 and hesses.flags.c_contiguous
+            and all((h == h.T).all() for h in hesses)):
+        hesses = hesses.view()
+    else:
+        hesses = np.add(hesses, hesses.transpose(0, 2, 1), dtype=float, order="C")
         hesses *= 0.5
-    return SmoothEval(values=values, gradients=grads, hessians=hesses if hessians else None)
+    hesses.flags.writeable = False
+    return SmoothEval(values=values, gradients=grads, hessians=hesses)
 
 
 def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
@@ -365,6 +380,9 @@ def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
 
 def eval_smooth(problem: ProblemInstance, x, hessians: bool = True) -> SmoothEval:
     """Evaluate all smooth oracles at x; Hessians, if asked for, come back exactly symmetric.
+
+    The Hessians are read-only, and an exactly symmetric stack shares the
+    oracle's memory (:func:`_sweep`).
 
     Raises EvaluationError (with the objective index) if any oracle returns a
     non-finite value, gradient, or Hessian.

@@ -201,13 +201,34 @@ def model_values(d, smooth_eval: SmoothEval, term: NonsmoothTerm, x) -> np.ndarr
     psi_i(d) = grad f_i' d + g(x + d) - g(x) + 0.5 d' H_i d, the float64
     values the direction solver takes phi, the gap and theta from. Entries
     may be +inf when x + d leaves the domain of an indicator term; x itself
-    must lie inside it.
+    must lie inside it. Raises InputError unless smooth_eval has Hessians
+    and its shapes fit x.
     """
     x = np.asarray(x, dtype=float)
+    smooth_eval = _fitting(smooth_eval, np.size(smooth_eval.values), x.size, True)
     products = Metric.hessian().products(smooth_eval)
     psi, _ = _model_values_hi(np.asarray(d, dtype=float), smooth_eval.gradients, products,
                               term, x, _term_at(term, x))
     return psi
+
+
+def _fitting(se: SmoothEval, m: int, n: int, hessians: bool) -> SmoothEval:
+    """se, or InputError naming where it does not fit m objectives on R^n.
+
+    se's values must be (m,) and its gradients (m, n); when hessians is true
+    its Hessians must be (m, n, n), and not None.
+    """
+    if hessians and se.hessians is None:
+        raise InputError("smooth_eval has no Hessians, which the Hessian metric reads; "
+                         "evaluate it with hessians=True")
+    parts = [("values", se.values, (m,)), ("gradients", se.gradients, (m, n))]
+    if hessians:
+        parts.append(("hessians", se.hessians, (m, n, n)))
+    for name, array, shape in parts:
+        if np.shape(array) != shape:
+            raise InputError(f"smooth_eval {name} have shape {np.shape(array)}, "
+                             f"expected {shape} for m={m}, n={n}")
+    return se
 
 
 def _term_at(term: NonsmoothTerm, x):
@@ -291,10 +312,9 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     x = np.asarray(x, dtype=float)
     v = lam @ smooth_eval.gradients
     # the one BLAS call np.tensordot(lam, hessians, axes=1) makes, without
-    # its wrapper; symmetrized into the one temporary
+    # its wrapper; exactly symmetric, as the sweep's stack is, with no second
+    # symmetrization (tests/test_snap_bits.py pins it on every factored block)
     M = np.dot(lam[None], smooth_eval.hessians.reshape(lam.size, -1)).reshape(x.size, -1)
-    M = M + M.T
-    M *= 0.5
     if d0 is None:
         d = np.zeros_like(x)
     else:
@@ -419,8 +439,9 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     critical point produces a positive model optimum, the zero direction
     (feasible, value zero) is returned instead. Raises InputError unless
     weights is None or an m-vector on the unit simplex: finite, nonnegative
-    and summing to 1 within 4 m machine epsilons, and unless eps is None or
-    finite and > 0.
+    and summing to 1 within 4 m machine epsilons, unless eps is None or
+    finite and > 0, and unless a given smooth_eval fits the problem: values
+    (m,), gradients (m, n) and, under the Hessian metric, Hessians (m, n, n).
     """
     x = _as_point(x, problem.n)
     tol_gap = float(tol_gap)
@@ -437,8 +458,9 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
                 or (weights < 0.0).any() or abs(weights.sum() - 1.0) > 4 * m * _EPS):
             raise InputError(f"weights must be {m} finite nonnegative numbers "
                              f"summing to 1, got {weights!r}")
-    se = eval_smooth(problem, x) if smooth_eval is None else smooth_eval
     metric = Metric.hessian() if metric is None else metric
+    se = (eval_smooth(problem, x) if smooth_eval is None
+          else _fitting(smooth_eval, m, problem.n, metric.ell is None))
     # a dual value at or above stop_phi certifies ||d*|| <= eps
     stop_phi = math.inf if eps is None else -0.5 * metric.modulus(problem) * eps * eps
     term = problem.nonsmooth

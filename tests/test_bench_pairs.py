@@ -1,4 +1,7 @@
-"""tools/bench_pairs.py's summary, on canned benchmark results; no benchmark runs."""
+"""tools/bench_pairs.py's summary and fault count, on canned benchmark results and a
+stand-in run; no benchmark runs."""
+
+import sys
 
 import pytest
 
@@ -108,3 +111,34 @@ def test_benchmark_files_that_differ_are_named(tmp_path):
     assert bench_pairs.differing(bench_pairs.benchmark_files(a),
                                  bench_pairs.benchmark_files(b)) == [
         "BENCHMARK.json", "perfbench/extra.py", "perfbench/run.py"]
+
+
+FIRST_LINE = ("solved_per_s=89.66 1/s (320 solved / 3.569 job s) | solve_s_p50=0.0097 s "
+              "(n=320) | solve_s_tail=0.031 s (p90.62, n=320) | fail_frac=0 (0/320) | "
+              "setup_s=0.29 s (median of 3, 32 instances each) | passes=10")
+
+
+def test_faults_per_pass_divides_by_the_first_lines_pass_count():
+    assert bench_pairs.faults_per_pass(FIRST_LINE, 52840) == 5284.0
+    for line in ("solved_per_s=1 1/s", FIRST_LINE.replace("passes=10", "passes=0")):
+        with pytest.raises(bench_pairs.RunFailed, match="no passes= count"):
+            bench_pairs.faults_per_pass(line, 100)
+
+
+def test_fault_line_gives_each_sides_median():
+    pairs = _pairs([(25.0, 0.03)] * 3, [(26.0, 0.03)] * 3)
+    for pair, (parent, change) in zip(pairs, [(5184, 281), (5300, 250), (5000, 300)]):
+        pair["parent"][bench_pairs.FAULTS] = parent
+        pair["change"][bench_pairs.FAULTS] = change
+    assert bench_pairs.fault_line(pairs) == ("whole-run minor faults per pass (not a gain "
+                                             "row): parent median 5184, change median 281")
+
+
+def test_run_once_adds_the_runs_minor_faults_per_pass(tmp_path):
+    # a stand-in benchmark that prints a first line and a result line
+    script = (f"import json; print({FIRST_LINE!r}); "
+              f"print(json.dumps({_result(30.0, 0.03)!r}))")
+    result = bench_pairs.run_once([sys.executable, "-c", script], tmp_path, [])
+    assert result["metrics"]["solved_per_s"]["value"] == 30.0
+    # a Python start-up alone faults in thousands of pages
+    assert result[bench_pairs.FAULTS] > 0

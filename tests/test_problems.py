@@ -5,11 +5,13 @@ from moprox import (
     ConfigError,
     EvaluationError,
     InputError,
+    InstanceSpec,
     NonsmoothTerm,
     ProblemInstance,
     SmoothObjective,
     eval_full,
     eval_smooth,
+    generate_instance,
 )
 from moprox.zoo import logsumexp_objective, quadratic_objective
 
@@ -382,3 +384,80 @@ class TestProblemInstance:
             eval_full(prob, np.array([np.nan, 0.0, 0.0]))
         with pytest.raises(InputError):
             eval_full(prob, np.zeros((3, 1)))
+
+
+def _stacked(hesses):
+    """An instance whose objectives are the rows of one stacked oracle returning hesses."""
+    m, n, _ = hesses.shape
+
+    def oracle(x, hessians):
+        return np.zeros(m), np.zeros((m, n)), hesses if hessians else None
+
+    smooth = tuple(SmoothObjective(fn=lambda x, i=i: tuple(out[i] for out in oracle(x, True)),
+                                   stack=(oracle, i, m)) for i in range(m))
+    prob = ProblemInstance(n=n, m=m, smooth=smooth, nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+    assert prob.oracle is oracle  # one call per sweep
+    return prob
+
+
+def _symmetric_stack(m=3, n=4):
+    h = RNG.standard_normal((m, n, n))
+    return h + h.transpose(0, 2, 1)
+
+
+class TestSweepContract:
+    """An exactly symmetric float64 C-order stack passes through; any other is copied."""
+
+    def test_symmetric_stack_passes_through_read_only(self):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=5, m=3, cond=10.0))
+        x = RNG.standard_normal(5)
+        A = prob.oracle(x, True)[2]
+        before = A.copy()
+        assert prob.oracle(2.0 * x, True)[2] is A
+        assert all(np.array_equal(h, h.T) for h in A)
+        keep = []
+        eval_full(prob, x, keep)
+        for hesses in (eval_smooth(prob, x).hessians, keep[0].hessians):
+            assert np.shares_memory(hesses, A)
+            assert not hesses.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                hesses[0, 0, 0] = 0.0
+        assert not prob.smooth[0].evaluate(x)[2].flags.writeable
+        assert A.flags.writeable
+        assert A.tobytes() == before.tobytes()
+
+    def test_asymmetric_stack_is_symmetrized_into_a_new_buffer(self):
+        h = RNG.standard_normal((3, 4, 4))
+        before = h.copy()
+        se = eval_smooth(_stacked(h), np.zeros(4))
+        assert not np.shares_memory(se.hessians, h)
+        assert not se.hessians.flags.writeable
+        assert se.hessians.tobytes() == (0.5 * (before + before.transpose(0, 2, 1))).tobytes()
+        assert h.tobytes() == before.tobytes()
+
+    def test_symmetric_stack_not_in_c_order_is_copied(self):
+        h = np.asfortranarray(_symmetric_stack())
+        assert not h.flags.c_contiguous
+        se = eval_smooth(_stacked(h), np.zeros(4))
+        assert not np.shares_memory(se.hessians, h)
+        assert se.hessians.flags.c_contiguous and not se.hessians.flags.writeable
+        assert np.array_equal(se.hessians, h)
+
+    @pytest.mark.parametrize("index, entry", [(1, np.nan), (2, np.inf), (0, -np.inf)])
+    def test_nonfinite_symmetric_stack_names_the_objective(self, index, entry):
+        # placed symmetrically: an inf stack still equals its transpose and
+        # passes through, a nan one does not; both fail the finiteness check
+        h = _symmetric_stack()
+        h[index, 0, 1] = h[index, 1, 0] = entry
+        with pytest.raises(EvaluationError) as exc:
+            eval_smooth(_stacked(h), np.zeros(4))
+        assert exc.value.objective_index == index
+        assert str(exc.value) == f"smooth objective {index} returned non-finite output"
+
+    def test_symmetric_entry_near_the_float_limit_stays_finite(self):
+        # 0.5 * (h + h') would overflow h + h' to inf and reject a finite oracle
+        h = np.tile(np.eye(2), (2, 1, 1))
+        h[1, 0, 1] = h[1, 1, 0] = 1.5e308
+        se = eval_smooth(_stacked(h), np.zeros(2))
+        assert np.isfinite(se.hessians).all()
+        assert se.hessians[1, 0, 1] == 1.5e308

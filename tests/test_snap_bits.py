@@ -215,7 +215,8 @@ def test_products_and_symmetrization_match_the_earlier_formulas(family, m, n):
         raw = prob.oracle(x, True)[2]
         before = raw.copy()
         se = eval_smooth(prob, x)
-        # the sweep symmetrizes into a new buffer: the quadratic oracle
+        # the sweep passes an exactly symmetric stack through read-only and
+        # symmetrizes any other into a new buffer: the quadratic oracle
         # returns its A itself, which must not change
         assert _bits(prob.oracle(x, True)[2]) == _bits(before)
         assert _bits(se.hessians) == _bits(0.5 * (before + before.transpose(0, 2, 1)))
@@ -224,3 +225,35 @@ def test_products_and_symmetrization_match_the_earlier_formulas(family, m, n):
             d = scale * rng.standard_normal(n)
             assert _bits(products(d)) == _bits((se.hessians.reshape(m * n, n) @ d)
                                                .reshape(m, n))
+
+
+@pytest.mark.parametrize("family, n, m", [
+    ("logsumexp", 100, 8), ("quadratic", 200, 8),  # newton_smooth's largest cells
+    ("quadratic_l1", 50, 5), ("quadratic_box", 50, 5),
+])
+def test_every_factored_block_is_exactly_symmetric(family, n, m, monkeypatch):
+    # inner_minimize factors M = lam'H, and its blocks, with no second
+    # symmetrization: the sweep's stack is exactly symmetric and the BLAS
+    # product keeps it so. A BLAS that breaks it fails here, not in the bits.
+    cond = 1.0 if family == "logsumexp" else 100.0
+    # a box of half-width 0.1 binds, so the box cell factors proper blocks
+    spec = InstanceSpec(family=family, n=n, m=m, cond=cond, rho=0.1, seed=n + m,
+                        lo=-0.1, hi=0.1)
+    rng = np.random.Generator(np.random.PCG64(n + m))
+    x0 = (rng.uniform(spec.lo, spec.hi, n) if family == "quadratic_box"
+          else 2.0 * rng.standard_normal(n))
+    shapes = []
+
+    def checked(block):
+        assert (block == block.T).all()
+        shapes.append(block.shape)
+        return _cholesky(block)
+
+    monkeypatch.setattr(moprox.subproblem, "_cholesky", checked)
+    trace = solve(generate_instance(spec), SolverConfig(eps=1e-9, tol_gap=1e-12), x0)
+    assert trace.status == Status.CRITICAL_REACHED
+    assert len(shapes) >= trace.snaps > 0
+    if family in ("logsumexp", "quadratic"):
+        assert set(shapes) == {(n, n)}  # the zero term: the block is M itself
+    else:
+        assert min(shapes) < (n, n)

@@ -488,6 +488,38 @@ class TestWarmStart:
         with pytest.raises(InputError, match="eps must be finite and > 0"):
             solve_direction(prob, np.ones(4), eps=eps)
 
+    def test_rejects_a_smooth_eval_without_hessians_under_the_hessian_metric(self):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        x = np.ones(4)
+        se = eval_smooth(prob, x, hessians=False)
+        with pytest.raises(InputError, match="smooth_eval has no Hessians"):
+            solve_direction(prob, x, smooth_eval=se)
+        # the scaled-identity metric reads no Hessians
+        res = solve_direction(prob, x, smooth_eval=se, metric=Metric.scaled_identity(2.0))
+        assert res.direction.shape == (4,)
+
+    def test_rejects_a_smooth_eval_of_another_instance(self):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        x = np.ones(4)
+        for m, n, part in ((2, 4, r"values have shape \(2,\), expected \(3,\)"),
+                           (3, 5, r"gradients have shape \(3, 5\), expected \(3, 4\)")):
+            other = generate_instance(InstanceSpec(family="quadratic", n=n, m=m, seed=1))
+            se = eval_smooth(other, np.ones(n))
+            with pytest.raises(InputError, match=part + " for m=3, n=4"):
+                solve_direction(prob, x, smooth_eval=se)
+        se = eval_smooth(prob, x)
+        cut = SmoothEval(values=se.values, gradients=se.gradients,
+                         hessians=se.hessians[:, :3, :3])
+        with pytest.raises(InputError, match=r"hessians have shape \(3, 3, 3\)"):
+            solve_direction(prob, x, smooth_eval=cut)
+
+    def test_model_values_rejects_a_smooth_eval_without_hessians(self):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        x = np.ones(4)
+        se = eval_smooth(prob, x, hessians=False)
+        with pytest.raises(InputError, match="smooth_eval has no Hessians"):
+            model_values(np.zeros(4), se, prob.nonsmooth, x)
+
     def test_accepts_a_vertex_and_rounded_sums(self):
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
         for weights in ([0.0, 1.0, 0.0], [0.7, 0.2, 0.1]):  # the latter sums to 1 - 1 ulp
