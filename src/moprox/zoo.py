@@ -5,13 +5,15 @@ the instance spec, so the same spec reproduces the same instance bit for bit.
 Each family has one stacked oracle, which evaluates all m objectives from
 (m, ...) arrays in one call and forms their Hessians only when asked; an
 instance's objectives are its rows (problems.SmoothObjective.stack), so the
-solver's sweep calls it once per point. A single objective is a one-row
-stack.
+solver's sweep calls it once per point, while each row's own fn evaluates
+that row alone. A single objective is a one-row stack. Every family's
+Hessians are exactly symmetric, so the sweep passes them through uncopied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -84,10 +86,20 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-def _rows(oracle, m: int) -> tuple:
-    """The m objectives of a stacked oracle; row i's fn is row i of one full call."""
-    return tuple(SmoothObjective(fn=lambda x, i=i: tuple(out[i] for out in oracle(x, True)),
-                                 stack=(oracle, i, m)) for i in range(m))
+def _row(make, arrays: tuple, i: int, x: np.ndarray) -> tuple:
+    """Row i of the stacked oracle make(*arrays) at x, with its Hessian.
+
+    It calls the one-row oracle over the slices a[i:i + 1], so it evaluates
+    row i alone, with the bits of row i of the stacked call.
+    """
+    return tuple(out[0] for out in make(*(a[i:i + 1] for a in arrays))(x, True))
+
+
+def _rows(make, *arrays) -> tuple:
+    """The objectives of the stacked oracle make(*arrays), one per row of the arrays."""
+    oracle, m = make(*arrays), len(arrays[0])
+    return tuple(SmoothObjective(fn=partial(_row, make, arrays, i), stack=(oracle, i, m))
+                 for i in range(m))
 
 
 def _quadratic_oracle(A: np.ndarray, b: np.ndarray):
@@ -101,9 +113,18 @@ def _quadratic_oracle(A: np.ndarray, b: np.ndarray):
 
 def _logsumexp_oracle(mu: float, rows: np.ndarray, offsets: np.ndarray,
                       centers: np.ndarray):
-    """Stacked logsumexp_objective for rows (m, k, n), offsets (m, k), centers (m, n)."""
+    """Stacked logsumexp_objective for rows (m, k, n), offsets (m, k), centers (m, n).
+
+    Each Hessian is formed in covariance form, D_i'D_i + mu I with D_i =
+    diag(sqrt(p))(R_i - 1 r_i') for the softmax weights p and the mean row
+    r_i = R_i'p: one batched product of two distinct buffers (numpy would
+    send one buffer times its own transpose to syrk, several times slower
+    at k = 5), then mu added on the diagonal in place. Each entry sums the
+    same k products in the same order as its transpose, so every matrix is
+    exactly symmetric and the sweep passes the stack through uncopied.
+    """
     rows_t = rows.transpose(0, 2, 1)
-    mu_eye = mu * np.eye(rows.shape[2])
+    n = rows.shape[2]
 
     def oracle(x, hessians):
         t = rows @ x + offsets
@@ -117,28 +138,49 @@ def _logsumexp_oracle(mu: float, rows: np.ndarray, offsets: np.ndarray,
         grads = mean_row + mu * diff
         if not hessians:
             return values, grads, None
-        hesses = (rows * p[:, :, None]).transpose(0, 2, 1) @ rows
-        hesses -= mean_row[:, :, None] * mean_row[:, None, :]
-        hesses += mu_eye
+        dev = (rows - mean_row[:, None, :]) * np.sqrt(p)[:, :, None]
+        hesses = dev.transpose(0, 2, 1) @ dev.copy()
+        hesses.reshape(len(hesses), -1)[:, ::n + 1] += mu
         return values, grads, hesses
 
     return oracle
 
 
 def quadratic_objective(A: np.ndarray, b: np.ndarray) -> SmoothObjective:
-    """f(x) = 0.5 x'Ax - b'x with constant Hessian A."""
-    return _rows(_quadratic_oracle(*(np.asarray(a, dtype=float)[None] for a in (A, b))), 1)[0]
+    """f(x) = 0.5 x'Ax - b'x with constant Hessian A.
+
+    A must be (n, n) and b (n,); a ConfigError names the one that is not.
+    """
+    A, b = (np.asarray(a, dtype=float) for a in (A, b))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ConfigError(f"must be (n, n), got shape {A.shape}", "A")
+    if b.shape != A.shape[:1]:
+        raise ConfigError(f"must be ({len(A)},) to fit A, got shape {b.shape}", "b")
+    return _rows(_quadratic_oracle, A[None], b[None])[0]
 
 
 def logsumexp_objective(rows: np.ndarray, offsets: np.ndarray, mu: float,
                         center: np.ndarray) -> SmoothObjective:
     """f(x) = log sum_j exp(rows_j' x + offsets_j) + (mu/2) ||x - center||^2.
 
+    rows must be (k, n) with k >= 1, offsets (k,), center (n,), and mu
+    finite and >= 0; a ConfigError names the first argument that is not.
     The log-sum-exp is evaluated with max subtraction so large exponents do
-    not overflow.
+    not overflow. The Hessian is exactly symmetric (_logsumexp_oracle).
     """
-    arrays = (np.asarray(a, dtype=float)[None] for a in (rows, offsets, center))
-    return _rows(_logsumexp_oracle(float(mu), *arrays), 1)[0]
+    rows, offsets, center = (np.asarray(a, dtype=float) for a in (rows, offsets, center))
+    if rows.ndim != 2 or len(rows) < 1:
+        raise ConfigError(f"must be (k, n) with k >= 1, got shape {rows.shape}", "rows")
+    if offsets.shape != rows.shape[:1]:
+        raise ConfigError(f"must be ({len(rows)},) to fit rows, got shape {offsets.shape}",
+                          "offsets")
+    if center.shape != rows.shape[1:]:
+        raise ConfigError(f"must be ({rows.shape[1]},) to fit rows, got shape "
+                          f"{center.shape}", "center")
+    mu = float(mu)
+    if not (np.isfinite(mu) and mu >= 0.0):
+        raise ConfigError(f"must be finite and >= 0, got {mu}", "mu")
+    return _rows(partial(_logsumexp_oracle, mu), rows[None], offsets[None], center[None])[0]
 
 
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -183,7 +225,7 @@ def gen_quadratic(spec: InstanceSpec, shifts=None) -> ProblemInstance:
         b[i] = shifts[i] if shifts is not None else rng.standard_normal(spec.n)
     lip = spec.mu if spec.n == 1 else spec.mu * spec.cond
     return ProblemInstance(
-        n=spec.n, m=spec.m, smooth=_rows(_quadratic_oracle(A, b), spec.m),
+        n=spec.n, m=spec.m, smooth=_rows(_quadratic_oracle, A, b),
         nonsmooth=NonsmoothTerm.zero(), mu=spec.mu, lip_grad=lip,
     )
 
@@ -194,6 +236,9 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
     f_i(x) = log sum_j exp(a_ij'x + c_ij) + (mu/2)||x - z_i||^2 with seeded
     rows a_ij, offsets c_ij and per-objective centers z_i. Records lip_grad =
     mu + max_ij ||a_ij||^2, the CLI's default ell for the gradient metric.
+    The Hessians come out exactly symmetric (_logsumexp_oracle), so the
+    sweep passes the stack through uncopied, as it does the quadratics' A;
+    its symmetrizing branch is left to user oracles.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     rows = np.empty((spec.m, _LSE_ROWS, spec.n))
@@ -205,7 +250,7 @@ def gen_logsumexp_reg(spec: InstanceSpec) -> ProblemInstance:
     max_row_sq = float(np.max(np.linalg.norm(rows, axis=2)) ** 2)
     return ProblemInstance(
         n=spec.n, m=spec.m,
-        smooth=_rows(_logsumexp_oracle(float(spec.mu), rows, offsets, centers), spec.m),
+        smooth=_rows(partial(_logsumexp_oracle, float(spec.mu)), rows, offsets, centers),
         nonsmooth=NonsmoothTerm.zero(), mu=spec.mu,
         lip_grad=spec.mu + max_row_sq,
     )

@@ -37,8 +37,9 @@ def _logsumexp_reference(rows, offsets, mu, center, x):
     value = tmax + np.log(total) + 0.5 * mu * float(diff @ diff)
     mean_row = rows.T @ p
     grad = mean_row + mu * diff
-    hess = (rows * p[:, None]).T @ rows - np.outer(mean_row, mean_row)
-    hess = hess + mu * np.eye(x.size)
+    dev = (rows - mean_row) * np.sqrt(p)[:, None]
+    hess = dev.T @ dev.copy()
+    hess[np.diag_indices(x.size)] += mu
     return value, grad, hess
 
 

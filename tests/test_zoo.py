@@ -10,6 +10,8 @@ from moprox import (
     eval_smooth,
     gen_quadratic,
     generate_instance,
+    logsumexp_objective,
+    quadratic_objective,
 )
 from moprox.zoo import FAMILIES
 
@@ -180,6 +182,81 @@ class TestGenLogsumexp:
         ea = eval_smooth(generate_instance(spec), x)
         eb = eval_smooth(generate_instance(spec), x)
         assert np.array_equal(ea.values, eb.values)
+
+
+class TestLogsumexpHessians:
+    # newton_smooth's four logsumexp cells, n = 100 and m = 2, 3, 5, 8: the
+    # instance seed and start of replica 0 of cells 0 to 3, drawn as
+    # perfbench/workloads.py draws them from its POOL_SEED
+    POOL_SEED = 230810140
+
+    @pytest.mark.parametrize("scale", [1.0, 50.0])  # 50x the start: p concentrates
+    @pytest.mark.parametrize("cell, m", enumerate([2, 3, 5, 8]))
+    def test_pool_cells_are_exactly_symmetric_and_pass_uncopied(self, cell, m, scale):
+        seed, start = (int(s) for s in np.random.SeedSequence(
+            [self.POOL_SEED, 0, cell]).generate_state(2))
+        prob = generate_instance(InstanceSpec(family="logsumexp", n=100, m=m, seed=seed))
+        x = scale * 2.0 * np.random.Generator(np.random.PCG64(start)).standard_normal(100)
+        returned, oracle = [], prob.oracle
+
+        def capturing(x, hessians):
+            out = oracle(x, hessians)
+            returned.append(out[2])
+            return out
+
+        object.__setattr__(prob, "oracle", capturing)
+        hesses = eval_smooth(prob, x).hessians
+        assert np.shares_memory(hesses, returned[0])
+        rng = np.random.Generator(np.random.PCG64(seed))  # gen_logsumexp_reg's draws
+        for h in hesses:
+            assert (h == h.T).all()
+            rows = 0.9 * rng.standard_normal((5, 100))
+            t = rows @ x + 0.5 * rng.standard_normal(5)
+            rng.standard_normal(100)  # the center
+            p = np.exp(t - t.max())
+            p /= p.sum()
+            mean_row = rows.T @ p
+            # the earlier formula R'diag(p)R - r r' + mu I, symmetrized
+            old = (rows * p[:, None]).T @ rows - np.outer(mean_row, mean_row) + np.eye(100)
+            old = 0.5 * (old + old.T)
+            tol = 16.0 * np.finfo(float).eps * ((rows ** 2).sum(axis=0).max() + 1.0)
+            assert np.abs(h - old).max() <= tol
+            assert np.linalg.eigvalsh(h).min() >= 1.0 - 1e-12
+
+
+class TestObjectiveConstructors:
+    @pytest.mark.parametrize("A, b, field", [
+        (np.eye(3), np.ones(4), "b"),
+        (np.ones((3, 4)), np.ones(3), "A"),
+        (np.ones(3), np.ones(3), "A"),
+    ])
+    def test_quadratic_shapes_that_do_not_fit(self, A, b, field):
+        with pytest.raises(ConfigError) as exc:
+            quadratic_objective(A, b)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("rows, offsets, mu, center, field", [
+        (np.ones((5, 3)), np.ones(4), 1.0, np.zeros(3), "offsets"),
+        (np.ones((5, 3)), np.ones(5), 1.0, np.zeros(4), "center"),
+        (np.ones(3), np.ones(1), 1.0, np.zeros(3), "rows"),
+        (np.ones((0, 3)), np.ones(0), 1.0, np.zeros(3), "rows"),
+        (np.ones((5, 3)), np.ones(5), -1.0, np.zeros(3), "mu"),
+        (np.ones((5, 3)), np.ones(5), np.inf, np.zeros(3), "mu"),
+    ])
+    def test_logsumexp_arguments_that_do_not_fit(self, rows, offsets, mu, center, field):
+        with pytest.raises(ConfigError) as exc:
+            logsumexp_objective(rows, offsets, mu, center)
+        assert exc.value.field == field
+
+    def test_fitting_arguments_evaluate(self):
+        v, g, h = quadratic_objective(2.0 * np.eye(3), np.ones(3)).evaluate(np.ones(3))
+        assert (v, g.tolist(), h.tolist()) == (0.0, [1.0] * 3, (2.0 * np.eye(3)).tolist())
+        # mu = 0 is allowed: the objective alone need not be strongly convex
+        v, g, h = logsumexp_objective(np.eye(2), np.zeros(2), 0.0, np.zeros(2)).evaluate(
+            np.zeros(2))
+        assert v == np.log(2.0)
+        assert g.tolist() == [0.5, 0.5]
+        assert np.allclose(h, [[0.25, -0.25], [-0.25, 0.25]], rtol=0.0, atol=1e-15)
 
 
 class TestDispatchAndAttach:
