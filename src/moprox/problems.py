@@ -334,11 +334,11 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     exactly symmetric and read-only. A float64, C-contiguous stack whose
     every matrix equals its transpose is passed through as a view, with no
     copy: the oracle's array (the quadratic family's A, which it returns
-    again) stays writeable and unchanged. The matrices are compared one by
-    one, so an asymmetric stack stops at its first, and a nan entry fails
-    the comparison. Any other stack is symmetrized once into a new C-order
-    buffer, elementwise as 0.5 * (h + h') per objective. Finiteness is not
-    checked here; see _check_finite.
+    again) stays writeable and unchanged. The whole stack is compared with
+    its transpose at once, and a nan entry fails the comparison. Any other
+    stack is symmetrized once into a new C-order buffer, elementwise as
+    0.5 * (h + h') per objective. Finiteness is not checked here; see
+    _check_finite.
     """
     n = x.shape[0]
     values, grads, hesses = oracle(x, hessians)
@@ -349,7 +349,7 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     if not hessians:
         return SmoothEval(values=values, gradients=grads, hessians=None)
     if (hesses.dtype == np.float64 and hesses.flags.c_contiguous
-            and all((h == h.T).all() for h in hesses)):
+            and (hesses == hesses.transpose(0, 2, 1)).all()):
         hesses = hesses.view()
     else:
         hesses = np.add(hesses, hesses.transpose(0, 2, 1), dtype=float, order="C")

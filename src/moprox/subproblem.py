@@ -17,7 +17,13 @@ gap, or returns d = 0 once a dual value certifies ||d*|| <= eps. Under both
 metrics the face Hessian is -Q W^-1 Q', with W the free block of the
 weighted metric and rows q_i = grad f_i + H_i d on its free coordinates;
 each snap keeps W's factor (division by ell under ell I) and H_i d, so the
-Newton step reuses them. Work also carries forward: the dual loop starts
+Newton step reuses them and factors only the |S| - 1 face system. That
+system is positive semidefinite, and singular once the face has more
+indices than free coordinates + 1 (Wolfe 1976); one pivoted Cholesky
+(LAPACK pstrf, Higham 2002, ch. 10) solves it on its leading rank pivots
+and takes no step along the dependent ones. A trial is accepted when phi
+rises, or when phi ties and the gap falls, so the loop cannot cycle at
+equal phi on a flat face. Work also carries forward: the dual loop starts
 from the weights it is given (the outer loop passes the previous
 direction's), and each snap after the first starts its active set from the
 previous snap's d. Every model value comes from one float64 evaluation per
@@ -42,7 +48,7 @@ from .errors import ConfigError, ConvergenceError, InputError, SingularMetricErr
 from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _as_point
 
 _EPS = np.finfo(float).eps
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=float)
+_potrf, _potrs, _pstrf = get_lapack_funcs(("potrf", "potrs", "pstrf"), dtype=float)
 # Passes of one inner active-set solve before it gives up: a guard, as the
 # backup rule already ends the exchanges. The benchmark pools need at most 8.
 MAX_INNER_PASSES = 10000
@@ -409,13 +415,14 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     weights certify the new point at the first snap. From the second snap
     on, each inner solve starts its active set from the most recent snap's
     direction. Every dual step follows one trial rule: snap the weights
-    proposed at a step length, accept them if the dual value does not
-    decrease, else halve the length and try again. Each iteration first
-    takes a Newton step on the current face (the support of the weights
-    plus the outside index with the largest model value, when that value
-    exceeds the dual value); when the full step leaves the simplex, its
-    projection onto the simplex is tried first, and then the step cut back
-    to the simplex boundary. With no free coordinate left it jumps to the
+    proposed at a step length, accept them if the dual value rises, or if
+    it ties and the gap falls, else halve the length and try again. Each
+    iteration first takes a Newton step on the current face (the support
+    of the weights plus the outside index with the largest model value,
+    when that value exceeds the dual value), solving the face system by
+    one pivoted Cholesky on its leading rank pivots; when the full step
+    leaves the simplex, its projection onto the simplex is tried first,
+    and then the step cut back to the simplex boundary. With no free coordinate left it jumps to the
     best vertex instead. When it gives no ascent, it is retried from the
     snapshot with the smallest gap, and then a projected supergradient step
     with a warm-started step length is taken. Terminates at the first snap
@@ -507,17 +514,19 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     history = [cur.phi]
 
     def ascend(here: _Snapshot, propose: Callable, t: float, tries: int):
-        """(snapshot or None, t): snap propose(t), halving t, until phi does not fall.
+        """(snapshot or None, t): snap propose(t), halving t, until a trial is accepted.
 
-        Gives up when a proposal equals here.lam, when a rejected trial
-        certifies the gap, or after tries trials.
+        A trial is accepted when phi rises, or when phi ties and the gap
+        falls: accepting every tie cycled on flat faces. Gives up when a
+        proposal equals here.lam, when a rejected trial certifies the gap,
+        or after tries trials.
         """
         for _ in range(tries):
             lam = propose(t)
             if (lam == here.lam).all():
                 return None, t
             cand = snap(lam)
-            if cand.phi >= here.phi:
+            if cand.phi > here.phi or (cand.phi == here.phi and cand.gap < here.gap):
                 return cand, t
             if best.gap <= best.tol:
                 return None, t
@@ -526,8 +535,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
 
     # On a face the dual Hessian restricted to zero-sum directions is
     # -Q W^-1 Q' (module docstring), taken in the basis e_k - e_last from the
-    # snap's solve_free and H_i d with no factorization; it converges
-    # quadratically near optima interior to the face.
+    # snap's solve_free and H_i d; only that |S| - 1 system is factored. It
+    # converges quadratically near optima interior to the face.
     def newton_step(here: _Snapshot):
         lam, psi = here.lam, here.psi
         face = lam > 0.0
@@ -547,13 +556,16 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             return ascend(here, lambda t: unit, 1.0, 1)[0]
         q = (se.gradients + here.hd)[support][:, free]
         curv = q @ here.solve_free(q.T)
-        curv = 0.5 * (curv + curv.T)
         h_red = curv[:-1, :-1] - curv[-1, :-1] - (curv[:-1, -1:] - curv[-1, -1])
         g_red = psi[support[:-1]] - psi[support[-1]]
-        try:
-            du = np.linalg.solve(h_red, g_red)
-        except np.linalg.LinAlgError:
-            du, *_ = np.linalg.lstsq(h_red, g_red, rcond=None)
+        # h_red is positive semidefinite, singular once |S| - 1 exceeds the
+        # free count; the pivoted Cholesky reads its lower triangle, solves on
+        # the leading rank pivots and leaves du 0 on the dependent ones
+        factor, piv, rank, _ = _pstrf(h_red, lower=1)
+        lead = piv[:rank] - 1
+        du = np.zeros_like(g_red)
+        if rank:
+            du[lead] = _potrs(factor[:rank, :rank], g_red[lead], lower=True)[0]
         if not np.isfinite(du).all():
             return None
         move = np.zeros(m)

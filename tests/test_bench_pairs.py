@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py's summary and fault count, on canned benchmark results and a
-stand-in run; no benchmark runs."""
+"""tools/bench_pairs.py's summary, on canned benchmark results, and its runs, on
+stand-in benchmarks; no benchmark runs."""
 
 import sys
 
@@ -113,32 +113,31 @@ def test_benchmark_files_that_differ_are_named(tmp_path):
         "BENCHMARK.json", "perfbench/extra.py", "perfbench/run.py"]
 
 
-FIRST_LINE = ("solved_per_s=89.66 1/s (320 solved / 3.569 job s) | solve_s_p50=0.0097 s "
-              "(n=320) | solve_s_tail=0.031 s (p90.62, n=320) | fail_frac=0 (0/320) | "
-              "setup_s=0.29 s (median of 3, 32 instances each) | passes=10")
+def _stand_in(tmp_path, body):
+    """A stand-in benchmark command: python running body, a script in tmp_path."""
+    script = tmp_path / "bench.py"
+    script.write_text(body)
+    return [sys.executable, str(script)]
 
 
-def test_faults_per_pass_divides_by_the_first_lines_pass_count():
-    assert bench_pairs.faults_per_pass(FIRST_LINE, 52840) == 5284.0
-    for line in ("solved_per_s=1 1/s", FIRST_LINE.replace("passes=10", "passes=0")):
-        with pytest.raises(bench_pairs.RunFailed, match="no passes= count"):
-            bench_pairs.faults_per_pass(line, 100)
+def test_run_once_returns_the_last_lines_result(tmp_path):
+    result = _result(30.0, 0.03)
+    command = _stand_in(tmp_path, f"import json\nprint('first line')\n"
+                                  f"print(json.dumps({result!r}))\n")
+    assert bench_pairs.run_once(command, tmp_path, []) == result
 
 
-def test_fault_line_gives_each_sides_median():
-    pairs = _pairs([(25.0, 0.03)] * 3, [(26.0, 0.03)] * 3)
-    for pair, (parent, change) in zip(pairs, [(5184, 281), (5300, 250), (5000, 300)]):
-        pair["parent"][bench_pairs.FAULTS] = parent
-        pair["change"][bench_pairs.FAULTS] = change
-    assert bench_pairs.fault_line(pairs) == ("whole-run minor faults per pass (not a gain "
-                                             "row): parent median 5184, change median 281")
-
-
-def test_run_once_adds_the_runs_minor_faults_per_pass(tmp_path):
-    # a stand-in benchmark that prints a first line and a result line
-    script = (f"import json; print({FIRST_LINE!r}); "
-              f"print(json.dumps({_result(30.0, 0.03)!r}))")
-    result = bench_pairs.run_once([sys.executable, "-c", script], tmp_path, [])
-    assert result["metrics"]["solved_per_s"]["value"] == 30.0
-    # a Python start-up alone faults in thousands of pages
-    assert result[bench_pairs.FAULTS] > 0
+@pytest.mark.parametrize("body, match", [
+    ("print('no result line')\n", r"no result \(exit 0\)"),
+    ("import json\nprint(json.dumps({**RESULT, 'correct': False}))\n",
+     "exit 0, correct False, failed 0"),
+    ("import json\nprint(json.dumps({**RESULT, 'failed': 2}))\n",
+     "exit 0, correct True, failed 2"),
+    ("import json, sys\nprint(json.dumps(RESULT))\nsys.exit(3)\n",
+     "exit 3, correct True, failed 0"),
+])
+def test_run_once_raises_run_failed(tmp_path, body, match):
+    # no result line, an incorrect result, failed jobs and a nonzero exit
+    command = _stand_in(tmp_path, f"RESULT = {_result(30.0, 0.03)!r}\n{body}")
+    with pytest.raises(bench_pairs.RunFailed, match=match):
+        bench_pairs.run_once(command, tmp_path, [])

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -11,12 +12,14 @@ from moprox import (
     InputError,
     InstanceSpec,
     NonsmoothTerm,
+    ProblemInstance,
     SmoothEval,
     SolverConfig,
     Status,
     eval_smooth,
     gen_quadratic,
     generate_instance,
+    quadratic_objective,
     solve,
 )
 import moprox.solver
@@ -608,6 +611,80 @@ class TestDualTrialRule:
             assert res.gap <= 1e-12 and not res.message
             iters += res.dual_iters
         assert iters <= 36
+
+
+class TestSingularFaces:
+    """Faces whose Newton system is singular: more indices than free coordinates + 1."""
+
+    CFG = SolverConfig(eps=1e-9, tol_gap=1e-12)
+
+    @staticmethod
+    def _a01_run(family, m, cond, seed, start):
+        # an n = 2 cell of the A01 whole grid, solved from PCG64(start)
+        spec = InstanceSpec(family=family, n=2, m=m, cond=cond,
+                            rho=0.1 if family == "quadratic_l1" else 0.0, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(start))
+        x0 = (rng.uniform(spec.lo, spec.hi, 2) if family == "quadratic_box"
+              else 2.0 * rng.standard_normal(2))
+        return solve(generate_instance(spec), TestSingularFaces.CFG, x0)
+
+    def test_a01_grid_run_1072_ends_within_20_snaps(self):
+        # m = 8 on n = 2: the LU solve with its lstsq fallback took 283 snaps
+        trace = self._a01_run("quadratic_box", 8, 1e2, 127, 8127)
+        assert trace.status is Status.CRITICAL_REACHED
+        assert trace.snaps <= 20
+
+    @pytest.mark.parametrize("m, seed, start", [(4, 63, 32063), (5, 72, 56072)])
+    def test_flat_faces_do_not_cycle_at_equal_phi(self, m, seed, start):
+        # accepting every trial with equal phi cycled on these flat faces
+        # until MAX_DUAL_ITERS; a tie is accepted only when the gap falls
+        trace = self._a01_run("quadratic_l1", m, 1.0, seed, start)
+        assert trace.status is Status.CRITICAL_REACHED, trace.message
+
+    def test_duplicated_objectives_end_critical(self, monkeypatch):
+        # rows (f0, f1, f1, f2): a face holding both copies of f1 has an
+        # exactly singular Newton system, which the pivoted Cholesky solves
+        # on its leading rank pivots (the LU solve raised there 68 times)
+        ranks = []
+        real = moprox.subproblem._pstrf
+
+        def pstrf(a, **kwargs):
+            out = real(a, **kwargs)
+            ranks.append((out[2], a.shape[0]))
+            return out
+
+        monkeypatch.setattr(moprox.subproblem, "_pstrf", pstrf)
+        base = gen_quadratic(InstanceSpec("quadratic", n=2, m=3, cond=10.0, seed=4))
+        f = base.smooth
+        prob = dataclasses.replace(base, m=4, smooth=(f[0], f[1], f[1], f[2]))
+        for seed in range(50):
+            x0 = 2.0 * np.random.Generator(np.random.PCG64(seed)).standard_normal(2)
+            trace = solve(prob, self.CFG, x0)
+            assert trace.status is Status.CRITICAL_REACHED, (seed, trace.message)
+        assert sum(rank < size for rank, size in ranks) > 0
+
+    def test_a_zero_face_system_takes_no_step(self, monkeypatch):
+        # x_0 is held at its bound and the objectives agree on the free x_1,
+        # so both rows of Q are zero and the 1x1 face system has rank 0; the
+        # Newton step is zero, and the best vertex, weight on f_0, certifies
+        ranks = []
+        real = moprox.subproblem._pstrf
+
+        def pstrf(a, **kwargs):
+            out = real(a, **kwargs)
+            ranks.append(out[2])
+            return out
+
+        monkeypatch.setattr(moprox.subproblem, "_pstrf", pstrf)
+        eye = np.eye(2)
+        smooth = tuple(quadratic_objective(eye, np.array([b0, 0.0])) for b0 in (10.0, 20.0))
+        prob = ProblemInstance(n=2, m=2, smooth=smooth,
+                               nonsmooth=NonsmoothTerm.box(-np.ones(2), np.ones(2)), mu=1.0)
+        res = solve_direction(prob, np.array([0.5, 0.0]), tol_gap=1e-12)
+        assert ranks == [0]
+        assert res.gap <= 1e-12 and not res.message
+        assert np.array_equal(res.weights, [1.0, 0.0])
+        assert np.array_equal(res.direction, [0.5, 0.0])
 
 
 class TestScaledIdentityMetric:

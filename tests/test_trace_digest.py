@@ -1,5 +1,5 @@
 """tools/trace_digest.py's --against comparison, on canned digest lines, and its
-A01 grid's runs; nothing is solved."""
+A01 runs; nothing is solved."""
 
 import numpy as np
 
@@ -72,4 +72,19 @@ def test_a01_grid_is_the_acceptance_grid_from_ten_start_seeds():
     problem, _, x0 = runs[-1]  # b = 10000, the last box cell
     assert (problem.n, problem.m) == (50, 8) and (problem.nonsmooth.lo == -1.0).all()
     assert np.array_equal(x0, np.random.Generator(np.random.PCG64(10134))
+                          .uniform(-1.0, 1.0, 50))
+
+
+def test_a01_sweep_runs_the_grid_from_fifty_more_bases():
+    # with a01_grid, the 8,100-run A01 sweep: PCG64(b + cell index) for b =
+    # 11000, 12000, ..., 60000
+    runs = list(trace_digest.a01_runs(moprox, np, range(11000, 60001, 1000)))
+    assert len(runs) == 6750
+    problem, _, x0 = runs[0]
+    assert (problem.n, problem.m) == (2, 2)
+    assert np.array_equal(x0, 2.0 * np.random.Generator(np.random.PCG64(11000))
+                          .standard_normal(2))
+    problem, _, x0 = runs[-1]
+    assert (problem.n, problem.m) == (50, 8) and (problem.nonsmooth.lo == -1.0).all()
+    assert np.array_equal(x0, np.random.Generator(np.random.PCG64(60134))
                           .uniform(-1.0, 1.0, 50))

@@ -18,14 +18,8 @@ and quartiles (linear interpolation between order statistics), the ratio
 of the medians, and how many pairs this checkout won, tied and lost by the
 metric's `better` direction. The last column says whether a gain could be
 claimed: this checkout won at least nine tenths of the pairs, and the
-medians differ by more than the parent's interquartile range.
-
-Each run's line also gives its minor page faults per pool pass: the
-getrusage(RUSAGE_CHILDREN) ru_minflt the run added, divided by the
-passes= count of the benchmark's first output line. The count is of the
-whole run, with the imports, the set-up and the output checks, so it is a
-ceiling on the faults of one pass; the summary's last line gives each
-side's median, and no gain is judged from it.
+medians differ by more than the parent's interquartile range. Page
+faults per pool pass come from tools/pool_pass.py, not from here.
 
 Exit codes: 0 summary printed, 1 a run gave no result, was not correct or
 had failed jobs, 2 usage error, the benchmark differs, or git failed.
@@ -35,8 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +38,6 @@ from gitrev import ROOT, checkout
 BENCHMARK = "BENCHMARK.json"
 BENCH_DIR = "perfbench"
 SIDES = ("parent", "change")
-FAULTS = "minflt_per_pass"  # the key run_once adds to each result
 
 
 class RunFailed(Exception):
@@ -108,24 +99,6 @@ def format_rows(rows: list) -> list:
     return lines
 
 
-def fault_line(pairs: list) -> str:
-    """The summary's last line: each side's median of whole-run minor faults per pass."""
-    med = {side: quartiles([p[side][FAULTS] for p in pairs])[1] for side in SIDES}
-    return (f"whole-run minor faults per pass (not a gain row): parent median "
-            f"{med['parent']:.4g}, change median {med['change']:.4g}")
-
-
-def faults_per_pass(first_line: str, faults: int) -> float:
-    """faults divided by the passes= count of the benchmark's first output line.
-
-    Raises RunFailed when the line gives no positive count.
-    """
-    found = re.search(r"\bpasses=(\d+)\b", first_line)
-    if not found or not int(found.group(1)):
-        raise RunFailed(f"no passes= count in the first output line: {first_line!r}")
-    return faults / int(found.group(1))
-
-
 def benchmark_files(root: Path) -> dict:
     """Relative path -> bytes of BENCHMARK.json and of every file under perfbench/.
 
@@ -144,10 +117,8 @@ def differing(a: dict, b: dict) -> list:
 
 
 def run_once(command: list, cwd: Path, args: list) -> dict:
-    """One benchmark run in cwd; its parsed result, with FAULTS added. Raises RunFailed."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    """One benchmark run in cwd; its parsed result. Raises RunFailed."""
     proc = subprocess.run(command + args, cwd=cwd, capture_output=True, text=True)
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -157,7 +128,6 @@ def run_once(command: list, cwd: Path, args: list) -> dict:
     if proc.returncode != 0 or result.get("correct") is not True or result.get("failed"):
         raise RunFailed(f"exit {proc.returncode}, correct {result.get('correct')}, "
                         f"failed {result.get('failed')}")
-    result[FAULTS] = faults_per_pass(lines[0], faults)
     return result
 
 
@@ -174,8 +144,7 @@ def compare(parent_dir: Path, command: list, end_to_end: list, args) -> list:
             pair[side] = run_once(command, dirs[side], bench_args)
             figures = " ".join(f"{m['name']}={pair[side]['metrics'][m['name']]['value']:.4g}"
                                for m in end_to_end)
-            print(f"pair {i + 1}/{args.pairs} {side}: {figures} "
-                  f"minflt/pass={pair[side][FAULTS]:.4g}", flush=True)
+            print(f"pair {i + 1}/{args.pairs} {side}: {figures}", flush=True)
         pairs.append(pair)
     return pairs
 
@@ -221,7 +190,6 @@ def main(argv=None) -> int:
         return 1
     for line in format_rows(summarize(bench["end_to_end"], pairs)):
         print(line)
-    print(fault_line(pairs))
     return 0
 
 

@@ -8,14 +8,15 @@ Run from the repository root:
 For each workload of perfbench/workloads.py this solves every job of its
 fixed pool as perfbench does (zoo.generate_instance on the job's spec,
 cli.build_solver_config on its solver section, solver.solve from its
-start), with BLAS pinned to one thread before numpy is imported. A last
-line, a01_grid, solves the 135 cells of the A01 whole-grid acceptance
-test (tests/test_acceptance.py) from the starts PCG64(b + cell index), b =
-1000, 2000, ..., 10000: 1,350 solves, some of which end
-subproblem_failure. It covers the dual loop's rare paths, which the pools
-seldom take: when this line was added the pools took no lstsq fallback of
-the face Newton step, 6 retries from the best snapshot and 42
-supergradient steps in all, and the grid 201, 136 and 334.
+start), with BLAS pinned to one thread before numpy is imported. Two
+last lines solve the 135 cells of the A01 whole-grid acceptance test
+(tests/test_acceptance.py) from the starts PCG64(b + cell index):
+a01_grid for b = 1000, 2000, ..., 10000 (1,350 solves) and a01_sweep for
+b = 11000, 12000, ..., 60000 (6,750 solves), together the 8,100-run A01
+sweep, every one of which ends critical_reached. They cover the dual
+loop's rare paths, which the pools seldom take: faces whose Newton system
+is singular (m > n + 1), retries from the best snapshot and supergradient
+steps.
 It prints one line per pool: the count of each status, and the records,
 snaps and passes summed over the pool, then a SHA-1 over each job's status
 and message and over every record's k, step, theta, direction norm, gap,
@@ -59,11 +60,11 @@ def workload_runs(mp, jobs):
                                                   default_ell=problem.lip_grad), job.x0
 
 
-def a01_runs(mp, np):
-    """(problem, config, x0) of the A01 whole-grid cells, from ten start seeds each.
+def a01_runs(mp, np, bases=range(1000, 10001, 1000)):
+    """(problem, config, x0) of the A01 whole-grid cells, from one start per base.
 
     The cells and starts are those of test_a01_whole_grid_one_step_termination,
-    with PCG64(b + cell index) for b = 1000, 2000, ..., 10000.
+    with PCG64(b + cell index) for each base b; the bases default to a01_grid's.
     """
     cfg = mp.solver.SolverConfig(eps=1e-9, tol_gap=1e-12)
     cells = []
@@ -76,7 +77,7 @@ def a01_runs(mp, np):
                                                rho=0.1 if kind == "l1" else 0.0,
                                                seed=len(cells))
                     cells.append((kind, spec, mp.zoo.generate_instance(spec)))
-    for base in range(1000, 10001, 1000):
+    for base in bases:
         for index, (kind, spec, problem) in enumerate(cells):
             rng = np.random.Generator(np.random.PCG64(base + index))
             x0 = (rng.uniform(spec.lo, spec.hi, spec.n) if kind == "box"
@@ -127,6 +128,8 @@ def digest(root: Path) -> int:
         runs = workload_runs(moprox, workloads.pool(workload))
         print(f"{name}: {digest_pool(moprox, np, runs)}", flush=True)
     print(f"a01_grid: {digest_pool(moprox, np, a01_runs(moprox, np))}", flush=True)
+    sweep = a01_runs(moprox, np, range(11000, 60001, 1000))
+    print(f"a01_sweep: {digest_pool(moprox, np, sweep)}", flush=True)
     return 0
 
 
