@@ -34,6 +34,7 @@ comparison involving +inf as a failed decrease.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -178,7 +179,7 @@ class NonsmoothTerm:
     def prox(self, v: np.ndarray, c: float) -> np.ndarray:
         """Proximal map argmin_u c*g(u) + 0.5*||u - v||^2 for step c > 0."""
         c = float(c)
-        if not np.isfinite(c) or c <= 0:
+        if not math.isfinite(c) or c <= 0:
             raise InputError(f"prox step must be finite and > 0, got {c}")
         v = np.asarray(v, dtype=float)
         if self.kind == self.KIND_ZERO:
@@ -407,15 +408,16 @@ def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None,
     g(x) is evaluated once and added to every smooth value, so all values
     are +inf when a box indicator is violated; a sum that overflows is +inf
     too, with no warning. Smooth values must be finite or EvaluationError is
-    raised. When keep is a list, its contents are
-    replaced by the one SmoothEval of x, with Hessians if hessians is true,
-    whose gradients and Hessians are not checked here; without keep no
-    Hessian is asked for.
+    raised. When keep is a list, its contents are replaced by two items:
+    the one SmoothEval of x, with Hessians if hessians is true, whose
+    gradients and Hessians are not checked here, and the values returned,
+    the same array; without keep no Hessian is asked for.
     """
     x = _as_point(x, problem.n)
     g = problem.nonsmooth.value(x)
     se = _check_finite(_sweep(problem.oracle, problem.m, x, hessians and keep is not None),
                        values_only=True)
+    full = _plus_g(se.values, g)
     if keep is not None:
-        keep[:] = [se]
-    return _plus_g(se.values, g)
+        keep[:] = [se, full]
+    return full

@@ -6,8 +6,8 @@ to the direction subproblem, built once per solve from the config's
 replaces every Hessian by ell times the identity (a scaled-identity
 majorization, solved in closed form by one proximal map per snap). Each
 iterate sweeps the smooth oracles once, asking for Hessians only under
-``newton``: the line search keeps the oracle output at the step it
-accepts, and the next iteration uses it. In the same
+``newton``: the line search keeps the oracle output and the objective
+values at the step it accepts, and the next iteration uses both. In the same
 way each direction solve starts its dual loop from the weights of the
 previous accepted direction (uniform weights at iteration 0); that state
 lives in one solve() call, so reruns give the same bits. Iterations stop
@@ -34,6 +34,7 @@ from .errors import (
     SingularMetricError,
     check_field_types,
 )
+from . import problems
 from .problems import ProblemInstance, eval_smooth, _as_point, _check_finite, _plus_g
 from .subproblem import Metric, solve_direction
 
@@ -173,8 +174,9 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     Comparisons involving +inf (an infeasible trial point) fail the test and
     trigger further backtracking. A trial point is judged on its values
     only. When keep is a list, on return it holds the one SmoothEval of the
-    accepted point x + t * d (eval_full's keep), with its gradients and,
-    if hessians is true, its Hessians, unchecked; a caller that forms its
+    accepted point x + t * d, with its gradients and, if hessians is true,
+    its Hessians, unchecked, and that point's objective values, which passed
+    the test and so are finite (eval_full's keep); a caller that forms its
     next iterate by the same expression gets the same bits. Raises
     LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works, and
     InputError when d is zero or theta >= 0 (the test is meaningless without
@@ -184,12 +186,11 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     d = np.asarray(d, dtype=float)
     if not (d != 0.0).any():
         raise InputError("line search requires a nonzero direction")
-    if not (np.isfinite(theta) and theta < 0.0):
+    if not (math.isfinite(theta) and theta < 0.0):
         raise InputError(f"line search requires theta < 0, got {theta}")
-    # looked up at call time, not at import: perfbench/tracing.py counts the
-    # sweeps by patching moprox.problems.eval_full
-    from .problems import eval_full
-
+    # eval_full is looked up on its module at call time, not bound at import:
+    # perfbench/tracing.py counts the sweeps by patching moprox.problems.eval_full
+    eval_full = problems.eval_full
     if f_x is None:
         f_x = eval_full(problem, x)
     f_x = np.asarray(f_x, dtype=float)
@@ -223,8 +224,11 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
     and moves. The SmoothEval the line search keeps at the accepted point
     is the next iteration's evaluation; its finiteness is checked there, as
-    a fresh evaluation's would be. Hessians are asked for only under the
-    Hessian metric; under ell I the sweeps leave them out. It also stops
+    a fresh evaluation's would be. The objective values it keeps there,
+    which passed the Armijo test and so are finite, are the next
+    iteration's F: g and F are evaluated afresh only at iteration 0.
+    Hessians are asked for only under the Hessian metric; under ell I the
+    sweeps leave them out. It also stops
     with CRITICAL_REACHED at the precision limit, when SIGMA * theta >=
     -machine_eps * max(1, max_i |F_i(x)|): there even the unit-step decrease
     bound is below one ulp of F, so a step could only be accepted by
@@ -270,11 +274,13 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     for k in range(config.max_outer):
         try:
-            se = (_check_finite(accepted[0]) if accepted
-                  else eval_smooth(problem, x, hessians=hessians))
-            f_x = _plus_g(se.values, problem.nonsmooth.value(x))
-            if not np.isfinite(f_x).all():
-                raise InputError("objective values at the current iterate are not finite")
+            if accepted:  # its F passed the Armijo test, so it is finite
+                se, f_x = _check_finite(accepted[0]), accepted[1]
+            else:
+                se = eval_smooth(problem, x, hessians=hessians)
+                f_x = _plus_g(se.values, problem.nonsmooth.value(x))
+                if not np.isfinite(f_x).all():
+                    raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap, smooth_eval=se,
                                   metric=metric, weights=weights, eps=config.eps)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
@@ -303,7 +309,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                 status, message = Status.SUBPROBLEM_FAILURE, str(exc)
         records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                    direction_norm=dnorm, theta=theta, step=t,
-                                   weights=res.weights.copy(), gap=gap,
+                                   weights=res.weights, gap=gap,
                                    snaps=res.dual_iters, passes=res.inner_iters,
                                    halvings=_halvings(t) if t else 0))
         if status is not None:
@@ -315,9 +321,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
 
 def _safe_objectives(problem: ProblemInstance, x: np.ndarray, m: int) -> np.ndarray:
-    from .problems import eval_full
-
     try:
-        return eval_full(problem, x)
+        return problems.eval_full(problem, x)
     except MoproxError:
         return np.full(m, float("nan"))

@@ -240,7 +240,7 @@ def _fitting(se: SmoothEval, m: int, n: int, hessians: bool) -> SmoothEval:
 def _term_at(term: NonsmoothTerm, x):
     """g(x); raises InputError outside the term's domain."""
     at_x = term.value(x)
-    if not np.isfinite(at_x):
+    if not math.isfinite(at_x):
         raise InputError("base point lies outside the domain of the nonsmooth term")
     return at_x
 
@@ -454,15 +454,16 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     tol_gap = float(tol_gap)
     if not math.isfinite(tol_gap) or tol_gap <= 0:
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
-    if eps is not None and not (np.isfinite(eps) and eps > 0):
+    if eps is not None and not (math.isfinite(eps) and eps > 0):
         raise InputError(f"eps must be finite and > 0, got {eps}")
     m = problem.m
     if weights is None:
         weights = np.full(m, 1.0 / m)
     else:
         weights = np.array(weights, dtype=float)
-        if (weights.shape != (m,) or not np.isfinite(weights).all()
-                or (weights < 0.0).any() or abs(weights.sum() - 1.0) > 4 * m * _EPS):
+        # nan and -inf fail the min test, +inf the sum test
+        if (weights.shape != (m,) or not weights.min() >= 0.0
+                or abs(weights.sum() - 1.0) > 4 * m * _EPS):
             raise InputError(f"weights must be {m} finite nonnegative numbers "
                              f"summing to 1, got {weights!r}")
     metric = Metric.hessian() if metric is None else metric
@@ -498,15 +499,16 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         return here
 
     def finalize(s: _Snapshot, message: str = "") -> DirectionResult:
-        theta, gap = s.psi.max(), s.gap
-        d = s.d.copy()
+        # no snap's d or lam is written into after it is taken, so both are
+        # handed out uncopied
+        theta, gap, d = s.psi.max(), s.gap, s.d
         if theta > 0.0 or message:
             # the exact optimum is nonpositive (d = 0 is feasible with value 0),
             # so a positive rounded value certifies criticality at precision;
             # a message says a dual value certified ||d*|| <= eps
             d = np.zeros_like(d)
             theta = gap = 0.0
-        return DirectionResult(direction=d, theta=theta, weights=s.lam.copy(), gap=gap,
+        return DirectionResult(direction=d, theta=theta, weights=s.lam, gap=gap,
                                inner_iters=counts["inner"], dual_iters=counts["dual"],
                                dual_history=tuple(history), message=message)
 

@@ -22,6 +22,8 @@ def test_one_pass_of_newton_prox_prints_a_row_per_family_and_n():
         ("quadratic_box/50", "12"), ("total", "48")]
     for r in rows:  # one pass: the best is the median
         assert r[2] == r[3] and float(r[2]) > 0.0 and int(r[4]) >= 0
+        # 48 jobs of two records each: a step, then the critical point
+        assert int(r[5]) == 2 * int(r[1]) and float(r[6]) > 0.0
 
 
 def test_an_unknown_workload_exits_2():
@@ -32,10 +34,11 @@ def test_an_unknown_workload_exits_2():
 
 
 def test_table_gives_best_and_median_per_key_and_the_total_per_pass():
-    figures = {"logsumexp/100": ([0.3, 0.1, 0.2], [10, 30, 20]),
-               "quadratic/200": ([0.05, 0.07, 0.06], [1, 1, 4])}
+    figures = {"logsumexp/100": ([0.3, 0.1, 0.2], [10, 30, 20], [125, 125, 125]),
+               "quadratic/200": ([0.05, 0.07, 0.06], [1, 1, 4], [40, 40, 40])}
     lines = pool_pass.format_table(figures, {"logsumexp/100": 16, "quadratic/200": 16})
+    assert lines[0].split()[-2:] == ["records/pass", "µs/record"]
     assert [line.split() for line in lines[1:]] == [
-        ["logsumexp/100", "16", "0.1000", "0.2000", "20"],
-        ["quadratic/200", "16", "0.0500", "0.0600", "1"],
-        ["total", "32", "0.1700", "0.2600", "24"]]
+        ["logsumexp/100", "16", "0.1000", "0.2000", "20", "125", "800.0"],
+        ["quadratic/200", "16", "0.0500", "0.0600", "1", "40", "1250.0"],
+        ["total", "32", "0.1700", "0.2600", "24", "165", "1030.3"]]

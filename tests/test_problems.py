@@ -176,6 +176,14 @@ class TestNonsmoothTerm:
         with pytest.raises(InputError):
             NonsmoothTerm.scaled_l1(1.0).prox(np.zeros(2), -1.0)
 
+    @pytest.mark.parametrize("term", [NonsmoothTerm.zero(), NonsmoothTerm.scaled_l1(1.0),
+                                      NonsmoothTerm.box(-1.0, 1.0)])
+    @pytest.mark.parametrize("step", [0.0, np.nan, np.inf, -np.inf])
+    def test_prox_rejects_a_bad_step_by_name(self, term, step):
+        with pytest.raises(InputError) as exc:
+            term.prox(np.zeros(2), step)
+        assert str(exc.value) == f"prox step must be finite and > 0, got {step}"
+
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):
             NonsmoothTerm.scaled_l1(-0.1)
@@ -443,7 +451,8 @@ class TestSweepContract:
         assert se.hessians.flags.c_contiguous and not se.hessians.flags.writeable
         assert np.array_equal(se.hessians, h)
 
-    @pytest.mark.parametrize("index, entry", [(1, np.nan), (2, np.inf), (0, -np.inf)])
+    @pytest.mark.parametrize("index, entry", [(1, np.nan), (2, np.inf), (2, np.nan),
+                                              (0, -np.inf)])
     def test_nonfinite_symmetric_stack_names_the_objective(self, index, entry):
         # placed symmetrically: an inf stack still equals its transpose and
         # passes through, a nan one does not; both fail the finiteness check

@@ -140,12 +140,13 @@ class TestArmijoBacktrack:
             armijo_backtrack(prob, np.array([1.0]), np.array([-1.0]), 0.0,
                              sigma=0.1, gamma=0.5)
 
-    @pytest.mark.parametrize("theta", [np.nan, -np.inf])
+    @pytest.mark.parametrize("theta", [np.nan, -np.inf, np.inf])
     def test_nonfinite_theta_rejected(self, theta):
         prob = _single_quadratic()
-        with pytest.raises(InputError, match="line search requires theta < 0"):
+        with pytest.raises(InputError) as exc:
             armijo_backtrack(prob, np.array([1.0]), np.array([-1.0]), theta,
                              sigma=0.1, gamma=0.5)
+        assert str(exc.value) == f"line search requires theta < 0, got {theta}"
 
     @pytest.mark.parametrize("f_x", [[np.nan], [np.inf], [-np.inf]])
     def test_nonfinite_values_at_x_rejected(self, f_x):
@@ -371,6 +372,36 @@ class TestOracleSweeps:
         steps = [r.step for r in tr.records[:-1]]
         assert len(steps) > 10 and all(t == 1.0 for t in steps)
         assert calls == [len(steps) + 1] * prob.m
+
+    @pytest.mark.parametrize("variant, max_outer", [("newton", 500), ("gradient", 12)])
+    def test_one_g_and_one_f_per_point(self, variant, max_outer, monkeypatch):
+        # g is evaluated at x0, at the base point of each direction solve, at
+        # each snap's x + d and at each Armijo trial; an accepted trial's F is
+        # the next iterate's, so no iterate after x0 evaluates g or F again.
+        # A run stopped by max_outer evaluates F once at its last point.
+        real, calls = NonsmoothTerm.value, [0]
+
+        def counting(self, x):
+            calls[0] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(NonsmoothTerm, "value", counting)
+        prob = generate_instance(InstanceSpec(family="quadratic_l1", n=10, m=2,
+                                              cond=100.0, rho=0.1, seed=3))
+        extra = {"ell": prob.lip_grad} if variant == "gradient" else {}
+        cfg = SolverConfig(variant=variant, max_outer=max_outer, **extra)
+        x0 = 2.0 * np.random.Generator(np.random.PCG64(3)).standard_normal(10)
+        tr = solve(prob, cfg, x0)
+        stopped = tr.status is Status.MAX_ITERS
+        assert tr.status is (Status.MAX_ITERS if variant == "gradient"
+                             else Status.CRITICAL_REACHED)
+        directions = len(tr.records) - stopped
+        trials = sum(r.halvings + 1 for r in tr.records if r.step > 0.0)
+        assert len(tr.records) > 1 + stopped  # an iterate after x0
+        assert calls[0] == 1 + directions + tr.snaps + trials + stopped
+        monkeypatch.undo()
+        for r in tr.records:
+            assert eval_full(prob, r.x).tobytes() == r.objectives.tobytes()
 
     @pytest.mark.parametrize("variant", ["newton", "gradient"])
     def test_nonfinite_gradient_at_accepted_point(self, variant):

@@ -467,11 +467,29 @@ class TestWarmStart:
         [0.6, 0.6, -0.2],
         [0.5, 0.25, 0.24],
         [0.5, 0.25, 0.25 + 1e-12],
+        [[1 / 3, 1 / 3, 1 / 3]],
+        [-np.inf, 1.0, 1.0],
+        [np.inf, -np.inf, 1.0],
+        [np.inf, np.inf, np.inf],
+        [1.0 + 8 * 3 * np.finfo(float).eps, 0.0, 0.0],
     ])
     def test_rejects_weights_off_the_simplex(self, weights):
+        # one min (nan and -inf fail it) and one sum (+inf fails it) reject
+        # what an entry-by-entry test would, with no RuntimeWarning
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
-        with pytest.raises(InputError, match="weights must be 3 finite nonnegative"):
+        with pytest.raises(InputError) as exc:
             solve_direction(prob, np.ones(4), weights=weights)
+        assert str(exc.value) == ("weights must be 3 finite nonnegative numbers summing "
+                                  f"to 1, got {np.array(weights, dtype=float)!r}")
+
+    @pytest.mark.parametrize("weights", [
+        [0.0, 1.0, 0.0], [0.7, 0.2, 0.1], [-0.0, 1.0, 0.0],
+        [1.0 + 2 * np.finfo(float).eps, 0.0, 0.0],  # within 4 m eps of summing to 1
+    ])
+    def test_accepts_weights_on_the_simplex(self, weights):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        res = solve_direction(prob, np.ones(4), weights=weights)
+        assert res.weights.min() >= 0.0 and res.dual_iters >= 1
 
     @pytest.mark.parametrize("x", [[1.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
     def test_rejects_a_nonfinite_point(self, x):
@@ -485,11 +503,19 @@ class TestWarmStart:
         with pytest.raises(InputError, match="tol_gap must be finite and > 0"):
             solve_direction(prob, np.ones(4), tol_gap=tol_gap)
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, np.nan, np.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, np.nan, np.inf, -np.inf])
     def test_rejects_a_bad_eps(self, eps):
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
-        with pytest.raises(InputError, match="eps must be finite and > 0"):
+        with pytest.raises(InputError) as exc:
             solve_direction(prob, np.ones(4), eps=eps)
+        assert str(exc.value) == f"eps must be finite and > 0, got {eps}"
+
+    def test_rejects_a_base_point_outside_the_box(self):
+        # g(x) = +inf there
+        prob = generate_instance(InstanceSpec(family="quadratic_box", n=4, m=3, seed=1))
+        with pytest.raises(InputError) as exc:
+            solve_direction(prob, np.full(4, 2.0))
+        assert str(exc.value) == "base point lies outside the domain of the nonsmooth term"
 
     def test_rejects_a_smooth_eval_without_hessians_under_the_hessian_metric(self):
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))

@@ -11,10 +11,13 @@ it: each job's instance, solver config and start. Then one warm-up pass and
 --passes timed passes each solve every job once, in pool order.
 
 It prints one row per (family, n) of the pool and a total: the jobs, the
-best and the median seconds per pass, and the median minor page faults per
-pass, getrusage(RUSAGE_SELF).ru_minflt read around each solve. These are
-the figures of the solves alone, without the imports and the set-up that a
-benchmark run's whole-process count holds. No figure is checked.
+best and the median seconds per pass, the median minor page faults per
+pass, getrusage(RUSAGE_SELF).ru_minflt read around each solve, the trace
+records per pass (one per iterate, summed over the jobs' traces; a pass
+repeats the same solves, so every pass has as many) and the best seconds
+per pass over those records, in microseconds. These are the figures of the
+solves alone, without the imports and the set-up that a benchmark run's
+whole-process count holds. No figure is checked.
 
 Exit codes: 0 table printed, 2 unknown workload or moprox source not found.
 """
@@ -35,37 +38,40 @@ from trace_digest import BLAS_THREAD_VARS, workload_runs
 
 
 def pass_figures(mp, runs, keys, passes: int) -> dict:
-    """key -> (seconds, faults) per timed pass, summed over that key's jobs.
+    """key -> (seconds, faults, records) per timed pass, summed over that key's jobs.
 
     runs holds (problem, config, x0) per job and keys its group; one
     untimed warm-up pass runs first.
     """
-    figures = defaultdict(lambda: ([0.0] * passes, [0] * passes))
+    figures = defaultdict(lambda: ([0.0] * passes, [0] * passes, [0] * passes))
     for p in range(-1, passes):
         for (problem, cfg, x0), key in zip(runs, keys):
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
-            mp.solver.solve(problem, cfg, x0)
+            trace = mp.solver.solve(problem, cfg, x0)
             seconds = time.perf_counter() - start
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             if p >= 0:
                 figures[key][0][p] += seconds
                 figures[key][1][p] += faults
+                figures[key][2][p] += len(trace.records)
     return figures
 
 
 def format_table(figures: dict, jobs: dict) -> list:
     """The table's lines: a header, one row per key in order, and the total."""
     passes = len(next(iter(figures.values()))[0])
-    total = ([sum(f[0][p] for f in figures.values()) for p in range(passes)],
-             [sum(f[1][p] for f in figures.values()) for p in range(passes)])
+    total = tuple([sum(f[i][p] for f in figures.values()) for p in range(passes)]
+                  for i in range(3))
     lines = [f"{'family/n':<16} {'jobs':>5} {'best s/pass':>12} {'median s/pass':>14} "
-             f"{'minflt/pass':>12}"]
-    for key, (seconds, faults) in [*figures.items(), ("total", total)]:
+             f"{'minflt/pass':>12} {'records/pass':>13} {'µs/record':>10}"]
+    for key, (seconds, faults, records) in [*figures.items(), ("total", total)]:
         count = sum(jobs.values()) if key == "total" else jobs[key]
+        per_pass = statistics.median(records)
         lines.append(f"{key:<16} {count:>5} {min(seconds):>12.4f} "
                      f"{statistics.median(seconds):>14.4f} "
-                     f"{statistics.median(faults):>12.0f}")
+                     f"{statistics.median(faults):>12.0f} {per_pass:>13.0f} "
+                     f"{1e6 * min(seconds) / per_pass:>10.1f}")
     return lines
 
 
