@@ -268,7 +268,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
               else Metric.hessian())
-    hessians = metric.ell is None  # only the Hessian metric reads them
+    hessians = metric.reads_hessians
     accepted = []  # the SmoothEval of the last accepted step, kept by the line search
     weights = None  # dual weights of the last accepted direction, the next dual start
 

@@ -118,7 +118,8 @@ class Metric:
     Build it with :meth:`hessian` (H_i is the Hessian of f_i at the base
     point, the proximal Newton-type model) or :meth:`scaled_identity`
     (H_i = ell I for every objective, the multiobjective proximal gradient
-    model); ell is None for the former.
+    model); ell is None for the former. :attr:`reads_hessians` is the one
+    answer to whether a sweep for this metric asks for Hessians.
     """
 
     ell: Optional[float] = None
@@ -133,6 +134,11 @@ class Metric:
         if not (np.isfinite(ell) and ell > 0):
             raise ConfigError(f"ell must be finite and > 0, got {ell}")
         return cls(ell=ell)
+
+    @property
+    def reads_hessians(self) -> bool:
+        """Whether the model reads the Hessians: under the Hessian metric only."""
+        return self.ell is None
 
     def modulus(self, problem: ProblemInstance) -> float:
         """Strong-convexity modulus of every model psi_i: problem.mu, or ell."""
@@ -403,10 +409,11 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     """Solve the direction subproblem at x to a certified duality gap or ||d*|| <= eps.
 
     metric defaults to the Hessian metric. smooth_eval, the oracle output at
-    x, is evaluated here when not given; the line search of the outer loop
-    keeps the output at the step it accepts and passes it in, so each
-    iterate sweeps the oracles once. Only the metric reads its Hessians, and
-    the scaled-identity metric does not.
+    x, is evaluated here when not given, with Hessians only when the metric
+    reads them (:attr:`Metric.reads_hessians`: the scaled-identity metric
+    does not); the line search of the outer loop keeps the output at the
+    step it accepts and passes it in, so each iterate sweeps the oracles
+    once.
 
     Maximizes the dual over the weight simplex from weights, or from the
     uniform vector when weights is None. The outer loop passes the weights
@@ -467,8 +474,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             raise InputError(f"weights must be {m} finite nonnegative numbers "
                              f"summing to 1, got {weights!r}")
     metric = Metric.hessian() if metric is None else metric
-    se = (eval_smooth(problem, x) if smooth_eval is None
-          else _fitting(smooth_eval, m, problem.n, metric.ell is None))
+    se = (eval_smooth(problem, x, hessians=metric.reads_hessians) if smooth_eval is None
+          else _fitting(smooth_eval, m, problem.n, metric.reads_hessians))
     # a dual value at or above stop_phi certifies ||d*|| <= eps
     stop_phi = math.inf if eps is None else -0.5 * metric.modulus(problem) * eps * eps
     term = problem.nonsmooth

@@ -60,7 +60,8 @@ class InstanceSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigError(f"must be one of {FAMILIES}, got {self.family!r}", "family")
+            raise ConfigError(f"must be one of {', '.join(FAMILIES)}, got {self.family!r}",
+                              "family")
         check_field_types(self, integers=("n", "m", "seed"),
                           reals=("cond", "mu", "rho", "lo", "hi"))
         for name in ("n", "m"):

@@ -13,6 +13,7 @@ from math import ceil
 import numpy as np
 import pytest
 
+import moprox
 from moprox import (
     InsufficientDataError,
     InstanceSpec,
@@ -37,6 +38,7 @@ from moprox.cli import main as cli_main, read_trace_csv
 from moprox.solver import SIGMA
 from moprox.subproblem import solve_direction
 from moprox.zoo import quadratic_objective
+from trace_digest import a01_runs
 
 from conftest import grid_min_theta, lse_hessian_lipschitz
 
@@ -127,37 +129,26 @@ def test_a01_quadratic_grid_one_step_termination():
 
 def test_a01_whole_grid_one_step_termination():
     # every cell of zero/l1/box x m in {2, 3, 4, 5, 8} x n in {2, 10, 50} x
-    # cond in {1, 1e2, 1e4}: one unit step reaches a point with criticality
-    # measure at most 1e-5. With n = 2 and m >= 3 the Pareto set is 2-D, so
-    # a start can already be critical; such a run has one record, checked
-    # there instead.
-    families = {"zero": "quadratic", "l1": "quadratic_l1", "box": "quadratic_box"}
-    cfg = SolverConfig(eps=1e-9, tol_gap=1e-12)
-    worst, cells = 0.0, 0
-    for kind in families:
-        for m in (2, 3, 4, 5, 8):
-            for n in (2, 10, 50):
-                for cond in (1.0, 1e2, 1e4):
-                    spec = InstanceSpec(family=families[kind], n=n, m=m, cond=cond,
-                                        rho=0.1 if kind == "l1" else 0.0, seed=cells)
-                    prob = generate_instance(spec)
-                    rng = np.random.Generator(np.random.PCG64(1000 + cells))
-                    x0 = (rng.uniform(spec.lo, spec.hi, n) if kind == "box"
-                          else 2.0 * rng.standard_normal(n))
-                    tr = solve(prob, cfg, x0)
-                    _register(f"whole-grid-{cells}", prob, tr)
-                    label = (kind, m, n, cond)
-                    assert tr.status is Status.CRITICAL_REACHED, (label, tr.message)
-                    if len(tr.records) > 1:
-                        assert tr.records[0].step == 1.0, (label, tr.records[0].step)
-                    x1 = tr.records[min(1, len(tr.records) - 1)].x
-                    crit = criticality_measure(prob, x1, tol_gap=1e-12)
-                    assert crit <= 1e-5, (label, crit)
-                    worst = max(worst, crit)
-                    cells += 1
-    assert cells == 135
+    # cond in {1, 1e2, 1e4}, from the starts PCG64(1000 + cell index), as
+    # tools/trace_digest.py's a01_runs builds them: one unit step reaches a
+    # point with criticality measure at most 1e-5. With n = 2 and m >= 3 the
+    # Pareto set is 2-D, so a start can already be critical; such a run has
+    # one record, checked there instead.
+    runs = list(a01_runs(moprox, np, (1000,)))
+    assert len(runs) == 135
+    worst = 0.0
+    for cell, (prob, cfg, x0) in enumerate(runs):
+        tr = solve(prob, cfg, x0)
+        _register(f"whole-grid-{cell}", prob, tr)
+        assert tr.status is Status.CRITICAL_REACHED, (cell, tr.message)
+        if len(tr.records) > 1:
+            assert tr.records[0].step == 1.0, (cell, tr.records[0].step)
+        x1 = tr.records[min(1, len(tr.records) - 1)].x
+        crit = criticality_measure(prob, x1, tol_gap=1e-12)
+        assert crit <= 1e-5, (cell, crit)
+        worst = max(worst, crit)
     _report("A01", True,
-            f"all {cells} cells of the whole grid, first step t=1, worst "
+            f"all {len(runs)} cells of the whole grid, first step t=1, worst "
             f"one-step criticality {worst:.3e} <= 1e-5")
 
 

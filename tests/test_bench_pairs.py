@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary, on canned benchmark results, and its runs, on
 stand-in benchmarks; no benchmark runs."""
 
+import json
 import sys
 
 import pytest
@@ -47,6 +48,9 @@ def test_a_consistent_gain_in_each_direction_is_claimed():
     assert row["better"] == "higher"
     assert row["parent"] == pytest.approx((25.225, 25.45, 25.675))
     assert row["change"] == pytest.approx((30.225, 30.45, 30.675))
+    # nine of those pairs are too few to claim a gain: MIN_PAIRS is ten
+    rows = bench_pairs.summarize(END_TO_END, _pairs(parent[:9], change[:9]))
+    assert [(r["wins"], r["gain"]) for r in rows] == [(9, False)] * 2
 
 
 def test_the_better_direction_decides_who_wins():
@@ -84,12 +88,13 @@ def test_no_gain_when_the_medians_differ_by_less_than_the_parent_spread():
 
 
 def test_format_rows_prints_a_line_per_metric():
+    # two pairs, each a clear win, are too few to claim a gain
     parent = [(25.0, 0.038)] * 2
     change = [(30.0, 0.031)] * 2
     lines = bench_pairs.format_rows(bench_pairs.summarize(END_TO_END, _pairs(parent, change)))
     assert len(lines) == 3 and lines[0].startswith("metric")
     assert lines[1].split()[:3] == ["solved_per_s", "higher", "25"]
-    assert "1.2000" in lines[1] and lines[1].endswith("yes")
+    assert "1.2000" in lines[1] and lines[1].endswith("no")
     assert lines[2].startswith("solve_s_p50") and "0.8158" in lines[2]
 
 
@@ -121,10 +126,12 @@ def _stand_in(tmp_path, body):
 
 
 def test_run_once_returns_the_last_lines_result(tmp_path):
+    # and the whole output, where tools/bench_record.py reads the host figures
     result = _result(30.0, 0.03)
     command = _stand_in(tmp_path, f"import json\nprint('first line')\n"
                                   f"print(json.dumps({result!r}))\n")
-    assert bench_pairs.run_once(command, tmp_path, []) == result
+    assert bench_pairs.run_once(command, tmp_path, []) == (
+        result, f"first line\n{json.dumps(result)}\n")
 
 
 @pytest.mark.parametrize("body, match", [

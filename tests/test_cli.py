@@ -249,7 +249,7 @@ class TestConfigErrors:
         ("solve", lambda c: c.update(instance={"family": "quadratic", "n": 4}),
          "missing required key instance.n or instance.m"),
         ("solve", lambda c: c["instance"].update(family="cubic"),
-         f"instance.family must be one of {', '.join(moprox.cli.FAMILIES)}, got 'cubic'"),
+         f"instance.family must be one of {', '.join(moprox.zoo.FAMILIES)}, got 'cubic'"),
         ("solve", lambda c: c["run"]["x0"].update(scale=float("inf")),
          "run.x0.scale must be finite, got inf"),
         ("solve", lambda c: c["run"].update(x0=[1.0, 2.0]),
@@ -263,6 +263,9 @@ class TestConfigErrors:
         ("check", lambda c: c.update(checks={}), "missing required key checks.names"),
         ("check", lambda c: c.update(checks={"names": "descent_bound"}),
          "checks.names must be a list"),
+        # InstanceSpec tests the family, after the missing keys
+        ("solve", lambda c: c.update(instance={"family": "cubic", "n": 4}),
+         "missing required key instance.n or instance.m"),
     ])
     def test_guard_messages_exit_64(self, tmp_path, capsys, verb, mangle, message):
         # mangle edits the config in place or returns its replacement; json

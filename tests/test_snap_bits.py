@@ -5,14 +5,16 @@ rewritten, keeping every result to the last bit: the dispatch cut kept the
 inner solve's passes too, and block principal pivoting, which replaced its
 ratio test, clipped trial and safeguard, keeps d, the free set and the
 free block's solve while it takes other passes. The references are the
-earlier code: the inner solve verbatim, the other two as their formulas.
-Both sides run on the same BLAS, so equality holds on any host.
+earlier code: the inner solve verbatim, on its own Cholesky helper and pass
+cap, the other two as their formulas. Both sides run on the same BLAS, so
+equality holds on any host.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 import moprox.subproblem
 from moprox import (
@@ -20,16 +22,30 @@ from moprox import (
     InputError,
     InstanceSpec,
     NonsmoothTerm,
+    SingularMetricError,
     SolverConfig,
     Status,
     eval_smooth,
     generate_instance,
     solve,
 )
-from moprox.subproblem import MAX_INNER_PASSES, Metric, _cholesky, inner_minimize
+from moprox.subproblem import Metric, _cholesky, inner_minimize
 from moprox.zoo import FAMILIES
 
 _EPS = np.finfo(float).eps
+# the reference's own factor and pass cap: it reads M after factoring it, so
+# a production factor that writes into its argument must not reach it
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=float)
+_REFERENCE_PASSES = 10000
+
+
+def _reference_cholesky(block):
+    # the solve with block's Cholesky factor, with the earlier code's flags
+    factor, info = _potrf(block, lower=True, clean=False)
+    if info != 0:
+        raise SingularMetricError(f"weighted Hessian is not positive definite "
+                                  f"(potrf info {info})")
+    return lambda rhs: _potrs(factor, rhs, lower=True)[0]
 
 
 def _reference_inner_minimize(weights, smooth_eval, term, x, *, d0=None):
@@ -58,9 +74,9 @@ def _reference_inner_minimize(weights, smooth_eval, term, x, *, d0=None):
 
     block = True  # hold and release whole sets until q stops falling
     q_last = np.inf  # q at the last releasing full-step pass
-    for it in range(1, MAX_INNER_PASSES + 1):
+    for it in range(1, _REFERENCE_PASSES + 1):
         if free.all():
-            solve = _cholesky(M)
+            solve = _reference_cholesky(M)
             d_new = solve(-c)
             if not ends:
                 return d_new, free, solve, it
@@ -68,7 +84,7 @@ def _reference_inner_minimize(weights, smooth_eval, term, x, *, d0=None):
             solve = None
             d_new = d.copy()
             if free.any():
-                solve = _cholesky(M[np.ix_(free, free)])
+                solve = _reference_cholesky(M[np.ix_(free, free)])
                 d_new[free] = solve(-c[free] - M[np.ix_(free, ~free)] @ d[~free])
 
         # ratio test: the fraction of the step at which each coordinate
@@ -114,7 +130,7 @@ def _reference_inner_minimize(weights, smooth_eval, term, x, *, d0=None):
         a[release], b[release] = a_in[out], b_in[out]
         c[release] = v[release] + slope_in[out]
     raise ConvergenceError(
-        f"inner active-set solve not certified after {MAX_INNER_PASSES} passes",
+        f"inner active-set solve not certified after {_REFERENCE_PASSES} passes",
         residual=float(np.linalg.norm(p)),
     )
 

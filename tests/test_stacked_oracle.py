@@ -19,6 +19,7 @@ from moprox import (
     generate_instance,
     solve,
 )
+from moprox.subproblem import Metric, solve_direction
 from moprox.zoo import FAMILIES
 
 
@@ -103,10 +104,20 @@ def test_stacked_oracle_matches_per_objective_formulas(family, m, n):
             assert _bits(v, g, h) == _bits(values[i], grads[i], hesses[i])
 
 
-@pytest.mark.parametrize("family", ["quadratic", "logsumexp"])
+def _nan_hessian_instance():
+    """One objective, |x|^2 / 2 on R^5, whose oracle returns a nan Hessian."""
+    def f(x):
+        return 0.5 * (x @ x), x, np.full((5, 5), np.nan)
+
+    return ProblemInstance(n=5, m=1, smooth=(SmoothObjective(f),),
+                           nonsmooth=NonsmoothTerm.zero(), mu=1.0, lip_grad=2.0)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logsumexp", "nan Hessian"])
 @pytest.mark.parametrize("variant", ["newton", "gradient"])
 def test_hessians_asked_for_only_under_the_hessian_metric(family, variant):
-    prob = generate_instance(InstanceSpec(family=family, n=5, m=3, seed=4))
+    prob = (_nan_hessian_instance() if family == "nan Hessian"
+            else generate_instance(InstanceSpec(family=family, n=5, m=3, seed=4)))
     requests = []
     oracle = prob.oracle
 
@@ -115,9 +126,20 @@ def test_hessians_asked_for_only_under_the_hessian_metric(family, variant):
         return oracle(x, hessians)
 
     object.__setattr__(prob, "oracle", counting)
+    x0 = np.random.Generator(np.random.PCG64(4)).standard_normal(5)
+    # a direct direction solve sweeps once, and reads no Hessian under ell I
+    metric = Metric.hessian() if variant == "newton" else Metric.scaled_identity(prob.lip_grad)
+    if family == "nan Hessian" and variant == "newton":
+        with pytest.raises(EvaluationError, match="^smooth objective 0 returned non-finite "
+                                                  "output$"):
+            solve_direction(prob, x0, metric=metric)
+        assert requests == [True]
+        return
+    assert solve_direction(prob, x0, metric=metric).theta < 0.0
+    assert requests == [variant == "newton"]
+    requests.clear()
     extra = {"ell": prob.lip_grad} if variant == "gradient" else {}
-    tr = solve(prob, SolverConfig(variant=variant, eps=1e-6, tol_gap=1e-12, **extra),
-               np.random.Generator(np.random.PCG64(4)).standard_normal(5))
+    tr = solve(prob, SolverConfig(variant=variant, eps=1e-6, tol_gap=1e-12, **extra), x0)
     assert tr.status is Status.CRITICAL_REACHED
     # one sweep at the start, one per Armijo trial
     assert len(requests) == 1 + tr.steps_taken + tr.halvings

@@ -17,9 +17,15 @@ For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles (linear interpolation between order statistics), the ratio
 of the medians, and how many pairs this checkout won, tied and lost by the
 metric's `better` direction. The last column says whether a gain could be
-claimed: this checkout won at least nine tenths of the pairs, and the
-medians differ by more than the parent's interquartile range. Page
-faults per pool pass come from tools/pool_pass.py, not from here.
+claimed: there were at least ten pairs (MIN_PAIRS), this checkout won at
+least nine tenths of them, and the medians differ by more than the
+parent's interquartile range. So a run of fewer pairs, such as a one-pair
+smoke run, prints `no` in every row. Page faults per pool pass come from
+tools/pool_pass.py, not from here.
+
+run_once is the one test of a benchmark run, which tools/bench_record.py
+shares: a run passes when its last output line is a result with
+"correct": true and no failed jobs, and the process exits 0.
 
 Exit codes: 0 summary printed, 1 a run gave no result, was not correct or
 had failed jobs, 2 usage error, the benchmark differs, or git failed.
@@ -38,6 +44,7 @@ from gitrev import ROOT, checkout
 BENCHMARK = "BENCHMARK.json"
 BENCH_DIR = "perfbench"
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # fewer pairs than this claim no gain
 
 
 class RunFailed(Exception):
@@ -75,7 +82,8 @@ def summarize(end_to_end: list, pairs: list) -> list:
             wins += change > parent if higher else change < parent
         q = {side: quartiles(values[side]) for side in SIDES}
         gap = q["change"][1] - q["parent"][1]
-        gain = (10 * wins >= 9 * len(pairs) and (gap if higher else -gap) > 0
+        gain = (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
+                and (gap if higher else -gap) > 0
                 and abs(gap) > q["parent"][2] - q["parent"][0])
         rows.append({"name": name, "better": spec["better"], "parent": q["parent"],
                      "change": q["change"], "wins": wins, "ties": ties,
@@ -116,8 +124,19 @@ def differing(a: dict, b: dict) -> list:
     return sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p))
 
 
-def run_once(command: list, cwd: Path, args: list) -> dict:
-    """One benchmark run in cwd; its parsed result. Raises RunFailed."""
+def load_benchmark() -> dict:
+    """This checkout's BENCHMARK.json, parsed."""
+    return json.loads((ROOT / BENCHMARK).read_text())
+
+
+def run_once(command: list, cwd: Path, args: list) -> tuple:
+    """One benchmark run in cwd: (its parsed result, its output). Raises RunFailed.
+
+    The result is the last output line. The run passes when it exits 0 with
+    "correct": true and no failed jobs; RunFailed's message names the exit
+    code, correct and failed, or, when there is no result, gives the tail
+    of the run's output.
+    """
     proc = subprocess.run(command + args, cwd=cwd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -128,7 +147,7 @@ def run_once(command: list, cwd: Path, args: list) -> dict:
     if proc.returncode != 0 or result.get("correct") is not True or result.get("failed"):
         raise RunFailed(f"exit {proc.returncode}, correct {result.get('correct')}, "
                         f"failed {result.get('failed')}")
-    return result
+    return result, proc.stdout
 
 
 def compare(parent_dir: Path, command: list, end_to_end: list, args) -> list:
@@ -141,7 +160,7 @@ def compare(parent_dir: Path, command: list, end_to_end: list, args) -> list:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {}
         for side in order:
-            pair[side] = run_once(command, dirs[side], bench_args)
+            pair[side] = run_once(command, dirs[side], bench_args)[0]
             figures = " ".join(f"{m['name']}={pair[side]['metrics'][m['name']]['value']:.4g}"
                                for m in end_to_end)
             print(f"pair {i + 1}/{args.pairs} {side}: {figures}", flush=True)
@@ -168,7 +187,7 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    bench = json.loads((ROOT / BENCHMARK).read_text())
+    bench = load_benchmark()
     if args.workload not in {w["name"] for w in bench["workloads"]}:
         print(f"bench_pairs: unknown workload {args.workload!r}", file=sys.stderr)
         return 2

@@ -5,10 +5,11 @@ Run from the repository root:
     python3 tools/pool_pass.py --workload newton_smooth
     python3 tools/pool_pass.py --workload newton_prox --passes 1
 
-BLAS is pinned to one thread before numpy is imported. The pool of the
-workload (perfbench/workloads.py) is built as tools/trace_digest.py builds
-it: each job's instance, solver config and start. Then one warm-up pass and
---passes timed passes each solve every job once, in pool order.
+The checkout (this one, or --root DIR) is loaded by tools/trace_digest.py's
+load_checkout, which pins BLAS to one thread before numpy is imported, and
+the pool of the workload (perfbench/workloads.py) is built as trace_digest
+builds it: each job's instance, solver config and start. Then one warm-up
+pass and --passes timed passes each solve every job once, in pool order.
 
 It prints one row per (family, n) of the pool and a total: the jobs, the
 best and the median seconds per pass, the median minor page faults per
@@ -25,7 +26,6 @@ Exit codes: 0 table printed, 2 unknown workload or moprox source not found.
 from __future__ import annotations
 
 import argparse
-import os
 import resource
 import statistics
 import sys
@@ -34,7 +34,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from gitrev import ROOT
-from trace_digest import BLAS_THREAD_VARS, workload_runs
+from trace_digest import load_checkout, workload_runs
 
 
 def pass_figures(mp, runs, keys, passes: int) -> dict:
@@ -84,19 +84,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be >= 1")
-    root = args.root.resolve()
-    if not (root / "src" / "moprox" / "__init__.py").is_file():
-        print(f"pool_pass: no moprox source under {root / 'src'}", file=sys.stderr)
+    loaded = load_checkout(args.root.resolve(), "pool_pass")
+    if loaded is None:
         return 2
-    # pin BLAS before numpy (imported by the modules below) loads it
-    for var in BLAS_THREAD_VARS:
-        os.environ[var] = "1"
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import moprox.cli
-    import moprox.solver
-    import moprox.zoo
-    import workloads
-
+    moprox, _, workloads = loaded
     if args.workload not in workloads.WORKLOADS:
         print(f"pool_pass: unknown workload {args.workload!r}", file=sys.stderr)
         return 2

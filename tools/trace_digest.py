@@ -8,9 +8,10 @@ Run from the repository root:
 For each workload of perfbench/workloads.py this solves every job of its
 fixed pool as perfbench does (zoo.generate_instance on the job's spec,
 cli.build_solver_config on its solver section, solver.solve from its
-start), with BLAS pinned to one thread before numpy is imported. Two
-last lines solve the 135 cells of the A01 whole-grid acceptance test
-(tests/test_acceptance.py) from the starts PCG64(b + cell index):
+start), with BLAS pinned to one thread before numpy is imported
+(load_checkout, which tools/pool_pass.py shares). Two last lines solve the
+135 cells of the A01 whole-grid acceptance test (a01_runs, which
+tests/test_acceptance.py iterates) from the starts PCG64(b + cell index):
 a01_grid for b = 1000, 2000, ..., 10000 (1,350 solves) and a01_sweep for
 b = 11000, 12000, ..., 60000 (6,750 solves), together the 8,100-run A01
 sweep, every one of which ends critical_reached. They cover the dual
@@ -52,6 +53,27 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
                     "NUMEXPR_NUM_THREADS")
 
 
+def load_checkout(root: Path, tool: str):
+    """(moprox, numpy, workloads) imported from the checkout at root, or None.
+
+    BLAS is pinned to one thread before numpy loads, and root's src and
+    perfbench go first on sys.path. When root holds no moprox source it
+    prints so on stderr, prefixed by the tool's name, and returns None.
+    """
+    if not (root / "src" / "moprox" / "__init__.py").is_file():
+        print(f"{tool}: no moprox source under {root / 'src'}", file=sys.stderr)
+        return None
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import numpy as np
+
+    import moprox.cli  # the package imports its solver and zoo
+    import workloads
+
+    return moprox, np, workloads
+
+
 def workload_runs(mp, jobs):
     """(problem, config, x0) of each job of a workload pool, as perfbench builds them."""
     for job in jobs:
@@ -63,8 +85,10 @@ def workload_runs(mp, jobs):
 def a01_runs(mp, np, bases=range(1000, 10001, 1000)):
     """(problem, config, x0) of the A01 whole-grid cells, from one start per base.
 
-    The cells and starts are those of test_a01_whole_grid_one_step_termination,
-    with PCG64(b + cell index) for each base b; the bases default to a01_grid's.
+    The 135 cells are zero, l1 and box terms x m in {2, 3, 4, 5, 8} x n in
+    {2, 10, 50} x cond in {1, 1e2, 1e4}, cell i seeded i, and each starts
+    from PCG64(b + i) for each base b; the bases default to a01_grid's.
+    test_a01_whole_grid_one_step_termination solves them from base 1000.
     """
     cfg = mp.solver.SolverConfig(eps=1e-9, tol_gap=1e-12)
     cells = []
@@ -113,17 +137,10 @@ def digest_pool(mp, np, runs) -> str:
 
 def digest(root: Path) -> int:
     """Print the digest lines of the checkout at root."""
-    if not (root / "src" / "moprox" / "__init__.py").is_file():
-        print(f"trace_digest: no moprox source under {root / 'src'}", file=sys.stderr)
+    loaded = load_checkout(root, "trace_digest")
+    if loaded is None:
         return 2
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import numpy as np
-
-    import moprox.cli
-    import moprox.solver
-    import moprox.zoo
-    import workloads
-
+    moprox, np, workloads = loaded
     for name, workload in workloads.WORKLOADS.items():
         runs = workload_runs(moprox, workloads.pool(workload))
         print(f"{name}: {digest_pool(moprox, np, runs)}", flush=True)
@@ -185,10 +202,6 @@ def main(argv=None) -> int:
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="checkout to digest (default: this one)")
     args = ap.parse_args(argv)
-    # pin BLAS before numpy (imported by the modules below) loads it; the
-    # digest runs of --against inherit it
-    for var in BLAS_THREAD_VARS:
-        os.environ[var] = "1"
     if args.against is not None:
         return against(args.against)
     return digest(args.root.resolve())
