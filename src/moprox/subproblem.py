@@ -269,8 +269,13 @@ def _model_values_hi(d, gradients, products, term: NonsmoothTerm, x, at_x):
 
 
 def _cholesky(block: np.ndarray):
-    """The solve with block's Cholesky factor, by LAPACK potrf and potrs."""
-    factor, info = _potrf(block, lower=True, clean=False)
+    """The solve with block's Cholesky factor, by LAPACK potrf and potrs.
+
+    block is factored in place: every caller passes a fresh copy that it
+    does not read again. It is exactly symmetric, so block.T is the same
+    matrix in Fortran order, which potrf overwrites without a copy.
+    """
+    factor, info = _potrf(block.T, lower=True, clean=False, overwrite_a=True)
     if info != 0:
         raise SingularMetricError(f"weighted Hessian is not positive definite "
                                   f"(potrf info {info})")
