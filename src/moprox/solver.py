@@ -236,6 +236,10 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     zero direction (direction norm, theta and gap 0), as the subproblem does
     for theta > 0, and, when the direction norm was still >= eps, sets the
     trace message to name the stop with SIGMA * theta and the ulp bound.
+    The direction solve runs with its forcing on (subproblem.solve_direction):
+    a direction whose d meets theta <= -(mu/2)||d||^2 is certified at gap
+    <= max(tol_gap, floor, (mu/2) FORCING ||d||^4), so the trace's gap can
+    read up to that, and ||d - d*|| <= 0.01 ||d||^2 keeps the local rates.
     The direction solve is given eps: once a dual value phi >= -mu eps^2 / 2
     (mu the metric's modulus, problem.mu or ell) shows ||d*|| <= eps, it
     returns the zero direction before closing its gap, and the run stops
@@ -282,7 +286,8 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                 if not np.isfinite(f_x).all():
                     raise InputError("objective values at the current iterate are not finite")
             res = solve_direction(problem, x, tol_gap=config.tol_gap, smooth_eval=se,
-                                  metric=metric, weights=weights, eps=config.eps)
+                                  metric=metric, weights=weights, eps=config.eps,
+                                  forcing=True)
         except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
             return stop(Status.SUBPROBLEM_FAILURE, str(exc), x)
 

@@ -31,7 +31,10 @@ snap, which gives phi, the gap certificate and theta. A float64 sum of
 products is exact only to a small multiple of eps64 times the sum of the
 magnitudes of its terms (Higham 2002, ch. 3), so a snap certifies its gap
 at max(tol_gap, GAP_FLOOR eps64 S), with S that sum for its model values
-(:func:`solve_direction`): a tol_gap below the floor is raised to it.
+(:func:`solve_direction`): a tol_gap below the floor is raised to it. The
+outer loop asks for less far from a solution: a forcing term certifies a
+snap once its error bound is below a fixed fraction of ||d||^2, as inexact
+Newton methods do (solve_direction's forcing).
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ MAX_DUAL_ITERS = 500
 # cannot resolve the gap. With 16 the 8,100-run A01 sweep left 3 starts
 # uncertified; with 64 it leaves none.
 GAP_FLOOR = 64
+# Under solve_direction(..., forcing=True) a snap whose d meets the descent
+# bound theta <= -(mu/2)||d||^2 also certifies at gap <= (mu/2) FORCING ||d||^4,
+# which keeps ||d - d*|| <= sqrt(FORCING) ||d||^2 = 0.01 ||d||^2. With 1e-3 one
+# rate test's tail (A05, l1, m = 5) stops decreasing strictly.
+FORCING = 1e-4
 
 __all__ = [
     "DirectionResult",
@@ -90,7 +98,9 @@ class DirectionResult:
         Dual simplex weights at termination, shape (m,).
     gap : float
         Duality gap certificate max_i psi_i(d) - sum_i w_i psi_i(d), at most
-        max(tol_gap, GAP_FLOOR eps64 S) for the scale S of the model values.
+        max(tol_gap, GAP_FLOOR eps64 S) for the scale S of the model values;
+        with forcing (as solve() calls it), at most the larger of that and
+        (mu/2) FORCING ||d||^4 (:func:`solve_direction`).
     inner_iters, dual_iters : int
         Total passes of the inner active-set solve (one Cholesky solve each)
         and number of dual weight vectors visited.
@@ -404,13 +414,15 @@ class _Snapshot:
     hd: np.ndarray  # H_i d, or ell d under ell I, for the Newton step
     psi: np.ndarray
     phi: float
+    theta: float  # psi.max()
     gap: float
-    tol: float  # max(tol_gap, the floor): gap <= tol certifies the snap
+    tol: float  # the forcing or max(tol_gap, the floor): gap <= tol certifies the snap
 
 
 def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
                     smooth_eval=None, metric: Optional[Metric] = None,
-                    weights=None, eps: Optional[float] = None) -> DirectionResult:
+                    weights=None, eps: Optional[float] = None,
+                    forcing: bool = False) -> DirectionResult:
     """Solve the direction subproblem at x to a certified duality gap or ||d*|| <= eps.
 
     metric defaults to the Hessian metric. smooth_eval, the oracle output at
@@ -444,6 +456,19 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     + |g(x + d)| + |g(x)| is the sum of the magnitudes that the snap's model
     values add up, and float64 resolves them, and the gap, only to a small
     multiple of eps64 S (Higham 2002, ch. 3).
+    With forcing, a snap also certifies when its d meets the paper's descent
+    bound theta(d) <= -(mu/2)||d||^2 and its gap is at most (mu/2) FORCING
+    ||d||^4, mu the metric's modulus. The models are mu-strongly convex, so
+    theta is, and with weak duality (mu/2)||d - d*||^2 <= theta(d) -
+    theta(d*) <= gap: such a d has ||d - d*|| <= sqrt(FORCING) ||d||^2 =
+    0.01 ||d||^2, and so ||d - d*|| = O(||d*||^2), which keeps the local
+    quadratic and superlinear rates (the inexact Newton forcing of Dembo,
+    Eisenstat & Steihaug 1982, SIAM J. Numer. Anal. 19(2); for composite
+    models, Lee, Sun & Saunders 2014, SIAM J. Optim. 24(3)). Far from a
+    solution it saves snaps; near one its tolerance falls far below the
+    floor, so the last directions are solved exactly. solve() passes
+    forcing=True; a direct call (analysis.criticality_measure among them)
+    gets the optimum to max(tol_gap, floor).
     Failing that, given eps, it stops once the current dual value
     phi >= -mu eps^2 / 2, mu the metric's modulus: every model is
     mu-strongly convex with value 0 at d = 0, so ||d*||^2 <= -2 phi / mu,
@@ -481,8 +506,9 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     metric = Metric.hessian() if metric is None else metric
     se = (eval_smooth(problem, x, hessians=metric.reads_hessians) if smooth_eval is None
           else _fitting(smooth_eval, m, problem.n, metric.reads_hessians))
+    mu = metric.modulus(problem)
     # a dual value at or above stop_phi certifies ||d*|| <= eps
-    stop_phi = math.inf if eps is None else -0.5 * metric.modulus(problem) * eps * eps
+    stop_phi = math.inf if eps is None else -0.5 * mu * eps * eps
     term = problem.nonsmooth
     at_x = _term_at(term, x)
     products = metric.products(se)
@@ -497,14 +523,20 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         counts["inner"] += passes
         counts["dual"] += 1
         psi, (hd, at_u) = _model_values_hi(d, se.gradients, products, term, x, at_x)
-        phi = lam @ psi
-        gap, tol = psi.max() - phi, tol_gap
+        phi, theta = lam @ psi, psi.max()
+        gap, tol = theta - phi, tol_gap
         if gap > tol_gap:
-            # the floor: float64 resolves psi, and so the gap, to eps64 S
-            scale = ((np.abs(se.gradients) + 0.5 * np.abs(hd)) @ np.abs(d)).max()
-            tol = max(tol_gap, GAP_FLOOR * _EPS * (scale + abs(at_u) + abs(at_x)))
+            dd = d @ d
+            forced = 0.5 * mu * FORCING * dd * dd
+            if forcing and gap <= forced and theta <= -0.5 * mu * dd:
+                # the forcing: then ||d - d*|| <= sqrt(FORCING) ||d||^2
+                tol = forced
+            else:
+                # the floor: float64 resolves psi, and so the gap, to eps64 S
+                scale = ((np.abs(se.gradients) + 0.5 * np.abs(hd)) @ np.abs(d)).max()
+                tol = max(tol_gap, GAP_FLOOR * _EPS * (scale + abs(at_u) + abs(at_x)))
         here = _Snapshot(lam=lam, d=d, free=free, solve_free=solve_free, hd=hd, psi=psi,
-                         phi=phi, gap=gap, tol=tol)
+                         phi=phi, theta=theta, gap=gap, tol=tol)
         # a certified snap is the last of the solve, so it stays best
         if best is None or here.gap < best.gap or here.gap <= here.tol:
             best = here
@@ -513,7 +545,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     def finalize(s: _Snapshot, message: str = "") -> DirectionResult:
         # no snap's d or lam is written into after it is taken, so both are
         # handed out uncopied
-        theta, gap, d = s.psi.max(), s.gap, s.d
+        theta, gap, d = s.theta, s.gap, s.d
         if theta > 0.0 or message:
             # the exact optimum is nonpositive (d = 0 is feasible with value 0),
             # so a positive rounded value certifies criticality at precision;
@@ -558,9 +590,11 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         if outside.size:
             j = outside[psi[outside].argmax()]
             face[j] = psi[j] > here.phi
+        # a face of one index is not special-cased: with finite psi its gap is
+        # 0, so its snap certified and the loop ended before this step; with a
+        # non-finite psi no trial is accepted (its face system is empty, and
+        # the move zero)
         support = face.nonzero()[0]
-        if support.size == 1:
-            return None  # vertex-optimal face; no Newton direction
         free = here.free
         if not free.any():
             # the model no longer responds to d, so the dual is linear in the
@@ -581,6 +615,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         if rank:
             du[lead] = _potrs(factor[:rank, :rank], g_red[lead], lower=True)[0]
         if not np.isfinite(du).all():
+            # an overflowing face solve: its weights would be nan, whose inner
+            # solve fails, so the supergradient safeguard is taken instead
             return None
         move = np.zeros(m)
         move[support[:-1]] = du

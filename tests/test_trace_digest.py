@@ -1,5 +1,8 @@
-"""tools/trace_digest.py's --against comparison, on canned digest lines, and its
-A01 runs; nothing is solved."""
+"""tools/trace_digest.py's --against comparison, on canned digest lines, its
+stop kinds and its A01 runs; nothing is solved."""
+
+import re
+import types
 
 import numpy as np
 
@@ -8,9 +11,9 @@ import moprox.zoo
 import trace_digest
 
 PARENT = """\
-grad_smooth: jobs=24 critical_reached=24 records=2968 snaps=4885 passes=4885 sha1=0258bf8a
-newton_prox: jobs=48 critical_reached=48 records=96 snaps=444 passes=909 sha1=4a26f600
-newton_smooth: jobs=32 critical_reached=32 records=173 snaps=744 passes=744 sha1=a65a2627
+grad_smooth: jobs=24 critical_reached=24 records=2968 snaps=4885 passes=4885 stop_eps=0 stop_dual_bound=0 stop_precision_limit=24 sha1=0258bf8a
+newton_prox: jobs=48 critical_reached=48 records=96 snaps=444 passes=909 stop_eps=47 stop_dual_bound=1 stop_precision_limit=0 sha1=4a26f600
+newton_smooth: jobs=32 critical_reached=32 records=173 snaps=744 passes=744 stop_eps=18 stop_dual_bound=9 stop_precision_limit=5 sha1=a65a2627
 """
 
 
@@ -18,7 +21,8 @@ def test_lines_are_read_per_workload():
     lines = trace_digest.parse_lines(PARENT)
     assert list(lines) == ["grad_smooth", "newton_prox", "newton_smooth"]
     assert lines["newton_prox"] == ("jobs=48 critical_reached=48 records=96 snaps=444 "
-                                    "passes=909 sha1=4a26f600")
+                                    "passes=909 stop_eps=47 stop_dual_bound=1 "
+                                    "stop_precision_limit=0 sha1=4a26f600")
 
 
 def test_equal_digests_print_same_and_exit_0():
@@ -28,9 +32,9 @@ def test_equal_digests_print_same_and_exit_0():
     assert len(lines) == 9
     assert lines[:3] == [
         "grad_smooth @f84e03f87e07: jobs=24 critical_reached=24 records=2968 snaps=4885 "
-        "passes=4885 sha1=0258bf8a",
+        "passes=4885 stop_eps=0 stop_dual_bound=0 stop_precision_limit=24 sha1=0258bf8a",
         "grad_smooth @checkout: jobs=24 critical_reached=24 records=2968 snaps=4885 "
-        "passes=4885 sha1=0258bf8a",
+        "passes=4885 stop_eps=0 stop_dual_bound=0 stop_precision_limit=24 sha1=0258bf8a",
         "grad_smooth: same"]
     assert [line for line in lines if not line.startswith(tuple(
         f"{w} @" for w in ("grad_smooth", "newton_prox", "newton_smooth")))] == [
@@ -46,7 +50,30 @@ def test_one_differing_sha_prints_differs_and_exits_1():
     verdicts = [line for line in lines if line.endswith(("same", "DIFFERS"))]
     assert verdicts == ["grad_smooth: same", "newton_prox: DIFFERS", "newton_smooth: same"]
     assert "newton_prox @checkout: jobs=48 critical_reached=48 records=96 snaps=444 " \
-           "passes=909 sha1=c5d3153a" in lines
+           "passes=909 stop_eps=47 stop_dual_bound=1 stop_precision_limit=0 " \
+           "sha1=c5d3153a" in lines
+
+
+def test_stop_kinds_count_the_critical_jobs_by_their_messages():
+    # the solver's three critical stops, told apart by the trace message, and
+    # a failed job, which has no stop kind; solve is stubbed by canned traces
+    Status, cfg = moprox.solver.Status, moprox.solver.SolverConfig()
+    traces = [moprox.solver.SolveTrace((), status, cfg, message) for status, message in (
+        (Status.CRITICAL_REACHED, ""),
+        (Status.CRITICAL_REACHED, "certified critical by the dual bound: phi = -1e-19"),
+        (Status.CRITICAL_REACHED, "stopped at the precision limit: sigma*theta = -1e-17"),
+        (Status.CRITICAL_REACHED, ""),
+        (Status.SUBPROBLEM_FAILURE, "direction subproblem stopped with duality gap 1"))]
+    assert [trace_digest.stop_kind(t) for t in traces[:3]] == list(trace_digest.STOP_KINDS)
+    solver = types.SimpleNamespace(Status=Status, solve=lambda *run: traces.pop(0))
+    line = trace_digest.digest_pool(types.SimpleNamespace(solver=solver), np,
+                                    [(None, None, None)] * 5)
+    assert line.startswith("jobs=5 critical_reached=4 subproblem_failure=1 records=0 "
+                           "snaps=0 passes=0 stop_eps=2 stop_dual_bound=1 "
+                           "stop_precision_limit=1 sha1=")
+    # CI's all-critical test reads the status counts before records=
+    assert re.match(r"jobs=([0-9]+) critical_reached=\1 records=",
+                    PARENT.splitlines()[2].split(": ", 1)[1])
 
 
 def test_a_workload_missing_on_one_side_differs():

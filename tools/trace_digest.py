@@ -18,10 +18,12 @@ sweep, every one of which ends critical_reached. They cover the dual
 loop's rare paths, which the pools seldom take: faces whose Newton system
 is singular (m > n + 1), retries from the best snapshot and supergradient
 steps.
-It prints one line per pool: the count of each status, and the records,
-snaps and passes summed over the pool, then a SHA-1 over each job's status
-and message and over every record's k, step, theta, direction norm, gap,
-snaps, passes, halvings and the bytes of x, objectives and weights.
+It prints one line per pool: the count of each status, the records, snaps
+and passes summed over the pool, how many critical_reached jobs stopped by
+each kind of stop (stop_kind: eps, dual_bound or precision_limit), then a
+SHA-1 over each job's status and message and over every record's k, step,
+theta, direction norm, gap, snaps, passes, halvings and the bytes of x,
+objectives and weights.
 
 Two checkouts that print the same lines ran the same iterations to the
 last bit. The bits depend on the BLAS build, so compare lines taken on
@@ -109,18 +111,33 @@ def a01_runs(mp, np, bases=range(1000, 10001, 1000)):
             yield problem, cfg, x0
 
 
+# the trace message that begins with each prefix names the stop; a
+# critical_reached trace with no message stopped at ||d|| < eps
+STOP_PREFIXES = (("dual_bound", "certified critical by the dual bound"),
+                 ("precision_limit", "stopped at the precision limit"))
+STOP_KINDS = ("eps", *(kind for kind, _ in STOP_PREFIXES))
+
+
+def stop_kind(trace) -> str:
+    """How a critical_reached trace stopped, one of STOP_KINDS, read from its message."""
+    return next((kind for kind, prefix in STOP_PREFIXES
+                 if trace.message.startswith(prefix)), "eps")
+
+
 def digest_pool(mp, np, runs) -> str:
-    """The pool's line: status counts, summed costs and the SHA-1.
+    """The pool's line: status counts, summed costs, stop kinds and the SHA-1.
 
     runs yields (problem, config, x0) for each solve.
     """
     sha = hashlib.sha1()
-    statuses = Counter()
+    statuses, stops = Counter(), Counter()
     jobs = records = snaps = passes = 0
     for problem, cfg, x0 in runs:
         trace = mp.solver.solve(problem, cfg, x0)
         jobs += 1
         statuses[trace.status.value] += 1
+        if trace.status is mp.solver.Status.CRITICAL_REACHED:
+            stops[stop_kind(trace)] += 1
         records += len(trace.records)
         snaps += trace.snaps
         passes += trace.passes
@@ -131,8 +148,9 @@ def digest_pool(mp, np, runs) -> str:
             for a in (r.x, r.objectives, r.weights):
                 sha.update(np.ascontiguousarray(a, dtype=float).tobytes())
     counts = " ".join(f"{s}={c}" for s, c in sorted(statuses.items()))
+    kinds = " ".join(f"stop_{kind}={stops[kind]}" for kind in STOP_KINDS)
     return (f"jobs={jobs} {counts} records={records} snaps={snaps} "
-            f"passes={passes} sha1={sha.hexdigest()}")
+            f"passes={passes} {kinds} sha1={sha.hexdigest()}")
 
 
 def digest(root: Path) -> int:
