@@ -615,8 +615,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         if rank:
             du[lead] = _potrs(factor[:rank, :rank], g_red[lead], lower=True)[0]
         if not np.isfinite(du).all():
-            # an overflowing face solve: its weights would be nan, whose inner
-            # solve fails, so the supergradient safeguard is taken instead
+            # an overflowing face solve would propose nan weights, which no
+            # snap can use; the supergradient safeguard is taken instead
             return None
         move = np.zeros(m)
         move[support[:-1]] = du
