@@ -50,7 +50,11 @@ class InputError(MoproxError, ValueError):
 
 
 class EvaluationError(MoproxError, RuntimeError):
-    """A smooth oracle returned a non-finite value, gradient, or Hessian."""
+    """A smooth oracle returned a non-finite value, gradient, or Hessian.
+
+    Also raised when finite oracle output gives non-finite direction model
+    values, as when the model overflows float64.
+    """
 
     def __init__(self, message, objective_index=None):
         super().__init__(message)

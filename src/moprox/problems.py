@@ -198,7 +198,9 @@ class NonsmoothTerm:
         """
         if self.kind != self.KIND_BOX:
             return -np.inf, np.inf
-        return self.lo[idx % self.lo.size], self.hi[idx % self.hi.size]
+        if self.lo.size != 1:
+            return self.lo[idx], self.hi[idx]
+        return self.lo[idx % 1], self.hi[idx % 1]
 
     def pieces(self, u):
         """The piece [a, b] of g each coordinate of u lies on, and g's slope there.

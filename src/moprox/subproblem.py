@@ -47,7 +47,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import ConfigError, ConvergenceError, InputError, SingularMetricError
+from .errors import (ConfigError, ConvergenceError, EvaluationError, InputError,
+                     SingularMetricError)
 from .problems import NonsmoothTerm, ProblemInstance, SmoothEval, eval_smooth, _as_point
 
 _EPS = np.finfo(float).eps
@@ -358,14 +359,17 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     free = a < b
     d[~free] = a[~free] - x[~free]
     best, allowance = x.size + 1, BACKUP_PASSES  # Judice & Pires's backup rule
+    nothing = np.empty(0, dtype=np.intp)
     for it in range(1, MAX_INNER_PASSES + 1):
-        # integer-array blocks are the C-order copies np.ix_ makes; the
-        # F-order copies of chained boolean masks change the bits
+        # blocks taken rows first, then columns, by take are the C-order
+        # copies np.ix_ makes, at a third of the cost; the F-order copies
+        # of chained boolean masks change the bits
         held, fi = (~free).nonzero()[0], free.nonzero()[0]
         solve = None
         if fi.size:
-            solve = _cholesky(M[fi[:, None], fi])
-            d[fi] = solve(-c[fi] - M[fi[:, None], held] @ d[held])
+            rows = M.take(fi, 0)
+            solve = _cholesky(rows.take(fi, 1))
+            d[fi] = solve(-c[fi] - rows.take(held, 1) @ d[held])
         # free coordinates outside their pieces (a held one is not tested:
         # x + (end - x) may round past its bound) and held coordinates whose
         # -r, r = grad_w + H_w d its multiplier, lies outside the
@@ -373,11 +377,17 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         u = x[fi] + d[fi]
         below = u < a[fi]
         leave = (below | (u > b[fi])).nonzero()[0]
-        v_held, M_held = v[held], M[held]
-        r = v_held + M_held @ d
-        viol, a_in, b_in, slope_in = term.kink(a[held], r, held)
-        slack = 4.0 * _EPS * (np.abs(v_held) + np.abs(M_held) @ np.abs(d) + np.abs(slope_in))
-        out = (viol > slack).nonzero()[0]
+        out = nothing
+        if held.size:
+            v_held, M_held = v[held], M.take(held, 0)
+            r = v_held + M_held @ d
+            viol, a_in, b_in, slope_in = term.kink(a[held], r, held)
+            # the slack is >= 0, so only a positive excess can exceed it;
+            # when one does, the slack is taken over every held row
+            if (viol > 0.0).any():
+                slack = 4.0 * _EPS * (np.abs(v_held) + np.abs(M_held) @ np.abs(d)
+                                      + np.abs(slope_in))
+                out = (viol > slack).nonzero()[0]
         infeasible = leave.size + out.size
         if not infeasible:
             return d, free, solve, it
@@ -390,15 +400,17 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
             leave, out = leave[fi[leave] == last], out[held[out] == last]
         # hold each leaver at the exact end it crossed, and release each
         # violator onto the piece a step along -r enters
-        hold = fi[leave]
-        end = np.where(below[leave], a[hold], b[hold])
-        free[hold] = False
-        a[hold] = b[hold] = end
-        d[hold] = end - x[hold]
-        release = held[out]
-        free[release] = True
-        a[release], b[release] = a_in[out], b_in[out]
-        c[release] = v[release] + slope_in[out]
+        if leave.size:
+            hold = fi[leave]
+            end = np.where(below[leave], a[hold], b[hold])
+            free[hold] = False
+            a[hold] = b[hold] = end
+            d[hold] = end - x[hold]
+        if out.size:
+            release = held[out]
+            free[release] = True
+            a[release], b[release] = a_in[out], b_in[out]
+            c[release] = v[release] + slope_in[out]
     raise ConvergenceError(
         f"inner active-set solve not certified after {MAX_INNER_PASSES} passes",
         residual=float(infeasible),
@@ -477,7 +489,9 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     a gap-certified direction does not depend on eps. When neither holds
     and no step ascends, or MAX_DUAL_ITERS iterations pass first,
     ConvergenceError is raised; so it is when an inner solve is not
-    certified within MAX_INNER_PASSES passes.
+    certified within MAX_INNER_PASSES passes. EvaluationError is raised
+    when a snap's model values are not finite, as when the model of finite
+    oracle output overflows float64.
 
     Returns a DirectionResult whose theta is nonpositive: if rounding at a
     critical point produces a positive model optimum, the zero direction
@@ -523,7 +537,11 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         counts["inner"] += passes
         counts["dual"] += 1
         psi, (hd, at_u) = _model_values_hi(d, se.gradients, products, term, x, at_x)
-        phi, theta = lam @ psi, psi.max()
+        phi = lam @ psi
+        if not math.isfinite(phi):
+            # 0 * inf is nan, so this sees every non-finite entry of psi
+            raise EvaluationError(f"the direction model's values are not finite: psi = {psi}")
+        theta = psi.max()
         gap, tol = theta - phi, tol_gap
         if gap > tol_gap:
             dd = d @ d

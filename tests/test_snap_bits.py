@@ -23,6 +23,7 @@ from moprox import (
     InstanceSpec,
     NonsmoothTerm,
     SingularMetricError,
+    SmoothEval,
     SolverConfig,
     Status,
     eval_smooth,
@@ -273,3 +274,99 @@ def test_every_factored_block_is_exactly_symmetric(family, n, m, monkeypatch):
         assert set(shapes) == {(n, n)}  # the zero term: the block is M itself
     else:
         assert min(shapes) < (n, n)
+
+
+def _counted_passes(lam, se, term, x, d0, monkeypatch):
+    """inner_minimize's result, and its passes split by how each ran its release test.
+
+    Returns (result, cases): cases counts "nothing held" passes (the free
+    block is all of M), "no positive excess" passes (term.kink was asked
+    and no held coordinate's excess is positive) and "slack" passes (some
+    excess is positive, so the slack decides), and "kink" the calls of
+    term.kink, which must be one per pass with something held.
+    """
+    excess, blocks = [], []
+    real_kink = NonsmoothTerm.kink
+
+    def kink(self, e, r, idx):
+        out = real_kink(self, e, r, idx)
+        excess.append(out[0])
+        return out
+
+    def cholesky(block):
+        blocks.append(block.shape[0])
+        return _cholesky(block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NonsmoothTerm, "kink", kink)
+        patch.setattr(moprox.subproblem, "_cholesky", cholesky)
+        result = inner_minimize(lam, se, term, x, d0=d0)
+    positive = sum(bool((e > 0.0).any()) for e in excess)
+    cases = {"nothing held": blocks.count(x.size), "kink": len(excess),
+             "no positive excess": len(excess) - positive, "slack": positive}
+    return result, cases
+
+
+@pytest.mark.parametrize("family", ["quadratic_l1", "quadratic_box"])
+def test_pass_shortcuts_match_the_earlier_code(family, monkeypatch):
+    # the first cells of test_inner_solve_matches_the_earlier_code at n = 10,
+    # cold and warm: together they reach every case of the release test
+    totals = dict.fromkeys(("nothing held", "kink", "no positive excess", "slack"), 0)
+    cells = itertools.product((2, 3, 5, 8), (1.0, 1e2, 1e4), (0.01, 0.1, 1.0, 10.0))
+    for seed, (m, cond, rho) in itertools.islice(enumerate(cells), 12):
+        spec = InstanceSpec(family=family, n=10, m=m, cond=cond, rho=rho, seed=seed)
+        prob = generate_instance(spec)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = 2.0 * rng.standard_normal(10)
+        x = np.clip(x, spec.lo, spec.hi) if family == "quadratic_box" else x
+        se = eval_smooth(prob, x)
+        lam = rng.dirichlet(np.ones(m))
+        d0 = None
+        for weights in (0.9 * lam + 0.1 / m, lam):
+            result, cases = _counted_passes(weights, se, prob.nonsmooth, x, d0, monkeypatch)
+            d0 = _assert_same_snap(weights, se, prob.nonsmooth, x, d0, rng)[0]
+            assert _bits(result[0]) == _bits(d0)
+            # term.kink runs on every pass with something held, and on no other
+            assert cases["kink"] == result[3] - cases["nothing held"]
+            for case, count in cases.items():
+                totals[case] += count
+    assert totals["nothing held"] > 0
+    assert totals["no positive excess"] > 0
+    assert totals["slack"] > 0
+
+
+@pytest.mark.parametrize("ulps, released", [(4, False), (16, True)])
+def test_a_release_decided_by_the_slack_matches_the_earlier_code(ulps, released,
+                                                                monkeypatch):
+    # u = x + d starts at (1, 0): coordinate 0 free, 1 held at the l1 kink,
+    # where |r_1| exceeds rho by ulps eps64. The slack is about 8 eps64, so
+    # the excess is within it (held, d exact at the kink) or beyond it
+    # (released on pass 1, and pass 2 holds nothing and asks no kink test)
+    M = np.eye(2)
+    v = np.array([-2.0, -(1.0 + ulps * _EPS)])
+    se = SmoothEval(values=np.zeros(1), gradients=v[None, :], hessians=M[None])
+    term = NonsmoothTerm.scaled_l1(1.0)
+    x, lam, d0 = np.zeros(2), np.array([1.0]), np.array([1.0, 0.0])
+    (d, free, _, passes), cases = _counted_passes(lam, se, term, x, d0, monkeypatch)
+    assert free[1] == released and passes == 1 + released
+    assert cases == {"nothing held": int(released), "kink": 1,
+                     "no positive excess": 0, "slack": 1}
+    _assert_same_snap(lam, se, term, x, d0, np.random.Generator(np.random.PCG64(0)))
+    assert d[1] == (ulps * _EPS if released else 0.0)
+
+
+@pytest.mark.parametrize("idx", [3, np.intp(3), np.array([0, 4, 2, 2]),
+                                 np.empty(0, dtype=np.intp)])
+def test_box_domain_is_the_same_for_scalar_and_per_coordinate_bounds(idx):
+    # solve()'s error path asks one index, the inner solve's kink test an
+    # array of held indices; a length-1 box serves every coordinate by % 1,
+    # a length-n box is indexed as it is
+    scalar = NonsmoothTerm.box(-1.5, 2.5)
+    full = NonsmoothTerm.box(np.full(5, -1.5), np.full(5, 2.5))
+    for got, want in zip(full.domain(idx), scalar.domain(idx)):
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert _bits(got) == _bits(want)
+    e = np.where(np.arange(np.size(idx)) % 2, -1.5, 2.5)
+    r = np.linspace(-1.0, 1.0, np.size(idx))
+    if np.ndim(idx):
+        assert _bits(*full.kink(e, r, idx)) == _bits(*scalar.kink(e, r, idx))

@@ -9,6 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 from moprox import (
     ConfigError,
     ConvergenceError,
+    EvaluationError,
     InputError,
     InstanceSpec,
     NonsmoothTerm,
@@ -438,6 +439,24 @@ class TestSolveDirection:
         with pytest.raises(ConvergenceError) as exc:
             solve_direction(l1_scalar, np.array([3.0]), tol_gap=1e-12)
         assert exc.value.residual is not None
+
+    @pytest.mark.parametrize("term", [NonsmoothTerm.zero(), NonsmoothTerm.scaled_l1(1.0)])
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_an_overflowing_model_is_named(self, term, variant):
+        # finite oracle output whose model values overflow float64 from the
+        # first snap; the overflow's RuntimeWarnings are not what is tested
+        smooth = tuple(quadratic_objective(k * np.eye(3), b * np.ones(3))
+                       for k, b in ((1.0, 1e160), (2.0, -1e230), (3.0, 1e300)))
+        prob = ProblemInstance(n=3, m=3, smooth=smooth, nonsmooth=term, mu=1.0)
+        metric = Metric.hessian() if variant == "newton" else Metric.scaled_identity(3.0)
+        config = SolverConfig(variant=variant, ell=3.0 if variant == "gradient" else None)
+        want = "the direction model's values are not finite"
+        with np.errstate(all="ignore"):
+            with pytest.raises(EvaluationError, match=want):
+                solve_direction(prob, np.zeros(3), metric=metric)
+            trace = solve(prob, config, np.zeros(3))
+        assert trace.status is Status.SUBPROBLEM_FAILURE
+        assert trace.message.startswith(want)
 
 
 class TestWarmStart:
