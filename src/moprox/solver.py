@@ -246,8 +246,9 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     CRITICAL_REACHED, recorded like the precision-limit stop, with the
     solve's message (phi and the bound) as the trace message. Subproblem
     and line-search failures are recorded in the trace (status
-    SUBPROBLEM_FAILURE) rather than raised; exhausting max_outer yields
-    MAX_ITERS. A start that is not a finite n-vector, or that lies outside
+    SUBPROBLEM_FAILURE) rather than raised, and so is a RuntimeWarning of
+    the direction solve under a filter that makes it an error; exhausting
+    max_outer yields MAX_ITERS. A start that is not a finite n-vector, or that lies outside
     the domain of the nonsmooth term (a box), raises InputError before
     iteration 0; the error names the first coordinate out of bounds.
     """
@@ -288,7 +289,10 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
             res = solve_direction(problem, x, tol_gap=config.tol_gap, smooth_eval=se,
                                   metric=metric, weights=weights, eps=config.eps,
                                   forcing=True)
-        except (ConvergenceError, SingularMetricError, EvaluationError, InputError) as exc:
+        except (ConvergenceError, SingularMetricError, EvaluationError, InputError,
+                RuntimeWarning) as exc:
+            # a RuntimeWarning arrives only under a filter that makes it an
+            # error, as an overflowing model's does before its snap names it
             return stop(Status.SUBPROBLEM_FAILURE, str(exc), x)
 
         dnorm = math.sqrt(res.direction @ res.direction)  # np.linalg.norm's bits

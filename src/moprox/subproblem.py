@@ -106,7 +106,9 @@ class DirectionResult:
         Total passes of the inner active-set solve (one Cholesky solve each)
         and number of dual weight vectors visited.
     dual_history : tuple of float
-        Dual objective values of the accepted ascent iterates, nondecreasing.
+        Dual objective values: the first snap's, then each accepted ascent
+        iterate's, nondecreasing. The snap that ends the solve adds none
+        unless it is the first.
     message : str
         Empty unless a dual value phi certified ||d*|| <= eps; then it gives
         phi and the bound, and direction, theta and gap are zero.
@@ -417,6 +419,10 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     )
 
 
+class _Stop(Exception):
+    """Raised by a snap that ends the direction solve; args are (snapshot, message)."""
+
+
 @dataclass(slots=True)
 class _Snapshot:
     lam: np.ndarray
@@ -458,13 +464,13 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     when that value exceeds the dual value), solving the face system by
     one pivoted Cholesky on its leading rank pivots; when the full step
     leaves the simplex, its projection onto the simplex is tried first,
-    and then the step cut back to the simplex boundary. With no free coordinate left it jumps to the
-    best vertex instead. When it gives no ascent, it is retried from the
-    snapshot with the smallest gap, and then a projected supergradient step
-    with a warm-started step length is taken. Terminates at the first snap
-    whose gap certificate reaches max(tol_gap, GAP_FLOOR eps64 S), whether
-    its trial was accepted or not; a rejected trial that certifies is
-    neither halved nor retried. S = max_i(|grad f_i|'|d| + |H_i d|'|d| / 2)
+    and then the step cut back to the simplex boundary. With no free
+    coordinate left it jumps to the best vertex instead. When it gives no
+    ascent, a projected supergradient step with a warm-started step length
+    is taken. Every snap is tested as it is taken, the gap first, and the
+    first that passes a test ends the solve, whether its trial was accepted
+    or not. The gap test is that the gap certificate reaches max(tol_gap,
+    GAP_FLOOR eps64 S), where S = max_i(|grad f_i|'|d| + |H_i d|'|d| / 2)
     + |g(x + d)| + |g(x)| is the sum of the magnitudes that the snap's model
     values add up, and float64 resolves them, and the gap, only to a small
     multiple of eps64 S (Higham 2002, ch. 3).
@@ -481,14 +487,13 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     floor, so the last directions are solved exactly. solve() passes
     forcing=True; a direct call (analysis.criticality_measure among them)
     gets the optimum to max(tol_gap, floor).
-    Failing that, given eps, it stops once the current dual value
+    The second test, given eps, is the dual bound on the snap's dual value,
     phi >= -mu eps^2 / 2, mu the metric's modulus: every model is
     mu-strongly convex with value 0 at d = 0, so ||d*||^2 <= -2 phi / mu,
-    and the zero direction is returned with a message. Both tests run
-    before each dual iteration and after the loop, the gap test first, so
-    a gap-certified direction does not depend on eps. When neither holds
-    and no step ascends, or MAX_DUAL_ITERS iterations pass first,
-    ConvergenceError is raised; so it is when an inner solve is not
+    and the zero direction is returned with a message. It runs only when the gap test fails, so a
+    gap-certified direction does not depend on eps. When no step ascends,
+    or MAX_DUAL_ITERS iterations pass first, ConvergenceError is raised
+    with the smallest gap reached; so it is when an inner solve is not
     certified within MAX_INNER_PASSES passes. EvaluationError is raised
     when a snap's model values are not finite, as when the model of finite
     oracle output overflows float64.
@@ -527,10 +532,12 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     at_x = _term_at(term, x)
     products = metric.products(se)
     counts = {"inner": 0, "dual": 0}
-    best = None  # the snapshot with the smallest gap
+    history = []  # the first snap's phi, then each accepted iterate's
+    best = None  # the snapshot with the smallest gap, which a ConvergenceError reports
     prev_d = None  # the most recent snap's d, where the next inner solve starts
 
     def snap(lam: np.ndarray) -> _Snapshot:
+        """The snapshot at lam; raises _Stop when it certifies the gap or the dual bound."""
         nonlocal best, prev_d
         d, free, solve_free, passes = metric.minimize(lam, se, term, x, d0=prev_d)
         prev_d = d
@@ -541,6 +548,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         if not math.isfinite(phi):
             # 0 * inf is nan, so this sees every non-finite entry of psi
             raise EvaluationError(f"the direction model's values are not finite: psi = {psi}")
+        if not history:
+            history.append(phi)
         theta = psi.max()
         gap, tol = theta - phi, tol_gap
         if gap > tol_gap:
@@ -555,12 +564,16 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
                 tol = max(tol_gap, GAP_FLOOR * _EPS * (scale + abs(at_u) + abs(at_x)))
         here = _Snapshot(lam=lam, d=d, free=free, solve_free=solve_free, hd=hd, psi=psi,
                          phi=phi, theta=theta, gap=gap, tol=tol)
-        # a certified snap is the last of the solve, so it stays best
-        if best is None or here.gap < best.gap or here.gap <= here.tol:
+        if gap <= tol:
+            raise _Stop(here, "")
+        if phi >= stop_phi:
+            raise _Stop(here, f"certified critical by the dual bound: phi = {phi:.3e}"
+                              f" >= {stop_phi:.3e} = -mu*eps^2/2, so ||d*|| <= eps")
+        if best is None or gap < best.gap:
             best = here
         return here
 
-    def finalize(s: _Snapshot, message: str = "") -> DirectionResult:
+    def finalize(s: _Snapshot, message: str) -> DirectionResult:
         # no snap's d or lam is written into after it is taken, so both are
         # handed out uncopied
         theta, gap, d = s.theta, s.gap, s.d
@@ -574,16 +587,12 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
                                inner_iters=counts["inner"], dual_iters=counts["dual"],
                                dual_history=tuple(history), message=message)
 
-    cur = snap(weights)
-    history = [cur.phi]
-
     def ascend(here: _Snapshot, propose: Callable, t: float, tries: int):
         """(snapshot or None, t): snap propose(t), halving t, until a trial is accepted.
 
         A trial is accepted when phi rises, or when phi ties and the gap
         falls: accepting every tie cycled on flat faces. Gives up when a
-        proposal equals here.lam, when a rejected trial certifies the gap,
-        or after tries trials.
+        proposal equals here.lam, or after tries trials.
         """
         for _ in range(tries):
             lam = propose(t)
@@ -592,8 +601,6 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             cand = snap(lam)
             if cand.phi > here.phi or (cand.phi == here.phi and cand.gap < here.gap):
                 return cand, t
-            if best.gap <= best.tol:
-                return None, t
             t *= 0.5
         return None, t
 
@@ -609,7 +616,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             j = outside[psi[outside].argmax()]
             face[j] = psi[j] > here.phi
         # a face of one index is not special-cased: with finite psi its gap is
-        # 0, so its snap certified and the loop ended before this step; with a
+        # 0, so its snap certified and the solve ended before this step; with a
         # non-finite psi no trial is accepted (its face system is empty, and
         # the move zero)
         support = face.nonzero()[0]
@@ -647,7 +654,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             # the full step projected first: it drops every weight the step
             # carries out at once, where the cut-back drops one per snap
             nxt = ascend(here, lambda _: project_simplex(lam + move), 1.0, 1)[0]
-            if nxt is not None or best.gap <= best.tol:
+            if nxt is not None:
                 return nxt
 
         def clamped(t):
@@ -659,34 +666,21 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         return ascend(here, clamped, t, 8)[0]
 
     s_prev = 1.0  # the last accepted supergradient step length
-    retried = None
-    for _ in range(MAX_DUAL_ITERS):
-        if best.gap <= best.tol or cur.phi >= stop_phi:
-            break
-        nxt = newton_step(cur)
-        if nxt is None and best.gap <= best.tol:
-            break  # a rejected trial certified the gap
-        if nxt is None and best is not cur and best is not retried:
-            # rounding can reject a trial that lowered the gap; retry from it
-            retried = best
-            newton_step(best)
-            if best.gap <= best.tol:
-                break
-        if nxt is None:
-            # safeguard: a projected supergradient step, warm-started
-            nxt, s = ascend(cur, lambda s: project_simplex(cur.lam + s * cur.psi),
-                            min(1.0, 4.0 * s_prev), 60)
+    try:
+        cur = snap(weights)
+        for _ in range(MAX_DUAL_ITERS):
+            nxt = newton_step(cur)
             if nxt is None:
-                break
-            s_prev = s
-        cur = nxt
-        history.append(cur.phi)
-
-    if best.gap <= best.tol:
-        return finalize(best)
-    if cur.phi >= stop_phi:
-        return finalize(cur, f"certified critical by the dual bound: phi = {cur.phi:.3e}"
-                             f" >= {stop_phi:.3e} = -mu*eps^2/2, so ||d*|| <= eps")
+                # safeguard: a projected supergradient step, warm-started
+                nxt, s = ascend(cur, lambda s: project_simplex(cur.lam + s * cur.psi),
+                                min(1.0, 4.0 * s_prev), 60)
+                if nxt is None:
+                    break
+                s_prev = s
+            cur = nxt
+            history.append(cur.phi)
+    except _Stop as stop:
+        return finalize(*stop.args)
     raise ConvergenceError(
         f"direction subproblem stopped with duality gap {best.gap:.3e} "
         f"above {best.tol:.3e}",

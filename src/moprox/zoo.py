@@ -266,7 +266,10 @@ def attach_nonsmooth(instance: ProblemInstance, term: NonsmoothTerm) -> ProblemI
 
 
 def generate_instance(spec: InstanceSpec) -> ProblemInstance:
-    """Build the instance described by spec (dispatch on family)."""
+    """Build the instance described by spec (dispatch on family).
+
+    InstanceSpec admits only the four families, so the last is logsumexp.
+    """
     if spec.family == "quadratic":
         return gen_quadratic(spec)
     if spec.family == "quadratic_l1":
@@ -277,6 +280,4 @@ def generate_instance(spec: InstanceSpec) -> ProblemInstance:
         lo = np.full(spec.n, spec.lo)
         hi = np.full(spec.n, spec.hi)
         return attach_nonsmooth(base, NonsmoothTerm.box(lo, hi))
-    if spec.family == "logsumexp":
-        return gen_logsumexp_reg(spec)
-    raise ConfigError(f"unknown family {spec.family!r}")
+    return gen_logsumexp_reg(spec)

@@ -147,6 +147,17 @@ class TestTauDiagnostics:
         verdicts = tau_check(tr, np.zeros(10), prob.mu, 0.5 * prob.mu)
         assert all(not v.applicable for v in verdicts)
 
+    def test_tau_check_not_applicable_without_measurable_ratios(self):
+        # Newton's unit step solves a quadratic at once, so the tail is the
+        # one step from the start; measured from the start itself its error
+        # is 0, below the floor, and no ratio is left
+        prob, tr = _quad_trace()
+        assert [r.step for r in tr.records[:-1]] == [1.0]
+        in_bracket, near_one = tau_check(tr, tr.records[0].x, prob.mu, 0.5 * prob.mu)
+        assert in_bracket.passed and not in_bracket.applicable
+        assert in_bracket.detail == "no measurable ratios"
+        assert not near_one.applicable
+
     def test_tau_check_fails_outside_the_bracket(self):
         # under ell I every step on a quadratic is a unit step, but each
         # shrinks the slow error component only by 1 - mu/ell, so the ratios

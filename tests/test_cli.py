@@ -490,6 +490,16 @@ class TestCheckVerb:
         assert {v.name for v in verdicts} >= {"quadratic_termination", "order_fit",
                                               "fundamental_ineq_quadratic", "descent_bound"}
 
+    def test_rate_checks_fail_on_a_run_that_did_not_converge(self):
+        # both need the refined reference, which a run cut at max_outer has not
+        cfg = self._check_config(["order_fit", "tau_bracket"])
+        cfg["solver"]["max_outer"] = 1
+        verdicts = moprox.cli.run_checks(cfg)
+        assert [v.name for v in verdicts] == ["order_fit", "tau_bracket"]
+        for v in verdicts:
+            assert not v.passed and v.margin == float("-inf")
+            assert v.detail == "check needs a converged run, got status max_iters"
+
     def test_unknown_check_name_rejected(self, tmp_path, capsys):
         cfg = self._check_config(["spectral_gap"])
         cfg_path = _write_config(tmp_path / "cfg.json", cfg)

@@ -458,6 +458,22 @@ class TestSolveDirection:
         assert trace.status is Status.SUBPROBLEM_FAILURE
         assert trace.message.startswith(want)
 
+    @pytest.mark.parametrize("term", [NonsmoothTerm.zero(), NonsmoothTerm.scaled_l1(1.0)])
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_an_overflow_warning_raised_as_an_error_ends_the_run(self, term, variant):
+        # the model above with numpy's default error state, under a filter
+        # that makes its overflow warning an error: solve() records the
+        # warning as a subproblem failure and does not let it escape
+        smooth = tuple(quadratic_objective(k * np.eye(3), b * np.ones(3))
+                       for k, b in ((1.0, 1e160), (2.0, -1e230), (3.0, 1e300)))
+        prob = ProblemInstance(n=3, m=3, smooth=smooth, nonsmooth=term, mu=1.0)
+        config = SolverConfig(variant=variant, ell=3.0 if variant == "gradient" else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = solve(prob, config, np.zeros(3))
+        assert trace.status is Status.SUBPROBLEM_FAILURE
+        assert "overflow" in trace.message
+
 
 class TestWarmStart:
     """solve_direction's starts: the dual weights, and each snap's active set."""
@@ -601,9 +617,11 @@ class TestDualTrialRule:
     @pytest.mark.parametrize("family", ["logsumexp", "quadratic_box"])
     @pytest.mark.parametrize("m", [3, 8])
     def test_stops_at_the_first_certifying_snap(self, family, m, monkeypatch):
-        # along whole solves, no snap follows one whose gap reaches tol_gap,
-        # whether the trial that made it was accepted or not
-        snaps, directions = [], []  # [weights, psi] per snap; (result, snaps) per solve
+        # along whole solves, no snap follows one whose gap reaches tol_gap or
+        # whose dual value reaches the bound -mu eps^2 / 2, whether the trial
+        # that made it was accepted or not
+        eps = 1e-9
+        snaps, directions = [], []  # [weights, psi] per snap; (result, snaps, bound) per solve
         real_inner = moprox.subproblem.inner_minimize
         real_certificate = moprox.subproblem._model_values_hi
         real_direction = moprox.solver.solve_direction
@@ -617,10 +635,10 @@ class TestDualTrialRule:
             snaps[-1].append(psi)
             return psi, hd
 
-        def direction(*args, **kwargs):
+        def direction(problem, *args, **kwargs):
             snaps.clear()
-            res = real_direction(*args, **kwargs)
-            directions.append((res, list(snaps)))
+            res = real_direction(problem, *args, **kwargs)
+            directions.append((res, list(snaps), -0.5 * problem.mu * eps * eps))
             return res
 
         monkeypatch.setattr(moprox.subproblem, "inner_minimize", inner)
@@ -633,16 +651,26 @@ class TestDualTrialRule:
             rng = np.random.Generator(np.random.PCG64(seed))
             x0 = (rng.uniform(spec.lo, spec.hi, 10) if family == "quadratic_box"
                   else 2.0 * rng.standard_normal(10))
-            trace = solve(generate_instance(spec), SolverConfig(eps=1e-9, tol_gap=1e-12), x0)
+            trace = solve(generate_instance(spec), SolverConfig(eps=eps, tol_gap=1e-12), x0)
             assert trace.status is Status.CRITICAL_REACHED
             records += len(trace.records)
         assert len(directions) == records
-        for res, direction_snaps in directions:
+        bound_stops = 0
+        for res, direction_snaps, stop_phi in directions:
             assert res.dual_iters == len(direction_snaps)
-            certified = [psi.max() - w @ psi <= 1e-12 for w, psi in direction_snaps]
-            if any(certified):
-                assert certified.index(True) == len(certified) - 1
+            stops = [psi.max() - w @ psi <= 1e-12 or w @ psi >= stop_phi
+                     for w, psi in direction_snaps]
+            if any(stops):
+                assert stops.index(True) == len(stops) - 1
+            if res.message:
+                w, psi = direction_snaps[-1]
+                assert w @ psi >= stop_phi
+                bound_stops += 1
+            w, psi = direction_snaps[0]
+            assert res.dual_history[0] == w @ psi
             assert np.all(np.diff(res.dual_history) >= 0.0)
+        # the logsumexp solves stop by the dual bound too; the box ones never do
+        assert bound_stops or family == "quadratic_box"
 
     def test_projected_newton_step_cuts_the_snaps(self):
         # the full face-Newton step, projected, drops at once the weights a

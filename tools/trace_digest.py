@@ -16,8 +16,7 @@ a01_grid for b = 1000, 2000, ..., 10000 (1,350 solves) and a01_sweep for
 b = 11000, 12000, ..., 60000 (6,750 solves), together the 8,100-run A01
 sweep, every one of which ends critical_reached. They cover the dual
 loop's rare paths, which the pools seldom take: faces whose Newton system
-is singular (m > n + 1), retries from the best snapshot and supergradient
-steps.
+is singular (m > n + 1) and supergradient steps.
 It prints one line per pool: the count of each status, the records, snaps
 and passes summed over the pool, how many critical_reached jobs stopped by
 each kind of stop (stop_kind: eps, dual_bound or precision_limit), then a
