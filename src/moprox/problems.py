@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,7 +98,7 @@ class NonsmoothTerm:
     Construct through :meth:`zero`, :meth:`scaled_l1`, or :meth:`box`. g is
     separable and affine on each piece of a coordinate (:meth:`pieces`);
     a kink or bound is a one-point piece, where :meth:`kink` tests the
-    subdifferential and picks the piece to enter.
+    subdifferential and :meth:`entered` picks the piece to enter.
     """
 
     kind: str
@@ -221,21 +221,41 @@ class NonsmoothTerm:
         return (np.where(u >= self.hi, self.hi, self.lo),
                 np.where(u <= self.lo, self.lo, self.hi), np.zeros(u.shape))
 
+    @cached_property
+    def has_ends(self) -> bool:
+        """Whether some piece of g has a finite end (:meth:`pieces`).
+
+        Never for the zero term, always for l1 (its kink 0), and for a box
+        when one of its bounds is finite.
+        """
+        if self.kind == self.KIND_BOX:
+            return bool(np.isfinite(self.lo).any() or np.isfinite(self.hi).any())
+        return self.kind == self.KIND_L1
+
     def kink(self, e, r, idx):
-        """How far -r lies outside the subdifferential of g at e, and where -r leads.
+        """How far -r lies outside the subdifferential of g at e, and g's slope past it.
 
         e holds kinks or bounds of g, exactly, on coordinates idx, and r the
-        gradient of a smooth function there. Returns (excess, a, b, slope):
-        excess is positive where -r lies outside the subdifferential of g at
-        e, by that much ([-rho, rho] at an l1 kink, so |r| - rho; (-inf, 0]
-        at lo, so -r; [0, inf) at hi, so r), and [a, b] with slope is the
-        piece a step from e along -r enters, as in :meth:`pieces`. The zero
-        term has no kink or bound, so nothing asks it.
+        gradient of a smooth function there. Returns (excess, slope): excess
+        is positive where -r lies outside the subdifferential of g at e, by
+        that much ([-rho, rho] at an l1 kink, so |r| - rho; (-inf, 0] at lo,
+        so -r; [0, inf) at hi, so r), and slope is g's slope on the piece a
+        step from e along -r enters, as in :meth:`pieces`; :meth:`entered`
+        gives that piece. The zero term has no kink or bound, so nothing
+        asks it.
         """
         if self.kind == self.KIND_L1:  # from the kink 0, a step along -r lies at -r
-            return (np.abs(r) - self.rho, *self.pieces(-r))
-        lo, hi = self.domain(idx)
-        return np.where(e == lo, -r, r), lo, hi, np.zeros_like(r)
+            return np.abs(r) - self.rho, self.rho * np.sign(-r)
+        return np.where(e == self.domain(idx)[0], -r, r), np.zeros_like(r)
+
+    def entered(self, r, idx):
+        """The piece [a, b] a step along -r enters from a kink or bound on coordinates idx.
+
+        As :meth:`pieces` gives it at -r for l1, and the box's bounds on idx.
+        """
+        if self.kind == self.KIND_L1:
+            return np.where(r <= 0.0, 0.0, -np.inf), np.where(r >= 0.0, 0.0, np.inf)
+        return self.domain(idx)
 
 
 @dataclass(frozen=True)
@@ -366,8 +386,13 @@ def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
 
     An objective is non-finite when its value, gradient or Hessian (if se
     has Hessians) has a non-finite entry ("non-finite output"), or, with
-    values_only, when its value does ("non-finite value").
+    values_only, when its value does ("non-finite value"). The arrays are
+    tested whole first, and read per objective only when one fails.
     """
+    if all(map(math.isfinite, se.values.tolist())) and (values_only or (
+            np.isfinite(se.gradients).all()
+            and (se.hessians is None or np.isfinite(se.hessians).all()))):
+        return se
     finite = np.isfinite(se.values)
     if not values_only:
         finite &= np.isfinite(se.gradients).all(axis=1)

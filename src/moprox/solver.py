@@ -170,21 +170,23 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
                      hessians: bool = True) -> float:
     """Largest step t = gamma^j with componentwise sufficient decrease.
 
-    Accepts t when F_i(x + t d) - F_i(x) <= t * sigma * theta for every i.
-    Comparisons involving +inf (an infeasible trial point) fail the test and
-    trigger further backtracking. A trial point is judged on its values
-    only. When keep is a list, on return it holds the one SmoothEval of the
-    accepted point x + t * d, with its gradients and, if hessians is true,
-    its Hessians, unchecked, and that point's objective values, which passed
-    the test and so are finite (eval_full's keep); a caller that forms its
-    next iterate by the same expression gets the same bits. Raises
+    Accepts t when F_i(x + t d) - F_i(x) <= t * sigma * theta for every i;
+    f_x, when given, is F(x) of shape (m,), as eval_full returns it, and is
+    evaluated here otherwise. Comparisons involving +inf (an infeasible
+    trial point) fail the test and trigger further backtracking. A trial
+    point is judged on its values only. When keep is a list, on return it
+    holds the one SmoothEval of the accepted point x + t * d, with its
+    gradients and, if hessians is true, its Hessians, unchecked, and that
+    point's objective values, which passed the test and so are finite
+    (eval_full's keep); a caller that forms its next iterate by the same
+    expression gets the same bits. Raises
     LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works, and
     InputError when d is zero or theta >= 0 (the test is meaningless without
-    a descent prediction).
+    a descent prediction) or when f_x is not of shape (m,).
     """
     x = _as_point(x, problem.n)
     d = np.asarray(d, dtype=float)
-    if not (d != 0.0).any():
+    if not d.any():
         raise InputError("line search requires a nonzero direction")
     if not (math.isfinite(theta) and theta < 0.0):
         raise InputError(f"line search requires theta < 0, got {theta}")
@@ -194,13 +196,18 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     if f_x is None:
         f_x = eval_full(problem, x)
     f_x = np.asarray(f_x, dtype=float)
-    if not np.isfinite(f_x).all():
+    if f_x.shape != (problem.m,):
+        raise InputError(f"line search requires f_x of shape ({problem.m},), got {f_x.shape}")
+    f_l = f_x.tolist()
+    if not all(map(math.isfinite, f_l)):
         raise InputError("line search requires finite objective values at x")
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
         trial = eval_full(problem, x + t * d, keep, hessians=hessians)
-        # nan/inf-robust acceptance: all decreases must provably satisfy the bound
-        if (trial - f_x <= t * sigma * theta).all():
+        # nan/inf-robust acceptance: all decreases must provably satisfy the
+        # bound; on Python floats, numpy's bits without its dispatch cost
+        bound = t * sigma * theta
+        if all(v - f <= bound for v, f in zip(trial.tolist(), f_l)):
             return t
         t *= gamma
     raise LineSearchError(
@@ -297,7 +304,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
         dnorm = math.sqrt(res.direction @ res.direction)  # np.linalg.norm's bits
         theta, gap, message = res.theta, res.gap, res.message
-        ulp_bound = -_EPS * max(1.0, float(np.abs(f_x).max()))
+        ulp_bound = -_EPS * max(1.0, *map(abs, f_x.tolist()))
         if SIGMA * theta >= ulp_bound:
             # even the unit-step decrease bound is below one ulp of F, so any
             # accepted step would pass by rounding: record the zero direction

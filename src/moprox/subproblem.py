@@ -317,18 +317,20 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
     the solve is exact. Otherwise every infeasible coordinate is exchanged:
     a leaving one is held at the exact end it crossed (x + (end - x) may
     round past a bound, so the end itself is kept as its piece), and a
-    violating one is released onto the piece a step along -r enters. When
-    BACKUP_PASSES passes in a row bring no new fewest count of infeasible
-    coordinates, only the one of largest index is exchanged (Murty's rule)
-    until the count falls below that fewest; this backup rule is what
-    ends the exchanges. When no piece has a finite end, as for the zero
-    term, nothing can leave a piece or be held: the first pass, the plain
-    Cholesky solve H_w d = -grad_w, returns. The result is the last pass's
-    solve with the held coordinates exactly at their kinks or bounds, so it
-    depends only on the final free set, and two starts that end on the same
-    free set return the same bits; d0 changes only the number of passes,
-    and a start near the solution (the direction solver passes the previous
-    snap's d) usually needs one or two.
+    violating one is released onto the piece a step along -r enters
+    (:meth:`NonsmoothTerm.entered`, asked only there). When BACKUP_PASSES
+    passes in a row bring no new fewest count of infeasible coordinates,
+    only the one of largest index is exchanged (Murty's rule) until the
+    count falls below that fewest; this backup rule is what ends the
+    exchanges. When no piece has a finite end, as for the zero term
+    (:attr:`NonsmoothTerm.has_ends`), nothing can leave a piece or be held:
+    the first pass, the plain Cholesky solve H_w d = -grad_w, returns. The
+    result is the last pass's solve with the held coordinates exactly at
+    their kinks or bounds, so it depends only on the final free set, and
+    two starts that end on the same free set return the same bits; d0
+    changes only the number of passes, and a start near the solution (the
+    direction solver passes the previous snap's d) usually needs one or
+    two.
 
     Returns (d, free, solve_free, passes) with free the mask of free
     coordinates and solve_free the solve with the last pass's Cholesky
@@ -353,7 +355,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
             raise InputError(f"d0 must be a finite vector of shape {x.shape}")
     a, b, slope = term.pieces(x + d)
     c = v + slope  # linear coefficients of the model on free coordinates
-    if not (np.isfinite(a).any() or np.isfinite(b).any()):
+    if not term.has_ends:
         # a coordinate leaves its piece only through a finite end: with none
         # (the zero term) nothing is ever held, and the first solve is exact
         solve = _cholesky(M)
@@ -383,7 +385,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         if held.size:
             v_held, M_held = v[held], M.take(held, 0)
             r = v_held + M_held @ d
-            viol, a_in, b_in, slope_in = term.kink(a[held], r, held)
+            viol, slope_in = term.kink(a[held], r, held)
             # the slack is >= 0, so only a positive excess can exceed it;
             # when one does, the slack is taken over every held row
             if (viol > 0.0).any():
@@ -411,7 +413,7 @@ def inner_minimize(weights, smooth_eval: SmoothEval, term: NonsmoothTerm, x, *, 
         if out.size:
             release = held[out]
             free[release] = True
-            a[release], b[release] = a_in[out], b_in[out]
+            a[release], b[release] = term.entered(r[out], release)
             c[release] = v[release] + slope_in[out]
     raise ConvergenceError(
         f"inner active-set solve not certified after {MAX_INNER_PASSES} passes",
@@ -458,7 +460,10 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     on, each inner solve starts its active set from the most recent snap's
     direction. Every dual step follows one trial rule: snap the weights
     proposed at a step length, accept them if the dual value rises, or if
-    it ties and the gap falls, else halve the length and try again. Each
+    it ties and the gap falls, else halve the length and try again; a
+    proposal equal to the trial just rejected is halved again unsnapped,
+    since its snap would start from that trial's d, end on its bits and be
+    rejected again. Each
     iteration first takes a Newton step on the current face (the support
     of the weights plus the outside index with the largest model value,
     when that value exceeds the dual value), solving the face system by
@@ -517,8 +522,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         weights = np.full(m, 1.0 / m)
     else:
         weights = np.array(weights, dtype=float)
-        # nan and -inf fail the min test, +inf the sum test
-        if (weights.shape != (m,) or not weights.min() >= 0.0
+        # nan and -inf fail the sign test, +inf the sum test
+        if (weights.shape != (m,) or not all(w >= 0.0 for w in weights.tolist())
                 or abs(weights.sum() - 1.0) > 4 * m * _EPS):
             raise InputError(f"weights must be {m} finite nonnegative numbers "
                              f"summing to 1, got {weights!r}")
@@ -550,7 +555,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
             raise EvaluationError(f"the direction model's values are not finite: psi = {psi}")
         if not history:
             history.append(phi)
-        theta = psi.max()
+        theta = np.float64(max(psi.tolist()))  # psi.max(): its value and its type
         gap, tol = theta - phi, tol_gap
         if gap > tol_gap:
             dd = d @ d
@@ -592,15 +597,21 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
 
         A trial is accepted when phi rises, or when phi ties and the gap
         falls: accepting every tie cycled on flat faces. Gives up when a
-        proposal equals here.lam, or after tries trials.
+        proposal equals here.lam, or after tries trials. A proposal equal to
+        the trial just rejected is halved again unsnapped: its snap would
+        start from that trial's d, end on its bits and be rejected again.
         """
+        current, rejected = here.lam.tolist(), None
         for _ in range(tries):
             lam = propose(t)
-            if (lam == here.lam).all():
+            proposal = lam.tolist()
+            if proposal == current:
                 return None, t
-            cand = snap(lam)
-            if cand.phi > here.phi or (cand.phi == here.phi and cand.gap < here.gap):
-                return cand, t
+            if proposal != rejected:
+                cand = snap(lam)
+                if cand.phi > here.phi or (cand.phi == here.phi and cand.gap < here.gap):
+                    return cand, t
+                rejected = proposal
             t *= 0.5
         return None, t
 
@@ -609,17 +620,21 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     # snap's solve_free and H_i d; only that |S| - 1 system is factored. It
     # converges quadratically near optima interior to the face.
     def newton_step(here: _Snapshot):
+        # the m-vector bookkeeping runs on Python floats, whose IEEE
+        # operations give numpy's bits at a fraction of its dispatch cost
         lam, psi = here.lam, here.psi
-        face = lam > 0.0
-        outside = (lam == 0.0).nonzero()[0]
-        if outside.size:
-            j = outside[psi[outside].argmax()]
-            face[j] = psi[j] > here.phi
+        lam_l, psi_l = lam.tolist(), psi.tolist()
+        support = [i for i, w in enumerate(lam_l) if w > 0.0]
+        if len(support) < m:
+            # the weights are >= 0, so the others are 0: the face grows by the
+            # first of them with the largest model value, if that exceeds phi
+            j = max((i for i, w in enumerate(lam_l) if w == 0.0), key=psi_l.__getitem__)
+            if psi_l[j] > here.phi:
+                support = sorted(support + [j])
         # a face of one index is not special-cased: with finite psi its gap is
         # 0, so its snap certified and the solve ended before this step; with a
         # non-finite psi no trial is accepted (its face system is empty, and
         # the move zero)
-        support = face.nonzero()[0]
         free = here.free
         if not free.any():
             # the model no longer responds to d, so the dual is linear in the
@@ -630,7 +645,8 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         q = (se.gradients + here.hd)[support][:, free]
         curv = q @ here.solve_free(q.T)
         h_red = curv[:-1, :-1] - curv[-1, :-1] - (curv[:-1, -1:] - curv[-1, -1])
-        g_red = psi[support[:-1]] - psi[support[-1]]
+        last = psi_l[support[-1]]
+        g_red = np.array([psi_l[i] - last for i in support[:-1]])
         # h_red is positive semidefinite, singular once |S| - 1 exceeds the
         # free count; the pivoted Cholesky reads its lower triangle, solves on
         # the leading rank pivots and leaves du 0 on the dependent ones
@@ -639,15 +655,16 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         du = np.zeros_like(g_red)
         if rank:
             du[lead] = _potrs(factor[:rank, :rank], g_red[lead], lower=True)[0]
-        if not np.isfinite(du).all():
+        du_l = du.tolist()
+        if not all(map(math.isfinite, du_l)):
             # an overflowing face solve would propose nan weights, which no
             # snap can use; the supergradient safeguard is taken instead
             return None
-        move = np.zeros(m)
-        move[support[:-1]] = du
-        move[support[-1]] = -du.sum()
-        neg = move < 0.0
-        t = float((lam[neg] / -move[neg]).min(initial=1.0))
+        move_l = [0.0] * m  # du on the face, -sum(du) at its last index
+        for i, v in zip(support, du_l + [float(-du.sum())]):
+            move_l[i] = v
+        move = np.array(move_l)
+        t = min([1.0] + [w / -v for w, v in zip(lam_l, move_l) if v < 0.0])
         if t <= 0.0:
             return None
         if t < 1.0:

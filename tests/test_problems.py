@@ -227,19 +227,37 @@ class TestNonsmoothTerm:
 
     def test_kink_excess_and_entered_piece(self):
         r = np.array([-2.0, 0.5, 3.0])
-        excess, a, b, slope = NonsmoothTerm.scaled_l1(1.0).kink(np.zeros(3), r, np.arange(3))
+        l1 = NonsmoothTerm.scaled_l1(1.0)
+        excess, slope = l1.kink(np.zeros(3), r, np.arange(3))
         np.testing.assert_array_equal(excess, [1.0, -0.5, 2.0])
+        np.testing.assert_array_equal(slope, [1.0, -1.0, -1.0])
+        a, b = l1.entered(r, np.arange(3))
         np.testing.assert_array_equal(a, [0.0, -np.inf, -np.inf])
         np.testing.assert_array_equal(b, [np.inf, 0.0, 0.0])
-        np.testing.assert_array_equal(slope, [1.0, -1.0, -1.0])
+        # the entered piece is the one pieces gives at -r
+        for got, want in zip(l1.entered(r, np.arange(3)), l1.pieces(-r)):
+            assert got.tobytes() == want.tobytes()
         # the normal cone is (-inf, 0] at lo and [0, inf) at hi
         box = NonsmoothTerm.box(np.array([-1.0, -2.0, -3.0]), np.array([1.0, 2.0, 3.0]))
-        excess, a, b, slope = box.kink(np.array([-1.0, 2.0]), np.array([-2.0, -2.0]),
-                                       np.array([0, 1]))
+        excess, slope = box.kink(np.array([-1.0, 2.0]), np.array([-2.0, -2.0]),
+                                 np.array([0, 1]))
         np.testing.assert_array_equal(excess, [2.0, -2.0])
+        assert np.all(slope == 0.0)
+        a, b = box.entered(np.array([-2.0, -2.0]), np.array([0, 1]))
         np.testing.assert_array_equal(a, [-1.0, -2.0])
         np.testing.assert_array_equal(b, [1.0, 2.0])
-        assert np.all(slope == 0.0)
+
+    @pytest.mark.parametrize("term, ends", [
+        (NonsmoothTerm.zero(), False), (NonsmoothTerm.scaled_l1(0.0), True),
+        (NonsmoothTerm.box(-1.0, 1.0), True), (NonsmoothTerm.box(-np.inf, np.inf), False),
+        (NonsmoothTerm.box([-np.inf, -np.inf], [np.inf, 2.0]), True),
+        (NonsmoothTerm.box([-np.inf, -5.0], [np.inf, np.inf]), True)])
+    def test_has_ends_agrees_with_the_pieces(self, term, ends):
+        # the inner solve's zero-term return asks the term, not its pieces
+        assert term.has_ends is ends
+        for u in (np.zeros(2), np.array([-3.0, 4.0]), np.array([1e300, -1e300])):
+            a, b, _ = term.pieces(u)
+            assert bool(np.isfinite(a).any() or np.isfinite(b).any()) is ends
 
     def test_domain_serves_scalar_and_per_coordinate_bounds(self):
         assert NonsmoothTerm.scaled_l1(1.0).domain(3) == (-np.inf, np.inf)

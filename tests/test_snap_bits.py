@@ -115,7 +115,8 @@ def _reference_inner_minimize(weights, smooth_eval, term, x, *, d0=None):
         if not held.size:
             return d, free, solve, it
         r = v[held] + M[held] @ d
-        viol, a_in, b_in, slope_in = term.kink(a[held], r, held)
+        viol, slope_in = term.kink(a[held], r, held)
+        a_in, b_in = term.entered(r, held)
         slack = 4.0 * _EPS * (np.abs(v[held]) + np.abs(M[held]) @ np.abs(d) + np.abs(slope_in))
         out = np.flatnonzero(viol > slack)
         if not out.size:
@@ -282,16 +283,22 @@ def _counted_passes(lam, se, term, x, d0, monkeypatch):
     Returns (result, cases): cases counts "nothing held" passes (the free
     block is all of M), "no positive excess" passes (term.kink was asked
     and no held coordinate's excess is positive) and "slack" passes (some
-    excess is positive, so the slack decides), and "kink" the calls of
-    term.kink, which must be one per pass with something held.
+    excess is positive, so the slack decides), "kink" the calls of
+    term.kink, which must be one per pass with something held, and
+    "entered" the calls of term.entered, one per pass that releases,
+    each on the released coordinates only.
     """
-    excess, blocks = [], []
-    real_kink = NonsmoothTerm.kink
+    excess, released, blocks = [], [], []
+    real_kink, real_entered = NonsmoothTerm.kink, NonsmoothTerm.entered
 
     def kink(self, e, r, idx):
         out = real_kink(self, e, r, idx)
         excess.append(out[0])
         return out
+
+    def entered(self, r, idx):
+        released.append(len(idx))
+        return real_entered(self, r, idx)
 
     def cholesky(block):
         blocks.append(block.shape[0])
@@ -299,11 +306,14 @@ def _counted_passes(lam, se, term, x, d0, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(NonsmoothTerm, "kink", kink)
+        patch.setattr(NonsmoothTerm, "entered", entered)
         patch.setattr(moprox.subproblem, "_cholesky", cholesky)
         result = inner_minimize(lam, se, term, x, d0=d0)
     positive = sum(bool((e > 0.0).any()) for e in excess)
+    assert all(released)  # a pass that releases nothing asks no entered piece
     cases = {"nothing held": blocks.count(x.size), "kink": len(excess),
-             "no positive excess": len(excess) - positive, "slack": positive}
+             "no positive excess": len(excess) - positive, "slack": positive,
+             "entered": len(released)}
     return result, cases
 
 
@@ -311,7 +321,8 @@ def _counted_passes(lam, se, term, x, d0, monkeypatch):
 def test_pass_shortcuts_match_the_earlier_code(family, monkeypatch):
     # the first cells of test_inner_solve_matches_the_earlier_code at n = 10,
     # cold and warm: together they reach every case of the release test
-    totals = dict.fromkeys(("nothing held", "kink", "no positive excess", "slack"), 0)
+    totals = dict.fromkeys(("nothing held", "kink", "no positive excess", "slack",
+                            "entered"), 0)
     cells = itertools.product((2, 3, 5, 8), (1.0, 1e2, 1e4), (0.01, 0.1, 1.0, 10.0))
     for seed, (m, cond, rho) in itertools.islice(enumerate(cells), 12):
         spec = InstanceSpec(family=family, n=10, m=m, cond=cond, rho=rho, seed=seed)
@@ -326,13 +337,16 @@ def test_pass_shortcuts_match_the_earlier_code(family, monkeypatch):
             result, cases = _counted_passes(weights, se, prob.nonsmooth, x, d0, monkeypatch)
             d0 = _assert_same_snap(weights, se, prob.nonsmooth, x, d0, rng)[0]
             assert _bits(result[0]) == _bits(d0)
-            # term.kink runs on every pass with something held, and on no other
+            # term.kink runs on every pass with something held, and on no other;
+            # term.entered only on a pass whose slack lets a coordinate go
             assert cases["kink"] == result[3] - cases["nothing held"]
+            assert cases["entered"] <= cases["slack"]
             for case, count in cases.items():
                 totals[case] += count
     assert totals["nothing held"] > 0
     assert totals["no positive excess"] > 0
     assert totals["slack"] > 0
+    assert totals["entered"] > 0
 
 
 @pytest.mark.parametrize("ulps, released", [(4, False), (16, True)])
@@ -350,7 +364,7 @@ def test_a_release_decided_by_the_slack_matches_the_earlier_code(ulps, released,
     (d, free, _, passes), cases = _counted_passes(lam, se, term, x, d0, monkeypatch)
     assert free[1] == released and passes == 1 + released
     assert cases == {"nothing held": int(released), "kink": 1,
-                     "no positive excess": 0, "slack": 1}
+                     "no positive excess": 0, "slack": 1, "entered": int(released)}
     _assert_same_snap(lam, se, term, x, d0, np.random.Generator(np.random.PCG64(0)))
     assert d[1] == (ulps * _EPS if released else 0.0)
 
@@ -370,3 +384,4 @@ def test_box_domain_is_the_same_for_scalar_and_per_coordinate_bounds(idx):
     r = np.linspace(-1.0, 1.0, np.size(idx))
     if np.ndim(idx):
         assert _bits(*full.kink(e, r, idx)) == _bits(*scalar.kink(e, r, idx))
+        assert _bits(*full.entered(r, idx)) == _bits(*scalar.entered(r, idx))

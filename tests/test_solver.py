@@ -156,6 +156,14 @@ class TestArmijoBacktrack:
             armijo_backtrack(prob, np.array([1.0]), np.array([-1.0]), -0.5,
                              sigma=0.1, gamma=0.5, f_x=np.array(f_x))
 
+    @pytest.mark.parametrize("f_x", [1.0, [1.0, 1.0], [[1.0]]])
+    def test_values_at_x_of_another_shape_rejected(self, f_x):
+        # the acceptance test pairs F(x + t d) with F(x) objective by objective
+        prob = _single_quadratic()
+        with pytest.raises(InputError, match=r"requires f_x of shape \(1,\)"):
+            armijo_backtrack(prob, np.array([1.0]), np.array([-1.0]), -0.5,
+                             sigma=0.1, gamma=0.5, f_x=f_x)
+
     @pytest.mark.parametrize("x", [[np.nan], [np.inf]])
     def test_nonfinite_point_rejected(self, x):
         prob = _single_quadratic()

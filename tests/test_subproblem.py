@@ -686,6 +686,38 @@ class TestDualTrialRule:
             iters += res.dual_iters
         assert iters <= 36
 
+    def test_the_trial_just_rejected_is_not_snapped_again(self, monkeypatch):
+        # a shifted-probe direction (S = 1e4, seed 24) from the vertex e_0: the
+        # supergradient safeguard starts at length min(1, 4 s_prev) whatever
+        # psi's scale, and its halvings project onto one vertex again and
+        # again. Snapping each repeat took 39 snaps, 28 of them repeats; the
+        # repeats are halved unsnapped, with the same result to the bit
+        rng = np.random.default_rng(24)
+        prob = gen_quadratic(InstanceSpec("quadratic", n=5, m=3, cond=100, seed=24),
+                             shifts=1e4 * rng.standard_normal((3, 5)))
+        x0 = rng.standard_normal(5)
+        weights = []
+        real_minimize = Metric.minimize
+
+        def minimize(self, lam, *args, **kwargs):
+            weights.append(np.array(lam).tolist())
+            return real_minimize(self, lam, *args, **kwargs)
+
+        monkeypatch.setattr(Metric, "minimize", minimize)
+        res = solve_direction(prob, x0, 1e-12, weights=np.eye(3)[0], eps=1e-9,
+                              forcing=True)
+        assert res.dual_iters == len(weights) == 11
+        assert all(a != b for a, b in zip(weights, weights[1:]))
+        # the bits the solve gave when it snapped every repeat
+        assert not res.message
+        assert res.direction.tolist() == [float.fromhex(h) for h in (
+            "0x1.382c4dea5cd2fp+7", "0x1.7081c0f3bb9b3p+7", "-0x1.111d75c1a7b56p+6",
+            "0x1.ca5cd0481e501p+7", "0x1.eccbc3a32806dp+6")]
+        assert res.weights.tolist() == [float.fromhex(h) for h in (
+            "0x1.5ef82c8deaa0ep-4", "0x1.cb4070abc0023p-2", "0x1.dd018430c555cp-2")]
+        assert (res.theta, res.gap) == (float.fromhex("-0x1.df5796af5f5a0p+19"),
+                                        float.fromhex("0x1.d5f4ceca660e0p+14"))
+
 
 class TestSingularFaces:
     """Faces whose Newton system is singular: more indices than free coordinates + 1."""

@@ -115,3 +115,40 @@ def test_a01_sweep_runs_the_grid_from_fifty_more_bases():
     assert (problem.n, problem.m) == (50, 8) and (problem.nonsmooth.lo == -1.0).all()
     assert np.array_equal(x0, np.random.Generator(np.random.PCG64(60134))
                           .uniform(-1.0, 1.0, 50))
+
+
+def test_lines_that_differ_only_in_costs_say_their_values_are_the_same():
+    # fewer snaps and passes, the same iterates: the sha1 differs and the
+    # values_sha1 does not
+    parent = PARENT.replace("sha1=4a26f600", "sha1=4a26f600 values_sha1=9e3d7c01")
+    cheaper = parent.replace("snaps=444 passes=909", "snaps=430 passes=890").replace(
+        "sha1=4a26f600 ", "sha1=77b0e512 ")
+    lines, code = trace_digest.compare(trace_digest.parse_lines(parent),
+                                       trace_digest.parse_lines(cheaper), label="HEAD")
+    assert code == 1
+    assert "newton_prox: DIFFERS (values_sha1 same)" in lines
+    assert "grad_smooth: same" in lines
+    other = cheaper.replace("values_sha1=9e3d7c01", "values_sha1=0d41c2aa")
+    lines, _ = trace_digest.compare(trace_digest.parse_lines(parent),
+                                    trace_digest.parse_lines(other), label="HEAD")
+    assert "newton_prox: DIFFERS" in lines
+
+
+def test_values_sha1_leaves_out_the_snaps_and_passes():
+    # two canned traces of the same iterates at other costs
+    Status, cfg = moprox.solver.Status, moprox.solver.SolverConfig()
+
+    def trace(snaps, passes):
+        record = moprox.solver.TraceRecord(
+            k=0, x=np.zeros(2), objectives=np.ones(2), direction_norm=0.0, theta=0.0,
+            step=0.0, weights=np.full(2, 0.5), gap=0.0, snaps=snaps, passes=passes)
+        return moprox.solver.SolveTrace((record,), Status.CRITICAL_REACHED, cfg)
+
+    lines = []
+    for costs in ((3, 5), (2, 4)):
+        solver = types.SimpleNamespace(Status=Status, solve=lambda *run, c=costs: trace(*c))
+        lines.append(trace_digest.digest_pool(types.SimpleNamespace(solver=solver), np,
+                                              [(None, None, None)]))
+    fields = [dict(f.split("=", 1) for f in line.split()) for line in lines]
+    assert fields[0]["sha1"] != fields[1]["sha1"]
+    assert fields[0]["values_sha1"] == fields[1]["values_sha1"]

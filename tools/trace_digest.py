@@ -22,14 +22,18 @@ and passes summed over the pool, how many critical_reached jobs stopped by
 each kind of stop (stop_kind: eps, dual_bound or precision_limit), then a
 SHA-1 over each job's status and message and over every record's k, step,
 theta, direction norm, gap, snaps, passes, halvings and the bytes of x,
-objectives and weights.
+objectives and weights, and a values_sha1 over the same without the snaps
+and passes.
 
 Two checkouts that print the same lines ran the same iterations to the
-last bit. The bits depend on the BLAS build, so compare lines taken on
-one host only. --against REV does that comparison: it checks REV out by
-`git worktree add` into a temporary directory, removed at exit, digests
-that checkout and this one, each in its own process, and prints per
-workload both lines and `same` or `DIFFERS`. --root DIR digests the
+last bit. Two whose lines differ but whose values_sha1 agree reached the
+same iterates, steps, gaps and weights at other costs, as a change that
+only removes work does. The bits depend on the BLAS build, so compare
+lines taken on one host only. --against REV does that comparison: it
+checks REV out by `git worktree add` into a temporary directory, removed
+at exit, digests that checkout and this one, each in its own process, and
+prints per workload both lines and `same`, `DIFFERS` or, when only the
+costs differ, `DIFFERS (values_sha1 same)`. --root DIR digests the
 checkout at DIR in place of this one.
 
 Exit codes: 0 digest printed (with --against: every line the same), 1 a
@@ -124,11 +128,11 @@ def stop_kind(trace) -> str:
 
 
 def digest_pool(mp, np, runs) -> str:
-    """The pool's line: status counts, summed costs, stop kinds and the SHA-1.
+    """The pool's line: status counts, summed costs, stop kinds and the two SHA-1s.
 
     runs yields (problem, config, x0) for each solve.
     """
-    sha = hashlib.sha1()
+    sha, values = hashlib.sha1(), hashlib.sha1()
     statuses, stops = Counter(), Counter()
     jobs = records = snaps = passes = 0
     for problem, cfg, x0 in runs:
@@ -140,16 +144,23 @@ def digest_pool(mp, np, runs) -> str:
         records += len(trace.records)
         snaps += trace.snaps
         passes += trace.passes
-        sha.update(f"{trace.status.value}|{trace.message}\n".encode())
+        head = f"{trace.status.value}|{trace.message}\n".encode()
+        sha.update(head)
+        values.update(head)
         for r in trace.records:
             sha.update(repr((r.k, r.step, r.theta, r.direction_norm, r.gap,
                              r.snaps, r.passes, r.halvings)).encode())
+            values.update(repr((r.k, r.step, r.theta, r.direction_norm, r.gap,
+                                r.halvings)).encode())
             for a in (r.x, r.objectives, r.weights):
-                sha.update(np.ascontiguousarray(a, dtype=float).tobytes())
+                raw = np.ascontiguousarray(a, dtype=float).tobytes()
+                sha.update(raw)
+                values.update(raw)
     counts = " ".join(f"{s}={c}" for s, c in sorted(statuses.items()))
     kinds = " ".join(f"stop_{kind}={stops[kind]}" for kind in STOP_KINDS)
     return (f"jobs={jobs} {counts} records={records} snaps={snaps} "
-            f"passes={passes} {kinds} sha1={sha.hexdigest()}")
+            f"passes={passes} {kinds} sha1={sha.hexdigest()} "
+            f"values_sha1={values.hexdigest()}")
 
 
 def digest(root: Path) -> int:
@@ -172,17 +183,25 @@ def parse_lines(text: str) -> dict:
     return dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
 
 
+def _values_sha1(line: str):
+    """The values_sha1 field of a digest line, or None when it has none."""
+    return next((f for f in line.split() if f.startswith("values_sha1=")), None)
+
+
 def compare(against: dict, here: dict, label: str) -> tuple:
     """(lines, exit code) comparing two parse_lines maps, workload by workload.
 
-    label names the against side. A workload that one side lacks differs.
+    label names the against side. A workload that one side lacks differs;
+    lines that differ with equal values_sha1 say so.
     """
     lines, differs = [], False
     for name in [*against, *(k for k in here if k not in against)]:
         a, h = against.get(name, "(none)"), here.get(name, "(none)")
         differs |= a != h
-        lines += [f"{name} @{label}: {a}", f"{name} @checkout: {h}",
-                  f"{name}: {'same' if a == h else 'DIFFERS'}"]
+        verdict = "same" if a == h else "DIFFERS"
+        if a != h and _values_sha1(a) is not None and _values_sha1(a) == _values_sha1(h):
+            verdict += " (values_sha1 same)"
+        lines += [f"{name} @{label}: {a}", f"{name} @checkout: {h}", f"{name}: {verdict}"]
     return lines, 1 if differs else 0
 
 
