@@ -150,16 +150,13 @@ def build_instance_spec(cfg: dict, seed_override=None) -> InstanceSpec:
         raise _within(exc, "instance") from exc
 
 
-def build_solver_config(cfg: dict, overrides=None, default_ell=None) -> SolverConfig:
+def build_solver_config(cfg: dict, default_ell=None) -> SolverConfig:
     """Construct the solver config, filling ell for the gradient variant.
 
-    overrides (e.g. a per-cell variant for bench sweeps) are applied on top
-    of the config section before validation; default_ell supplies the
-    instance's gradient Lipschitz constant when the section omits ell.
+    default_ell supplies the instance's gradient Lipschitz constant when the
+    solver section omits ell.
     """
     section = dict(cfg.get("solver", {}))
-    if overrides:
-        section.update(overrides)
     if section.get("variant") == VARIANT_GRADIENT and section.get("ell") is None:
         if default_ell is None:
             raise ConfigError(
@@ -279,7 +276,7 @@ def cmd_solve(cfg: dict, out_dir: Path, seed_override=None) -> int:
 
 def _bench_cell(cfg: dict, spec: InstanceSpec, problem, x0, variant: str) -> tuple:
     """(sort key, bench.csv row, exit code) of one solve of the sweep."""
-    cell_cfg = build_solver_config(cfg, overrides={"variant": variant},
+    cell_cfg = build_solver_config({"solver": {**cfg.get("solver", {}), "variant": variant}},
                                    default_ell=problem.lip_grad)
     start = time.perf_counter()
     trace = solve(problem, cell_cfg, x0)

@@ -387,7 +387,8 @@ def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
     An objective is non-finite when its value, gradient or Hessian (if se
     has Hessians) has a non-finite entry ("non-finite output"), or, with
     values_only, when its value does ("non-finite value"). The arrays are
-    tested whole first, and read per objective only when one fails.
+    tested whole first, and read per objective only when one fails, which
+    always finds a non-finite objective to name.
     """
     if all(map(math.isfinite, se.values.tolist())) and (values_only or (
             np.isfinite(se.gradients).all()
@@ -398,12 +399,10 @@ def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
         finite &= np.isfinite(se.gradients).all(axis=1)
         if se.hessians is not None:
             finite &= np.isfinite(se.hessians).all(axis=(1, 2))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        part = "value" if values_only else "output"
-        raise EvaluationError(f"smooth objective {i} returned non-finite {part}",
-                              objective_index=i)
-    return se
+    i = int(np.argmin(finite))
+    part = "value" if values_only else "output"
+    raise EvaluationError(f"smooth objective {i} returned non-finite {part}",
+                          objective_index=i)
 
 
 def eval_smooth(problem: ProblemInstance, x, hessians: bool = True) -> SmoothEval:

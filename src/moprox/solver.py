@@ -6,13 +6,13 @@ to the direction subproblem, built once per solve from the config's
 replaces every Hessian by ell times the identity (a scaled-identity
 majorization, solved in closed form by one proximal map per snap). Each
 iterate sweeps the smooth oracles once, asking for Hessians only under
-``newton``: the line search keeps the oracle output and the objective
-values at the step it accepts, and the next iteration uses both. In the same
-way each direction solve starts its dual loop from the weights of the
-previous accepted direction (uniform weights at iteration 0); that state
-lives in one solve() call, so reruns give the same bits. Iterations stop
-when the direction norm falls below eps; the full iteration history is
-recorded in a trace for offline verification.
+``newton``: the line search keeps the point it accepts, with its oracle
+output, objective values and halvings, and the next iteration starts there
+with them. In the same way each direction solve starts its dual loop from
+the weights of the previous accepted direction (uniform weights at
+iteration 0); that state lives in one solve() call, so reruns give the same
+bits. Iterations stop when the direction norm falls below eps; the full
+iteration history is recorded in a trace for offline verification.
 """
 
 from __future__ import annotations
@@ -24,16 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    EvaluationError,
-    InputError,
-    LineSearchError,
-    MoproxError,
-    SingularMetricError,
-    check_field_types,
-)
+from .errors import ConfigError, InputError, LineSearchError, MoproxError, check_field_types
 from . import problems
 from .problems import ProblemInstance, eval_smooth, _as_point, _check_finite, _plus_g
 from .subproblem import Metric, solve_direction
@@ -174,13 +165,14 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     f_x, when given, is F(x) of shape (m,), as eval_full returns it, and is
     evaluated here otherwise. Comparisons involving +inf (an infeasible
     trial point) fail the test and trigger further backtracking. A trial
-    point is judged on its values only. When keep is a list, on return it
-    holds the one SmoothEval of the accepted point x + t * d, with its
-    gradients and, if hessians is true, its Hessians, unchecked, and that
-    point's objective values, which passed the test and so are finite
-    (eval_full's keep); a caller that forms its next iterate by the same
-    expression gets the same bits. Raises
-    LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works, and
+    point is judged on its values only. When keep is a list and a step is
+    accepted, on return it holds four items about the accepted point: its
+    one SmoothEval, with its gradients and, if hessians is true, its
+    Hessians, unchecked; its objective values, which passed the test and so
+    are finite (these two are eval_full's keep); the point x + t * d itself,
+    the array that was evaluated; and the power j with t = gamma^j. Raises
+    LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works,
+    EvaluationError when a trial's smooth values are not finite, and
     InputError when d is zero or theta >= 0 (the test is meaningless without
     a descent prediction) or when f_x is not of shape (m,).
     """
@@ -202,12 +194,15 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     if not all(map(math.isfinite, f_l)):
         raise InputError("line search requires finite objective values at x")
     t = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        trial = eval_full(problem, x + t * d, keep, hessians=hessians)
+    for j in range(MAX_HALVINGS + 1):
+        point = x + t * d
+        trial = eval_full(problem, point, keep, hessians=hessians)
         # nan/inf-robust acceptance: all decreases must provably satisfy the
         # bound; on Python floats, numpy's bits without its dispatch cost
         bound = t * sigma * theta
         if all(v - f <= bound for v, f in zip(trial.tolist(), f_l)):
+            if keep is not None:
+                keep += [point, j]
             return t
         t *= gamma
     raise LineSearchError(
@@ -215,25 +210,20 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     )
 
 
-def _halvings(t: float) -> int:
-    """The power j with t = GAMMA^j, formed as armijo_backtrack forms it."""
-    j, s = 0, 1.0
-    while s != t and j < MAX_HALVINGS:
-        j, s = j + 1, s * GAMMA
-    return j
-
-
+@np.errstate(all="ignore")
 def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     """Run the solver from x0 and return the full iteration trace.
 
     Each iteration solves the direction subproblem in the configured metric,
     its dual loop started from the previous accepted direction's weights,
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
-    and moves. The SmoothEval the line search keeps at the accepted point
-    is the next iteration's evaluation; its finiteness is checked there, as
-    a fresh evaluation's would be. The objective values it keeps there,
-    which passed the Armijo test and so are finite, are the next
-    iteration's F: g and F are evaluated afresh only at iteration 0.
+    and moves. The point the line search accepts, kept with the power of
+    GAMMA it took, is the next iterate and its record's halvings. The
+    SmoothEval it keeps there is the next iteration's evaluation; its
+    finiteness is checked there, as a fresh evaluation's would be. The
+    objective values it keeps there, which passed the Armijo test and so
+    are finite, are the next iteration's F: g and F are evaluated afresh
+    only at iteration 0.
     Hessians are asked for only under the Hessian metric; under ell I the
     sweeps leave them out. It also stops
     with CRITICAL_REACHED at the precision limit, when SIGMA * theta >=
@@ -251,13 +241,15 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     (mu the metric's modulus, problem.mu or ell) shows ||d*|| <= eps, it
     returns the zero direction before closing its gap, and the run stops
     CRITICAL_REACHED, recorded like the precision-limit stop, with the
-    solve's message (phi and the bound) as the trace message. Subproblem
-    and line-search failures are recorded in the trace (status
-    SUBPROBLEM_FAILURE) rather than raised, and so is a RuntimeWarning of
-    the direction solve under a filter that makes it an error; exhausting
-    max_outer yields MAX_ITERS. A start that is not a finite n-vector, or that lies outside
-    the domain of the nonsmooth term (a box), raises InputError before
-    iteration 0; the error names the first coordinate out of bounds.
+    solve's message (phi and the bound) as the trace message. Every
+    MoproxError of the direction solve or the line search is recorded in
+    the trace (status SUBPROBLEM_FAILURE) rather than raised. The solve
+    runs under np.errstate(all="ignore"): an overflow reaches the
+    finiteness tests that name it, never the warnings machinery, so the
+    trace is the same under any warnings filter. Exhausting max_outer
+    yields MAX_ITERS. A start that is not a finite n-vector, or that lies
+    outside the domain of the nonsmooth term (a box), raises InputError
+    before iteration 0; the error names the first coordinate out of bounds.
     """
     x = _as_point(x0, problem.n)
     outside = np.flatnonzero(problem.nonsmooth.outside(x))
@@ -281,7 +273,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
               else Metric.hessian())
     hessians = metric.reads_hessians
-    accepted = []  # the SmoothEval of the last accepted step, kept by the line search
+    accepted = []  # the line search's keep of the last accepted step
     weights = None  # dual weights of the last accepted direction, the next dual start
 
     for k in range(config.max_outer):
@@ -296,10 +288,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
             res = solve_direction(problem, x, tol_gap=config.tol_gap, smooth_eval=se,
                                   metric=metric, weights=weights, eps=config.eps,
                                   forcing=True)
-        except (ConvergenceError, SingularMetricError, EvaluationError, InputError,
-                RuntimeWarning) as exc:
-            # a RuntimeWarning arrives only under a filter that makes it an
-            # error, as an overflowing model's does before its snap names it
+        except MoproxError as exc:
             return stop(Status.SUBPROBLEM_FAILURE, str(exc), x)
 
         dnorm = math.sqrt(res.direction @ res.direction)  # np.linalg.norm's bits
@@ -321,16 +310,16 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                 t = armijo_backtrack(problem, x, res.direction, theta, SIGMA, GAMMA,
                                      f_x=f_x, keep=accepted, hessians=hessians)
                 status = None
-            except (LineSearchError, InputError, EvaluationError) as exc:
+            except MoproxError as exc:
                 status, message = Status.SUBPROBLEM_FAILURE, str(exc)
         records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
                                    direction_norm=dnorm, theta=theta, step=t,
                                    weights=res.weights, gap=gap,
                                    snaps=res.dual_iters, passes=res.inner_iters,
-                                   halvings=_halvings(t) if t else 0))
+                                   halvings=accepted[3] if t else 0))
         if status is not None:
             return stop(status, message)
-        x = x + t * res.direction
+        x = accepted[2]
         weights = res.weights
 
     return stop(Status.MAX_ITERS, x_end=x)

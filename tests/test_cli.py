@@ -289,6 +289,15 @@ class TestConfigErrors:
         assert str(info.value) == ("solver.ell is required for the gradient variant when "
                                    "the instance records no gradient Lipschitz constant")
 
+    def test_an_unknown_solver_field_names_its_section(self):
+        # SolverConfig's own TypeError names no field, so the error names
+        # the section alone
+        with pytest.raises(moprox.ConfigError) as info:
+            moprox.cli.build_solver_config({"solver": {"sigma": 0.1}})
+        assert info.value.field is None
+        assert str(info.value).startswith("solver: ")
+        assert str(info.value).endswith("unexpected keyword argument 'sigma'")
+
 
 class TestBenchVerb:
     def _bench_config(self):

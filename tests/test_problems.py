@@ -100,6 +100,11 @@ class TestNonsmoothTerm:
         assert NonsmoothTerm.zero() != NonsmoothTerm.scaled_l1(0.0)
         assert len({a, b, NonsmoothTerm.zero(), NonsmoothTerm.zero()}) == 2
 
+    def test_a_term_never_equals_another_type(self):
+        # __eq__ returns NotImplemented, so == falls back to identity
+        assert NonsmoothTerm.zero().__eq__(0) is NotImplemented
+        assert (NonsmoothTerm.zero() == 0) is False
+
     def test_zero_term(self):
         t = NonsmoothTerm.zero()
         x = RNG.standard_normal(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ class TestArmijoBacktrack:
         # the scalarized sum would have accepted the full step
         f_1 = eval_full(prob, x + d)
         assert (f_1 - f_x).sum() <= 0.1 * (-0.5)
+
+    def test_keep_holds_the_accepted_point_and_its_power(self):
+        # the componentwise case above, with d = -1.1, halves twice; keep
+        # ends with the point evaluated at the accepted step, to the bit, and
+        # the power of gamma
+        smooth = (quadratic_objective(np.array([[10.0]]), np.array([0.0])),
+                  quadratic_objective(np.array([[8.0]]), np.array([6.0])))
+        prob = ProblemInstance(n=1, m=2, smooth=smooth,
+                               nonsmooth=NonsmoothTerm.zero(), mu=8.0)
+        x, d = np.array([1.0]), np.array([-1.1])
+        k = []
+        t = armijo_backtrack(prob, x, d, -0.5, sigma=0.1, gamma=moprox.solver.GAMMA, keep=k)
+        assert len(k) == 4 and k[3] >= 2
+        assert k[2].tobytes() == (x + t * d).tobytes()
+        assert t == moprox.solver.GAMMA ** k[3]
+        assert k[1].tobytes() == eval_full(prob, k[2]).tobytes()
 
     def test_infeasible_trial_backtracks(self):
         box = NonsmoothTerm.box(np.array([0.0]), np.array([2.0]))
@@ -673,6 +690,52 @@ class TestFailuresEndTheTrace:
         assert tr.status is Status.CRITICAL_REACHED, tr.message
         assert len(tr.records) == 2
         assert tr.records[0].step == 1.0
+
+
+def _overflowing_trial():
+    # an iterate near 1e153 whose unit-step trial x + d overflows the
+    # smooth value: the sweep raises at t = 1 and the run ends there
+    prob = ProblemInstance(n=1, m=1, smooth=(quadratic_objective([[4.0]], [0.0]),),
+                           nonsmooth=NonsmoothTerm.zero(), mu=4.0)
+    config = SolverConfig(eps=1e-9, tol_gap=1e-12, variant="gradient", ell=0.3)
+    return prob, config, np.array([1e153]), "smooth objective 0 returned non-finite value"
+
+
+def _overflowing_forcing_bound():
+    # ell = 1e-150 makes ||d|| near 2e151, so the forcing bound's ||d||^4
+    # overflows; the direction certifies, and no step passes the test
+    smooth = tuple(quadratic_objective([[4.0]], [b]) for b in (1.0, -1.0))
+    prob = ProblemInstance(n=1, m=2, smooth=smooth, nonsmooth=NonsmoothTerm.zero(), mu=4.0)
+    config = SolverConfig(variant="gradient", ell=1e-150)
+    return prob, config, np.array([5.0]), "no step of the form gamma^j"
+
+
+def _trace_bytes(trace) -> list:
+    """Status, message and every record field of trace, as bytes."""
+    out = [trace.status.value.encode(), trace.message.encode()]
+    for r in trace.records:
+        for f in dataclasses.fields(r):
+            out.append(np.asarray(getattr(r, f.name)).tobytes())
+    return out
+
+
+class TestWarningsFilter:
+    @pytest.mark.parametrize("case", [_overflowing_trial, _overflowing_forcing_bound])
+    def test_the_filter_does_not_change_the_trace(self, case):
+        prob, config, x0, message = case()
+        traces = []
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                traces.append(solve(prob, config, x0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            traces.append(solve(prob, config, x0))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        first = _trace_bytes(traces[0])
+        assert all(_trace_bytes(tr) == first for tr in traces[1:])
+        assert traces[0].status is Status.SUBPROBLEM_FAILURE
+        assert traces[0].message.startswith(message)
 
 
 class TestDualBoundStop:

@@ -461,9 +461,9 @@ class TestSolveDirection:
     @pytest.mark.parametrize("term", [NonsmoothTerm.zero(), NonsmoothTerm.scaled_l1(1.0)])
     @pytest.mark.parametrize("variant", ["newton", "gradient"])
     def test_an_overflow_warning_raised_as_an_error_ends_the_run(self, term, variant):
-        # the model above with numpy's default error state, under a filter
-        # that makes its overflow warning an error: solve() records the
-        # warning as a subproblem failure and does not let it escape
+        # the model above under a filter that makes numpy's overflow warning
+        # an error: solve() runs with numpy's warnings off, so the snap names
+        # the overflow as under the default filter, and nothing escapes
         smooth = tuple(quadratic_objective(k * np.eye(3), b * np.ones(3))
                        for k, b in ((1.0, 1e160), (2.0, -1e230), (3.0, 1e300)))
         prob = ProblemInstance(n=3, m=3, smooth=smooth, nonsmooth=term, mu=1.0)
@@ -472,7 +472,7 @@ class TestSolveDirection:
             warnings.simplefilter("error", RuntimeWarning)
             trace = solve(prob, config, np.zeros(3))
         assert trace.status is Status.SUBPROBLEM_FAILURE
-        assert "overflow" in trace.message
+        assert trace.message.startswith("the direction model's values are not finite")
 
 
 class TestWarmStart:
