@@ -265,11 +265,17 @@ class SmoothEval:
     values (m,), gradients (m, n), and hessians (m, n, n), or None when the
     sweep did not ask for them. The Hessians are exactly symmetric and
     read-only; they may share memory with an array the oracle returns.
+
+    at, set by the sweep and not an init argument, is the array the sweep
+    evaluated, uncopied; it is None when a SmoothEval is built directly.
+    eval_smooth and eval_full sweep only a point they proved a finite
+    n-vector, so their at is one. at takes no part in == or repr.
     """
 
     values: np.ndarray
     gradients: np.ndarray
     hessians: Optional[np.ndarray]
+    at: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -361,7 +367,7 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     its transpose at once, and a nan entry fails the comparison. Any other
     stack is symmetrized once into a new C-order buffer, elementwise as
     0.5 * (h + h') per objective. Finiteness is not checked here; see
-    _check_finite.
+    _check_finite. The SmoothEval's at is x itself.
     """
     n = x.shape[0]
     values, grads, hesses = oracle(x, hessians)
@@ -370,15 +376,18 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
         raise EvaluationError(f"stacked oracle returned values, gradients, hessians of "
                               f"shapes {shapes} for m={m}, n={n}")
     if not hessians:
-        return SmoothEval(values=values, gradients=grads, hessians=None)
-    if (hesses.dtype == np.float64 and hesses.flags.c_contiguous
-            and (hesses == hesses.transpose(0, 2, 1)).all()):
-        hesses = hesses.view()
+        hesses = None
     else:
-        hesses = np.add(hesses, hesses.transpose(0, 2, 1), dtype=float, order="C")
-        hesses *= 0.5
-    hesses.flags.writeable = False
-    return SmoothEval(values=values, gradients=grads, hessians=hesses)
+        if (hesses.dtype == np.float64 and hesses.flags.c_contiguous
+                and (hesses == hesses.transpose(0, 2, 1)).all()):
+            hesses = hesses.view()
+        else:
+            hesses = np.add(hesses, hesses.transpose(0, 2, 1), dtype=float, order="C")
+            hesses *= 0.5
+        hesses.flags.writeable = False
+    se = SmoothEval(values=values, gradients=grads, hessians=hesses)
+    object.__setattr__(se, "at", x)
+    return se
 
 
 def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:

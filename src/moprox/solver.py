@@ -11,8 +11,13 @@ output, objective values and halvings, and the next iteration starts there
 with them. In the same way each direction solve starts its dual loop from
 the weights of the previous accepted direction (uniform weights at
 iteration 0); that state lives in one solve() call, so reruns give the same
-bits. Iterations stop when the direction norm falls below eps; the full
-iteration history is recorded in a trace for offline verification.
+bits. Each iterate is proven a finite n-vector once, where it is made: x0
+by solve(), each later one by the eval_full of the line-search trial that
+becomes it. It is read-only from then on, so the direction solve, handed
+the sweep's output at that very array (SmoothEval.at), does not test it
+again, and the trace records it uncopied. Iterations stop when the
+direction norm falls below eps; the full iteration history is recorded in
+a trace for offline verification.
 """
 
 from __future__ import annotations
@@ -109,7 +114,8 @@ class TraceRecord:
     subproblem was solved there. snaps and passes are the direction solve's
     inner solves and their active-set passes (DirectionResult.dual_iters
     and .inner_iters), halvings the power of GAMMA in the accepted step;
-    each is 0 where there was no such solve or step.
+    each is 0 where there was no such solve or step. x is the iterate
+    itself, a read-only array of its own (solve()).
     """
 
     k: int
@@ -165,23 +171,33 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     f_x, when given, is F(x) of shape (m,), as eval_full returns it, and is
     evaluated here otherwise. Comparisons involving +inf (an infeasible
     trial point) fail the test and trigger further backtracking. A trial
-    point is judged on its values only. When keep is a list and a step is
-    accepted, on return it holds four items about the accepted point: its
-    one SmoothEval, with its gradients and, if hessians is true, its
-    Hessians, unchecked; its objective values, which passed the test and so
-    are finite (these two are eval_full's keep); the point x + t * d itself,
-    the array that was evaluated; and the power j with t = gamma^j. Raises
+    point is judged on its values only. Each trial point x + t * d is made
+    read-only before eval_full proves it a finite point. When keep is a
+    list and a step is accepted, on return it holds four items about the
+    accepted point: its one SmoothEval, with its gradients and, if hessians
+    is true, its Hessians, unchecked; its objective values, which passed
+    the test and so are finite (these two are eval_full's keep); the point
+    x + t * d itself, the read-only array that was evaluated (the
+    SmoothEval's at); and the power j with t = gamma^j. Raises
     LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works,
     EvaluationError when a trial's smooth values are not finite, and
-    InputError when d is zero or theta >= 0 (the test is meaningless without
-    a descent prediction) or when f_x is not of shape (m,).
+    InputError when x or d is not an n-vector, d is zero, theta >= 0 (the
+    test is meaningless without a descent prediction), sigma or gamma is
+    not in (0, 1), or f_x is not of shape (m,). x's finiteness is not tested
+    here: x + t * d is non-finite wherever x is, so a non-finite x fails the
+    first trial's (or f_x's) eval_full as not a finite point.
     """
-    x = _as_point(x, problem.n)
-    d = np.asarray(d, dtype=float)
+    x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+    if x.shape != (problem.n,) or d.shape != x.shape:
+        raise InputError(f"line search requires x and d of shape ({problem.n},), "
+                         f"got {x.shape} and {d.shape}")
     if not d.any():
         raise InputError("line search requires a nonzero direction")
     if not (math.isfinite(theta) and theta < 0.0):
         raise InputError(f"line search requires theta < 0, got {theta}")
+    if not (0.0 < sigma < 1.0 and 0.0 < gamma < 1.0):
+        raise InputError(f"line search requires sigma and gamma in (0, 1), "
+                         f"got {sigma} and {gamma}")
     # eval_full is looked up on its module at call time, not bound at import:
     # perfbench/tracing.py counts the sweeps by patching moprox.problems.eval_full
     eval_full = problems.eval_full
@@ -196,6 +212,7 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
     t = 1.0
     for j in range(MAX_HALVINGS + 1):
         point = x + t * d
+        point.flags.writeable = False
         trial = eval_full(problem, point, keep, hessians=hessians)
         # nan/inf-robust acceptance: all decreases must provably satisfy the
         # bound; on Python floats, numpy's bits without its dispatch cost
@@ -250,8 +267,12 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     yields MAX_ITERS. A start that is not a finite n-vector, or that lies
     outside the domain of the nonsmooth term (a box), raises InputError
     before iteration 0; the error names the first coordinate out of bounds.
+    Every iterate is a read-only array that is never written: x0's one copy,
+    then each point the line search accepts. Each record's x is its
+    iterate, uncopied, so the trace shares no memory with x0.
     """
-    x = _as_point(x0, problem.n)
+    x = _as_point(np.array(x0, dtype=float), problem.n)
+    x.flags.writeable = False
     outside = np.flatnonzero(problem.nonsmooth.outside(x))
     if outside.size:
         j = int(outside[0])
@@ -263,7 +284,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     def stop(status: Status, message: str = "", x_end=None) -> SolveTrace:
         if x_end is not None:  # no direction was solved at x_end: nan direction fields
-            records.append(TraceRecord(k=len(records), x=x_end.copy(),
+            records.append(TraceRecord(k=len(records), x=x_end,
                                        objectives=_safe_objectives(problem, x_end, m),
                                        direction_norm=np.nan, theta=np.nan, step=0.0,
                                        weights=np.full(m, np.nan), gap=np.nan))
@@ -312,7 +333,7 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                 status = None
             except MoproxError as exc:
                 status, message = Status.SUBPROBLEM_FAILURE, str(exc)
-        records.append(TraceRecord(k=k, x=x.copy(), objectives=f_x,
+        records.append(TraceRecord(k=k, x=x, objectives=f_x,
                                    direction_norm=dnorm, theta=theta, step=t,
                                    weights=res.weights, gap=gap,
                                    snaps=res.dual_iters, passes=res.inner_iters,

@@ -181,14 +181,24 @@ class Metric:
         counted as one pass; it is closed-form, so d0 is ignored. free marks
         where u lies on a piece of g with a < b (:meth:`NonsmoothTerm.pieces`),
         solve_free divides by ell, and smooth_eval's Hessians are not read.
+        When no piece of g has a finite end (:attr:`NonsmoothTerm.has_ends`,
+        as for the zero term), g is constant on its domain, the whole line:
+        its proximal map is the identity and every coordinate is free, so
+        neither the map nor the pieces are asked, as in inner_minimize.
         """
         if self.ell is None:
             return inner_minimize(weights, smooth_eval, term, x, d0=d0)
         x = np.asarray(x, dtype=float)
         v = np.asarray(weights, dtype=float) @ smooth_eval.gradients
-        u = term.prox(x - v / self.ell, 1.0 / self.ell)
-        a, b, _ = term.pieces(u)
-        return u - x, a < b, lambda rhs: rhs / self.ell, 1
+        u = x - v / self.ell
+        if term.has_ends:
+            u = term.prox(u, 1.0 / self.ell)
+            a, b, _ = term.pieces(u)
+            free = a < b
+        else:  # all True, at a third of np.ones' cost
+            free = np.empty(x.shape, dtype=bool)
+            free.fill(True)
+        return u - x, free, lambda rhs: rhs / self.ell, 1
 
 
 def project_simplex(v) -> np.ndarray:
@@ -237,15 +247,19 @@ def model_values(d, smooth_eval: SmoothEval, term: NonsmoothTerm, x) -> np.ndarr
     return psi
 
 
-def _fitting(se: SmoothEval, m: int, n: int, hessians: bool) -> SmoothEval:
+def _fitting(se: SmoothEval, m: int, n: int, hessians: bool,
+             shapes: bool = True) -> SmoothEval:
     """se, or InputError naming where it does not fit m objectives on R^n.
 
     se's values must be (m,) and its gradients (m, n); when hessians is true
-    its Hessians must be (m, n, n), and not None.
+    its Hessians must be (m, n, n), and not None. Without shapes only the
+    Hessians' presence is tested, for an se whose sweep checked its shapes.
     """
     if hessians and se.hessians is None:
         raise InputError("smooth_eval has no Hessians, which the Hessian metric reads; "
                          "evaluate it with hessians=True")
+    if not shapes:
+        return se
     parts = [("values", se.values, (m,)), ("gradients", se.gradients, (m, n))]
     if hessians:
         parts.append(("hessians", se.hessians, (m, n, n)))
@@ -510,8 +524,17 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
     and summing to 1 within 4 m machine epsilons, unless eps is None or
     finite and > 0, and unless a given smooth_eval fits the problem: values
     (m,), gradients (m, n) and, under the Hessian metric, Hessians (m, n, n).
+    Those tests of x and of smooth_eval's shapes are skipped when x is
+    smooth_eval.at, read-only and owning its memory, and smooth_eval's
+    gradients are (m, n): the sweep that set at proved x a finite n-vector
+    and checked smooth_eval's shapes against it. Any other x, a caller's
+    writeable array among them, is tested.
     """
-    x = _as_point(x, problem.n)
+    at = None if smooth_eval is None else smooth_eval.at
+    swept = (at is not None and x is at and not x.flags.writeable and x.base is None
+             and smooth_eval.gradients.shape == (problem.m, problem.n))
+    if not swept:
+        x = _as_point(x, problem.n)
     tol_gap = float(tol_gap)
     if not math.isfinite(tol_gap) or tol_gap <= 0:
         raise InputError(f"tol_gap must be finite and > 0, got {tol_gap}")
@@ -522,20 +545,22 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
         weights = np.full(m, 1.0 / m)
     else:
         weights = np.array(weights, dtype=float)
+        w_l = weights.tolist()
         # nan and -inf fail the sign test, +inf the sum test
-        if (weights.shape != (m,) or not all(w >= 0.0 for w in weights.tolist())
-                or abs(weights.sum() - 1.0) > 4 * m * _EPS):
+        if (weights.shape != (m,) or not all(w >= 0.0 for w in w_l)
+                or abs(sum(w_l) - 1.0) > 4 * m * _EPS):
             raise InputError(f"weights must be {m} finite nonnegative numbers "
                              f"summing to 1, got {weights!r}")
     metric = Metric.hessian() if metric is None else metric
     se = (eval_smooth(problem, x, hessians=metric.reads_hessians) if smooth_eval is None
-          else _fitting(smooth_eval, m, problem.n, metric.reads_hessians))
+          else _fitting(smooth_eval, m, problem.n, metric.reads_hessians, shapes=not swept))
     mu = metric.modulus(problem)
     # a dual value at or above stop_phi certifies ||d*|| <= eps
     stop_phi = math.inf if eps is None else -0.5 * mu * eps * eps
     term = problem.nonsmooth
     at_x = _term_at(term, x)
     products = metric.products(se)
+    abs_grads = None  # |grad f_i|, taken once, at the first snap the floor reads
     counts = {"inner": 0, "dual": 0}
     history = []  # the first snap's phi, then each accepted iterate's
     best = None  # the snapshot with the smallest gap, which a ConvergenceError reports
@@ -543,7 +568,7 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
 
     def snap(lam: np.ndarray) -> _Snapshot:
         """The snapshot at lam; raises _Stop when it certifies the gap or the dual bound."""
-        nonlocal best, prev_d
+        nonlocal best, prev_d, abs_grads
         d, free, solve_free, passes = metric.minimize(lam, se, term, x, d0=prev_d)
         prev_d = d
         counts["inner"] += passes
@@ -565,7 +590,9 @@ def solve_direction(problem: ProblemInstance, x, tol_gap: float = 1e-10, *,
                 tol = forced
             else:
                 # the floor: float64 resolves psi, and so the gap, to eps64 S
-                scale = ((np.abs(se.gradients) + 0.5 * np.abs(hd)) @ np.abs(d)).max()
+                if abs_grads is None:
+                    abs_grads = np.abs(se.gradients)
+                scale = ((abs_grads + 0.5 * np.abs(hd)) @ np.abs(d)).max()
                 tol = max(tol_gap, GAP_FLOOR * _EPS * (scale + abs(at_u) + abs(at_x)))
         here = _Snapshot(lam=lam, d=d, free=free, solve_free=solve_free, hd=hd, psi=psi,
                          phi=phi, theta=theta, gap=gap, tol=tol)

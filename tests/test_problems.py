@@ -8,6 +8,7 @@ from moprox import (
     InstanceSpec,
     NonsmoothTerm,
     ProblemInstance,
+    SmoothEval,
     SmoothObjective,
     eval_full,
     eval_smooth,
@@ -434,6 +435,32 @@ def _stacked(hesses):
 def _symmetric_stack(m=3, n=4):
     h = RNG.standard_normal((m, n, n))
     return h + h.transpose(0, 2, 1)
+
+
+class TestSweptPoint:
+    """SmoothEval.at is the array the sweep evaluated; == and repr ignore it."""
+
+    def test_at_is_the_evaluated_array(self):
+        prob = _quad_instance()
+        x = np.array([0.5, -1.0, 2.0])
+        assert eval_smooth(prob, x).at is x
+        assert eval_smooth(prob, x, hessians=False).at is x
+        keep = []
+        eval_full(prob, x, keep)
+        assert keep[0].at is x
+        # a start that is not float64 is evaluated as its float64 copy
+        ints = np.arange(3)
+        at = eval_smooth(prob, ints).at
+        assert at is not ints and at.dtype == np.float64 and at.tolist() == [0.0, 1.0, 2.0]
+
+    def test_equality_and_repr_ignore_at(self):
+        prob = _quad_instance()
+        se = eval_smooth(prob, np.array([0.5, -1.0, 2.0]))
+        twin = SmoothEval(values=se.values, gradients=se.gradients, hessians=se.hessians)
+        assert twin.at is None and se.at is not None
+        assert se == twin and repr(se) == repr(twin) and "at=" not in repr(se)
+        with pytest.raises(TypeError):
+            SmoothEval(values=se.values, gradients=se.gradients, hessians=None, at=se.at)
 
 
 class TestSweepContract:

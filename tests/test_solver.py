@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import moprox.problems
 import moprox.solver
 import moprox.subproblem
 from moprox import (
@@ -187,6 +189,33 @@ class TestArmijoBacktrack:
         with pytest.raises(InputError, match="point has non-finite entries"):
             armijo_backtrack(prob, np.array(x), np.array([-1.0]), -0.5,
                              sigma=0.1, gamma=0.5)
+
+    @pytest.mark.parametrize("d", [[-1.0], [-1.0, -1.0, -1.0], [[-1.0], [-1.0]], -1.0])
+    def test_direction_not_an_n_vector_rejected(self, d):
+        # a d of shape (1,) would broadcast against x, one of shape (2, 1) would
+        # make each trial a (2, 2) array
+        prob = ProblemInstance(n=2, m=1, smooth=(quadratic_objective(np.eye(2), np.zeros(2)),),
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        with pytest.raises(InputError) as exc:
+            armijo_backtrack(prob, np.ones(2), np.array(d), -0.5, sigma=0.1, gamma=0.5)
+        assert str(exc.value) == (f"line search requires x and d of shape (2,), "
+                                  f"got (2,) and {np.shape(d)}")
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, -1.0, 2.0, np.nan])
+    def test_sigma_outside_the_unit_interval_rejected(self, sigma):
+        # sigma = -1 would accept an increase
+        prob = _single_quadratic()
+        with pytest.raises(InputError, match=r"requires sigma and gamma in \(0, 1\)"):
+            armijo_backtrack(prob, np.array([1.0]), np.array([1.0]), -0.5,
+                             sigma=sigma, gamma=0.5)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5, 1.5, np.nan])
+    def test_gamma_outside_the_unit_interval_rejected(self, gamma):
+        # gamma = 0 would return the step 0.0, gamma = -0.5 a backward step
+        prob = _single_quadratic()
+        with pytest.raises(InputError, match=r"requires sigma and gamma in \(0, 1\)"):
+            armijo_backtrack(prob, np.array([1.0]), np.array([-2.0]), -0.5,
+                             sigma=0.1, gamma=gamma)
 
     def test_exhaustion_raises(self):
         # ascent direction never satisfies the decrease test
@@ -515,6 +544,73 @@ class TestOracleSweeps:
         assert tr.message == "smooth objective 0 returned non-finite output"
         (last,) = tr.records
         assert last.k == 0 and np.isnan(last.objectives).all() and last.objectives.size == 2
+
+
+def _pool_job(cell, family, n, m, variant, cond, rho=0.0):
+    """Replica 0 of a benchmark pool cell: (problem, config, x0), as perfbench builds it."""
+    seed, start = (int(s) for s in np.random.SeedSequence(
+        [230810140, 0, cell]).generate_state(2))  # perfbench/workloads.py's POOL_SEED
+    prob = generate_instance(InstanceSpec(family=family, n=n, m=m, cond=cond, rho=rho,
+                                          seed=seed))
+    extra = {"ell": prob.lip_grad} if variant == "gradient" else {}
+    config = SolverConfig(eps=1e-9, tol_gap=1e-12, variant=variant, **extra)
+    return prob, config, 2.0 * np.random.Generator(np.random.PCG64(start)).standard_normal(n)
+
+
+class TestOneProofPerPoint:
+    # grad_smooth's cell 0 and newton_prox's cell 0
+    POOL_JOBS = [(0, "quadratic", 10, 2, "gradient", 10.0),
+                 (0, "quadratic_l1", 10, 2, "newton", 100.0, 0.1)]
+
+    @pytest.mark.parametrize("job", POOL_JOBS)
+    def test_each_point_is_proven_finite_once(self, job, monkeypatch):
+        # x0 twice (solve() and eval_smooth), then each Armijo trial once, in
+        # eval_full; the direction solve and the line search test no point
+        real, calls = moprox.problems._as_point, [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        bound = [mod for name, mod in sys.modules.items()
+                 if name.split(".")[0] == "moprox" and getattr(mod, "_as_point", None) is real]
+        assert {mod.__name__ for mod in bound} >= {
+            "moprox.problems", "moprox.solver", "moprox.subproblem"}
+        for mod in bound:
+            monkeypatch.setattr(mod, "_as_point", counting)
+        prob, config, x0 = _pool_job(*job)
+        tr = solve(prob, config, x0)
+        assert tr.status is Status.CRITICAL_REACHED and len(tr.records) > 1
+        trials = sum(r.halvings + 1 for r in tr.records if r.step > 0.0)
+        assert calls[0] == 2 + trials
+
+    @pytest.mark.parametrize("job, max_outer", [(POOL_JOBS[0], 500), (POOL_JOBS[0], 5),
+                                                (POOL_JOBS[1], 500)])
+    def test_records_hold_read_only_iterates_of_their_own(self, job, max_outer):
+        # max_outer = 5 stops the run with a record of the last iterate
+        prob, config, x0 = _pool_job(*job)
+        tr = solve(prob, dataclasses.replace(config, max_outer=max_outer), x0)
+        assert tr.status is (Status.MAX_ITERS if max_outer == 5 else Status.CRITICAL_REACHED)
+        assert len(tr.records) > 1
+        for i, r in enumerate(tr.records):
+            assert not r.x.flags.writeable and r.x.base is None
+            assert not np.shares_memory(r.x, x0)
+            assert not any(np.shares_memory(r.x, q.x) for q in tr.records[i + 1:])
+
+    def test_writing_into_x0_after_solve_leaves_the_trace(self):
+        prob, config, x0 = _pool_job(*self.POOL_JOBS[0])
+        start = x0.copy()
+        tr = solve(prob, config, x0)
+        before = _trace_bytes(tr)
+        x0[:] = np.nan
+        assert _trace_bytes(tr) == before
+        assert tr.records[0].x.tobytes() == start.tobytes()
+
+    def test_a_read_only_start_is_copied_too(self):
+        prob, config, x0 = _pool_job(*self.POOL_JOBS[0])
+        x0.flags.writeable = False
+        tr = solve(prob, config, x0)
+        assert tr.records[0].x is not x0 and not np.shares_memory(tr.records[0].x, x0)
 
 
 class TestWarmStart:

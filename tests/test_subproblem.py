@@ -533,6 +533,38 @@ class TestWarmStart:
         with pytest.raises(InputError, match="point has non-finite entries"):
             solve_direction(prob, np.array(x))
 
+    def test_a_point_written_after_its_sweep_is_tested(self):
+        # only a read-only x that owns its memory skips the test: a writeable
+        # one, or a read-only view of a writeable array, may change after
+        # the sweep proved it finite
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        x = np.ones(4)
+        se = eval_smooth(prob, x)
+        x[1] = np.nan
+        with pytest.raises(InputError, match="point has non-finite entries"):
+            solve_direction(prob, x, smooth_eval=se)
+        base = np.ones(4)
+        view = base.view()
+        view.flags.writeable = False
+        se = eval_smooth(prob, view)
+        base[1] = np.inf
+        with pytest.raises(InputError, match="point has non-finite entries"):
+            solve_direction(prob, view, smooth_eval=se)
+
+    def test_a_swept_point_skips_its_tests_but_not_the_hessians(self):
+        prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
+        x = np.ones(4)
+        x.flags.writeable = False
+        se = eval_smooth(prob, x)
+        assert solve_direction(prob, x, smooth_eval=se).gap == solve_direction(
+            prob, np.ones(4)).gap
+        with pytest.raises(InputError, match="smooth_eval has no Hessians"):
+            solve_direction(prob, x, smooth_eval=eval_smooth(prob, x, hessians=False))
+        # swept for another problem, it fits this one's shapes no more
+        other = generate_instance(InstanceSpec(family="quadratic", n=4, m=2, seed=1))
+        with pytest.raises(InputError, match=r"smooth_eval values have shape \(2,\)"):
+            solve_direction(prob, x, smooth_eval=eval_smooth(other, x))
+
     @pytest.mark.parametrize("tol_gap", [0.0, -1e-12, np.nan, np.inf])
     def test_rejects_a_bad_tol_gap(self, tol_gap):
         prob = generate_instance(InstanceSpec(family="quadratic", n=4, m=3, seed=1))
@@ -854,6 +886,21 @@ class TestScaledIdentityMetric:
         want = metric.minimize(lam, se, prob.nonsmooth, x)
         got = metric.minimize(lam, se, prob.nonsmooth, x, d0=5.0 * rng.standard_normal(10))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("term", [NonsmoothTerm.zero(), NonsmoothTerm.box(-np.inf, np.inf)])
+    def test_a_term_without_ends_asks_neither_prox_nor_pieces(self, term, monkeypatch):
+        # g is constant on the whole line: the prox is the identity, to the
+        # bit, and every coordinate is free
+        prob, x, se, _, ell, rng = self._case("quadratic", 10, 3, 2)
+        lam = rng.dirichlet(np.ones(3))
+        v = lam @ se.gradients
+        want = term.prox(x - v / ell, 1.0 / ell) - x
+        for name in ("prox", "pieces"):
+            monkeypatch.setattr(NonsmoothTerm, name, None)
+        d, free, solve_free, passes = Metric.scaled_identity(ell).minimize(lam, se, term, x)
+        assert d.tobytes() == want.tobytes() and passes == 1
+        assert free.dtype == bool and free.shape == (10,) and free.all()
+        assert solve_free(np.ones(2)).tolist() == [1.0 / ell] * 2
 
     def test_rejects_bad_ell(self):
         for ell in (0.0, -1.0, np.inf, np.nan):
