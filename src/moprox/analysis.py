@@ -268,6 +268,8 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
     where A_w is the weighted (constant) Hessian. Margin is the worst slack.
     Each probe's objectives are evaluated once, not once per unit step, and
     each iterate's oracles are swept once, for its Hessians and its values.
+    eval_full does not check a probe's smooth values: one that is nan or
+    -inf gives a nan or -inf margin, and the check fails.
     """
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     unit_idx = [i for i, r in enumerate(trace.records[:-1]) if r.step == 1.0]
@@ -276,7 +278,7 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
                        detail="no unit steps in trace", applicable=False)
     def weighted_full(lam, vals):
         # one shared g: outside dom g every F_i is +inf
-        return float("inf") if np.isinf(vals[0]) else float(lam @ vals)
+        return float("inf") if vals[0] == np.inf else float(lam @ vals)
 
     probe_vals = [eval_full(problem, z) for z in probes]
     sweeps = {j: eval_smooth(problem, trace.records[j].x)
@@ -293,8 +295,7 @@ def check_fundamental_inequality_quadratic(trace: SolveTrace, problem: ProblemIn
             diff = x_next - z
             rhs = -0.5 * float(diff @ (a_lam @ diff))
             margin = (f_z + rhs) - f_next  # >= -CHECK_TOL required
-            if margin < worst:
-                worst = margin
+            worst = float(np.minimum(worst, margin))  # a nan margin stays the worst
     return Verdict(name="fundamental_ineq_quadratic", passed=worst >= -CHECK_TOL,
                    margin=worst, detail=f"worst slack {worst:.3e} over {len(unit_idx)} "
                                         f"unit steps, {probes.shape[0]} probes")

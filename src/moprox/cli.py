@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import functools
 import json
+import numbers
 import os
 import sys
 import time
@@ -180,7 +181,8 @@ def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
     The default draws scale 2 standard normals seeded with the instance seed
     plus 1000, so distinct instances get distinct but reproducible starts.
     For quadratic_box a seeded draw is clipped into [lo, hi], the domain of
-    the box term; an explicit list is used as given.
+    the box term; an explicit list is used as given. Its entries must be
+    real numbers: a bool or a string is a ConfigError naming run.x0.
     """
     x0_cfg = cfg.get("run", {}).get("x0")
     if x0_cfg is None:
@@ -205,9 +207,12 @@ def derive_x0(cfg: dict, spec: InstanceSpec) -> np.ndarray:
         raise ConfigError(
             f"run.x0 must be a list of {spec.n} numbers or an object with "
             f"seed/scale, got {type(x0_cfg).__name__}")
+    for value in x0_cfg:  # as check_field_types: bool is not a number
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"run.x0 entries must be numbers, got {value!r}")
     try:
         x0 = np.asarray(x0_cfg, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"run.x0 entries must be numbers: {exc}") from exc
     if x0.shape != (spec.n,):
         raise ConfigError(

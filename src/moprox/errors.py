@@ -50,10 +50,13 @@ class InputError(MoproxError, ValueError):
 
 
 class EvaluationError(MoproxError, RuntimeError):
-    """A smooth oracle returned a non-finite value, gradient, or Hessian.
+    """A smooth oracle returned a non-finite value, gradient, or Hessian at an iterate.
 
-    Also raised when finite oracle output gives non-finite direction model
-    values, as when the model overflows float64.
+    Also raised for oracle output of the wrong shape, and when finite
+    oracle output gives non-finite direction model values, as when the
+    model overflows float64. A line-search trial's output is not checked:
+    a non-finite objective value there fails the decrease test, or, if it
+    is -inf, passes it and is named at the iterate the trial becomes.
     """
 
     def __init__(self, message, objective_index=None):

@@ -25,11 +25,12 @@ uncopied, and any other is symmetrized once into a new buffer. Either way
 the Hessians it hands on are read-only, so no reader can write into an array
 an oracle returns again, and all downstream linear algebra may assume exact
 symmetry. One finiteness check on the stacked arrays names the first
-non-finite objective. Hessians are asked for only when a caller
-needs them (the proximal Newton-type metric); without them, only values and
-gradients are stacked and checked. Extended-real arithmetic is explicit:
-nonsmooth values may be +inf, and descent tests elsewhere treat any
-comparison involving +inf as a failed decrease.
+non-finite objective at an iterate; a line-search trial is not checked,
+as its objective values F alone decide it. Hessians are asked for only
+when a caller needs them (the proximal Newton-type metric); without them,
+only values and gradients are stacked and checked. Extended-real
+arithmetic is explicit: nonsmooth values may be +inf, and descent tests
+elsewhere treat any comparison involving +inf as a failed decrease.
 """
 
 from __future__ import annotations
@@ -358,6 +359,8 @@ def _loop(smooth, x: np.ndarray, hessians: bool) -> tuple:
 def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     """One call of the stacked oracle at x, shape-checked; Hessians when asked for.
 
+    The outputs are taken once as float arrays (np.asarray), so an oracle
+    may return nested lists, and a float64 array passes through uncopied.
     Raises EvaluationError unless the values are (m,), the gradients (m, n)
     and, when asked for, the Hessians (m, n, n). The Hessians come back
     exactly symmetric and read-only. A float64, C-contiguous stack whose
@@ -371,18 +374,17 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     """
     n = x.shape[0]
     values, grads, hesses = oracle(x, hessians)
-    shapes = (np.shape(values), np.shape(grads), np.shape(hesses) if hessians else ())
+    values, grads = np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
+    hesses = np.asarray(hesses, dtype=float) if hessians else None
+    shapes = (values.shape, grads.shape, hesses.shape if hessians else ())
     if shapes != ((m,), (m, n), (m, n, n) if hessians else ()):
         raise EvaluationError(f"stacked oracle returned values, gradients, hessians of "
                               f"shapes {shapes} for m={m}, n={n}")
-    if not hessians:
-        hesses = None
-    else:
-        if (hesses.dtype == np.float64 and hesses.flags.c_contiguous
-                and (hesses == hesses.transpose(0, 2, 1)).all()):
+    if hessians:
+        if hesses.flags.c_contiguous and (hesses == hesses.transpose(0, 2, 1)).all():
             hesses = hesses.view()
         else:
-            hesses = np.add(hesses, hesses.transpose(0, 2, 1), dtype=float, order="C")
+            hesses = np.add(hesses, hesses.transpose(0, 2, 1), order="C")
             hesses *= 0.5
         hesses.flags.writeable = False
     se = SmoothEval(values=values, gradients=grads, hessians=hesses)
@@ -390,27 +392,23 @@ def _sweep(oracle, m: int, x: np.ndarray, hessians: bool = True) -> SmoothEval:
     return se
 
 
-def _check_finite(se: SmoothEval, values_only: bool = False) -> SmoothEval:
+def _check_finite(se: SmoothEval) -> SmoothEval:
     """Return se, or raise EvaluationError naming the first non-finite objective.
 
     An objective is non-finite when its value, gradient or Hessian (if se
-    has Hessians) has a non-finite entry ("non-finite output"), or, with
-    values_only, when its value does ("non-finite value"). The arrays are
-    tested whole first, and read per objective only when one fails, which
-    always finds a non-finite objective to name.
+    has Hessians) has a non-finite entry ("non-finite output"). This is the
+    check of an iterate; a line-search trial is judged by its F alone
+    (eval_full). The arrays are tested whole first, and read per objective
+    only when one fails, which always finds a non-finite objective to name.
     """
-    if all(map(math.isfinite, se.values.tolist())) and (values_only or (
-            np.isfinite(se.gradients).all()
-            and (se.hessians is None or np.isfinite(se.hessians).all()))):
+    if (all(map(math.isfinite, se.values.tolist())) and np.isfinite(se.gradients).all()
+            and (se.hessians is None or np.isfinite(se.hessians).all())):
         return se
-    finite = np.isfinite(se.values)
-    if not values_only:
-        finite &= np.isfinite(se.gradients).all(axis=1)
-        if se.hessians is not None:
-            finite &= np.isfinite(se.hessians).all(axis=(1, 2))
+    finite = np.isfinite(se.values) & np.isfinite(se.gradients).all(axis=1)
+    if se.hessians is not None:
+        finite &= np.isfinite(se.hessians).all(axis=(1, 2))
     i = int(np.argmin(finite))
-    part = "value" if values_only else "output"
-    raise EvaluationError(f"smooth objective {i} returned non-finite {part}",
+    raise EvaluationError(f"smooth objective {i} returned non-finite output",
                           objective_index=i)
 
 
@@ -442,16 +440,18 @@ def eval_full(problem: ProblemInstance, x, keep: Optional[list] = None,
 
     g(x) is evaluated once and added to every smooth value, so all values
     are +inf when a box indicator is violated; a sum that overflows is +inf
-    too, with no warning. Smooth values must be finite or EvaluationError is
-    raised. When keep is a list, its contents are replaced by two items:
-    the one SmoothEval of x, with Hessians if hessians is true, whose
-    gradients and Hessians are not checked here, and the values returned,
-    the same array; without keep no Hessian is asked for.
+    too, with no warning. No output of the sweep is checked for finiteness:
+    a nan or infinite smooth value gives a non-finite F_i, returned as it
+    is, which a line search's decrease test judges (+inf and nan fail it).
+    EvaluationError is raised only for oracle output of the wrong shape,
+    and InputError for a point that is not a finite n-vector. When keep is
+    a list, its contents are replaced by two items: the one SmoothEval of
+    x, with Hessians if hessians is true, and the values returned, the
+    same array; without keep no Hessian is asked for.
     """
     x = _as_point(x, problem.n)
     g = problem.nonsmooth.value(x)
-    se = _check_finite(_sweep(problem.oracle, problem.m, x, hessians and keep is not None),
-                       values_only=True)
+    se = _sweep(problem.oracle, problem.m, x, hessians and keep is not None)
     full = _plus_g(se.values, g)
     if keep is not None:
         keep[:] = [se, full]

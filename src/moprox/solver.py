@@ -6,18 +6,19 @@ to the direction subproblem, built once per solve from the config's
 replaces every Hessian by ell times the identity (a scaled-identity
 majorization, solved in closed form by one proximal map per snap). Each
 iterate sweeps the smooth oracles once, asking for Hessians only under
-``newton``: the line search keeps the point it accepts, with its oracle
-output, objective values and halvings, and the next iteration starts there
-with them. In the same way each direction solve starts its dual loop from
-the weights of the previous accepted direction (uniform weights at
-iteration 0); that state lives in one solve() call, so reruns give the same
-bits. Each iterate is proven a finite n-vector once, where it is made: x0
-by solve(), each later one by the eval_full of the line-search trial that
-becomes it. It is read-only from then on, so the direction solve, handed
-the sweep's output at that very array (SmoothEval.at), does not test it
-again, and the trace records it uncopied. Iterations stop when the
-direction norm falls below eps; the full iteration history is recorded in
-a trace for offline verification.
+``newton``: the line search keeps the oracle output of the point it
+accepts (that point is its SmoothEval.at), its objective values and its
+halvings, and the next iteration starts there with them. In the same way
+each direction solve starts its dual loop from the weights of the
+previous accepted direction (uniform weights at iteration 0); that state
+lives in one solve() call, so reruns give the same bits. Each iterate is
+proven a finite n-vector once, where it is made: x0 by solve(), each later
+one by the eval_full of the line-search trial that becomes it. It is
+read-only from then on, so the direction solve, handed the sweep's output
+at that very array (SmoothEval.at), does not test it again, and the trace
+records it uncopied. Iterations stop when the direction norm falls below
+eps; the full iteration history is recorded in a trace for offline
+verification.
 """
 
 from __future__ import annotations
@@ -169,18 +170,20 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
 
     Accepts t when F_i(x + t d) - F_i(x) <= t * sigma * theta for every i;
     f_x, when given, is F(x) of shape (m,), as eval_full returns it, and is
-    evaluated here otherwise. Comparisons involving +inf (an infeasible
-    trial point) fail the test and trigger further backtracking. A trial
-    point is judged on its values only. Each trial point x + t * d is made
-    read-only before eval_full proves it a finite point. When keep is a
-    list and a step is accepted, on return it holds four items about the
-    accepted point: its one SmoothEval, with its gradients and, if hessians
-    is true, its Hessians, unchecked; its objective values, which passed
-    the test and so are finite (these two are eval_full's keep); the point
-    x + t * d itself, the read-only array that was evaluated (the
-    SmoothEval's at); and the power j with t = gamma^j. Raises
+    evaluated here otherwise. A trial is judged by its F alone, one
+    eval_full per trial with no finiteness check of its own: a nan or +inf
+    F_i (a smooth value that is not finite, an infeasible trial point, an
+    overflowing sum) fails the test and triggers further backtracking, and
+    a -inf F_i passes it, to be named by the check of the iterate the trial
+    becomes. Each trial point x + t * d is made read-only before eval_full
+    proves it a finite point. When keep is a list and a step is accepted,
+    on return it holds three items about the accepted point: its one
+    SmoothEval, with its gradients and, if hessians is true, its Hessians,
+    unchecked, whose at is the point x + t * d itself, the read-only array
+    that was evaluated; its objective values, which passed the test (these
+    two are eval_full's keep); and the power j with t = gamma^j. Raises
     LineSearchError if no power of gamma up to gamma^MAX_HALVINGS works,
-    EvaluationError when a trial's smooth values are not finite, and
+    EvaluationError when a trial's oracle output has the wrong shape, and
     InputError when x or d is not an n-vector, d is zero, theta >= 0 (the
     test is meaningless without a descent prediction), sigma or gamma is
     not in (0, 1), or f_x is not of shape (m,). x's finiteness is not tested
@@ -219,7 +222,7 @@ def armijo_backtrack(problem: ProblemInstance, x, d, theta: float, sigma: float,
         bound = t * sigma * theta
         if all(v - f <= bound for v, f in zip(trial.tolist(), f_l)):
             if keep is not None:
-                keep += [point, j]
+                keep.append(j)
             return t
         t *= gamma
     raise LineSearchError(
@@ -234,13 +237,14 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     Each iteration solves the direction subproblem in the configured metric,
     its dual loop started from the previous accepted direction's weights,
     stops with CRITICAL_REACHED once ||d|| < eps, otherwise backtracks a step
-    and moves. The point the line search accepts, kept with the power of
-    GAMMA it took, is the next iterate and its record's halvings. The
-    SmoothEval it keeps there is the next iteration's evaluation; its
+    and moves. The SmoothEval the line search keeps for the point it
+    accepts is the next iteration's evaluation, and its at is the next
+    iterate; the power of GAMMA kept with it is the record's halvings. Its
     finiteness is checked there, as a fresh evaluation's would be. The
-    objective values it keeps there, which passed the Armijo test and so
-    are finite, are the next iteration's F: g and F are evaluated afresh
-    only at iteration 0.
+    objective values kept there passed the Armijo test, so they are finite
+    once the smooth values are, and they are the next iteration's F, in
+    the last record too when the run stops there: g and F are evaluated
+    afresh only at iteration 0.
     Hessians are asked for only under the Hessian metric; under ell I the
     sweeps leave them out. It also stops
     with CRITICAL_REACHED at the precision limit, when SIGMA * theta >=
@@ -284,8 +288,9 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
 
     def stop(status: Status, message: str = "", x_end=None) -> SolveTrace:
         if x_end is not None:  # no direction was solved at x_end: nan direction fields
-            records.append(TraceRecord(k=len(records), x=x_end,
-                                       objectives=_safe_objectives(problem, x_end, m),
+            # an accepted step's F is x_end's; only x0 has none yet
+            f_end = accepted[1] if accepted else _safe_objectives(problem, x_end, m)
+            records.append(TraceRecord(k=len(records), x=x_end, objectives=f_end,
                                        direction_norm=np.nan, theta=np.nan, step=0.0,
                                        weights=np.full(m, np.nan), gap=np.nan))
         return SolveTrace(records=tuple(records), status=status, config=config,
@@ -294,12 +299,12 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
     metric = (Metric.scaled_identity(config.ell) if config.variant == VARIANT_GRADIENT
               else Metric.hessian())
     hessians = metric.reads_hessians
-    accepted = []  # the line search's keep of the last accepted step
+    accepted = []  # the line search's keep of the last accepted step: SmoothEval, F, j
     weights = None  # dual weights of the last accepted direction, the next dual start
 
     for k in range(config.max_outer):
         try:
-            if accepted:  # its F passed the Armijo test, so it is finite
+            if accepted:  # its F passed the Armijo test: finite once its values are
                 se, f_x = _check_finite(accepted[0]), accepted[1]
             else:
                 se = eval_smooth(problem, x, hessians=hessians)
@@ -337,10 +342,10 @@ def solve(problem: ProblemInstance, config: SolverConfig, x0) -> SolveTrace:
                                    direction_norm=dnorm, theta=theta, step=t,
                                    weights=res.weights, gap=gap,
                                    snaps=res.dual_iters, passes=res.inner_iters,
-                                   halvings=accepted[3] if t else 0))
+                                   halvings=accepted[2] if t else 0))
         if status is not None:
             return stop(status, message)
-        x = accepted[2]
+        x = accepted[0].at
         weights = res.weights
 
     return stop(Status.MAX_ITERS, x_end=x)

@@ -4,6 +4,7 @@ The oracles here are deliberately naive (enumeration, dense grids, finite
 differences) so they cannot share a bug with the library code they check.
 """
 
+import dataclasses
 import os
 
 from trace_digest import BLAS_THREAD_VARS
@@ -138,6 +139,15 @@ def min_norm_residual(problem: ProblemInstance, x) -> float:
     a = np.vstack([grads[:, smooth].T / scale, np.full(problem.m, big)])
     w = nnls(a, np.append(-slope[smooth] / scale, big))[0]
     return subdiff_residual(term, x, (w / w.sum()) @ grads) / scale
+
+
+def trace_bytes(trace) -> list:
+    """Status, message and every record field of a SolveTrace, as bytes."""
+    out = [trace.status.value.encode(), trace.message.encode()]
+    for r in trace.records:
+        for f in dataclasses.fields(r):
+            out.append(np.asarray(getattr(r, f.name)).tobytes())
+    return out
 
 
 def simplex_projection_oracle(v):

@@ -9,6 +9,8 @@ from moprox import (
     InputError,
     InstanceSpec,
     InsufficientDataError,
+    NonsmoothTerm,
+    ProblemInstance,
     SmoothObjective,
     SolverConfig,
     Status,
@@ -291,6 +293,27 @@ class TestCheckFunctions:
                           - 0.5 * float(diff @ (a_lam @ diff))) - f_next
                 worst = min(worst, margin)
         assert v.margin == worst
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_fundamental_inequality_fails_on_a_nonfinite_probe_value(self, bad):
+        # 0.5 ||x - b_i||^2 with a bad value beyond x_1 = 5, where one probe
+        # lies; eval_full returns it unchecked, and the check must not pass
+        def oracle(b):
+            def fn(x):
+                value = 0.5 * float((x - b) @ (x - b)) if x[0] <= 5.0 else bad
+                return value, x - b, np.eye(2)
+            return SmoothObjective(fn)
+
+        prob = ProblemInstance(n=2, m=2, smooth=(oracle(np.array([1.0, 0.0])),
+                                                 oracle(np.array([0.0, 1.0]))),
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12), np.array([2.0, 2.0]))
+        assert tr.status is Status.CRITICAL_REACHED and tr.records[0].step == 1.0
+        fine = check_fundamental_inequality_quadratic(tr, prob, np.array([[0.5, 0.5]]))
+        assert fine.passed
+        v = check_fundamental_inequality_quadratic(tr, prob, np.array([[0.5, 0.5], [10.0, 0.0]]))
+        assert v.applicable and not v.passed
+        assert np.isnan(v.margin) if np.isnan(bad) else v.margin == -np.inf
 
     def test_fundamental_inequality_not_applicable_without_unit_steps(self, biquadratic):
         tr = solve(biquadratic, SolverConfig(eps=1e-10, tol_gap=1e-12),

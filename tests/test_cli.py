@@ -147,6 +147,10 @@ class TestConfigErrors:
          "solver.eps must be finite, got an integer too large for a float"),
         (lambda c: c["instance"].update(cond=10 ** 400),
          "instance.cond must be finite, got an integer too large for a float"),
+        (lambda c: c["run"].update(x0=[True, 0.5, 0, 0]),
+         "run.x0 entries must be numbers, got True"),
+        (lambda c: c["run"].update(x0=["1.5", 0.5, 0, 0]),
+         "run.x0 entries must be numbers, got '1.5'"),
     ])
     def test_dotted_paths_and_exit_64(self, tmp_path, capsys, mangle, needle):
         cfg = _base_solve_config()

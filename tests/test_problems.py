@@ -360,7 +360,9 @@ class TestProblemInstance:
     ])
     def test_first_nonfinite_objective_is_named(self, entry, bad_gradient, index, part):
         # objective 1 has a nan value (or, with bad_gradient, a nan gradient
-        # only) and objective 2 an inf value; eval_full checks values only
+        # only) and objective 2 an inf value; eval_smooth names the first
+        # non-finite objective, and eval_full checks no finiteness: it
+        # returns the non-finite F, for a line search's decrease test to judge
         def oracle(value, grad):
             return SmoothObjective(lambda x: (value, grad, np.eye(2)))
 
@@ -368,9 +370,12 @@ class TestProblemInstance:
         one = oracle(0.0, np.full(2, np.nan)) if bad_gradient else oracle(np.nan, fine)
         prob = ProblemInstance(n=2, m=3, smooth=(oracle(0.0, fine), one, oracle(np.inf, fine)),
                                nonsmooth=NonsmoothTerm.zero(), mu=1.0)
-        evaluate = eval_smooth if entry == "eval_smooth" else eval_full
+        if entry == "eval_full":
+            full = eval_full(prob, np.zeros(2), keep=[])
+            np.testing.assert_array_equal(full, [0.0, 0.0 if bad_gradient else np.nan, np.inf])
+            return
         with pytest.raises(EvaluationError) as exc:
-            evaluate(prob, np.zeros(2))
+            eval_smooth(prob, np.zeros(2))
         assert exc.value.objective_index == index
         assert str(exc.value) == f"smooth objective {index} returned non-finite {part}"
 

@@ -29,7 +29,7 @@ from moprox import (
 from moprox.subproblem import DirectionResult, Metric, solve_direction
 from moprox.zoo import attach_nonsmooth, gen_quadratic, quadratic_objective
 
-from conftest import min_norm_residual
+from conftest import min_norm_residual, trace_bytes
 
 
 def _single_quadratic(a=1.0, b=0.0):
@@ -122,8 +122,9 @@ class TestArmijoBacktrack:
 
     def test_keep_holds_the_accepted_point_and_its_power(self):
         # the componentwise case above, with d = -1.1, halves twice; keep
-        # ends with the point evaluated at the accepted step, to the bit, and
-        # the power of gamma
+        # holds the accepted trial's SmoothEval, whose at is the point
+        # evaluated at the accepted step, to the bit, its F and the power of
+        # gamma
         smooth = (quadratic_objective(np.array([[10.0]]), np.array([0.0])),
                   quadratic_objective(np.array([[8.0]]), np.array([6.0])))
         prob = ProblemInstance(n=1, m=2, smooth=smooth,
@@ -131,10 +132,10 @@ class TestArmijoBacktrack:
         x, d = np.array([1.0]), np.array([-1.1])
         k = []
         t = armijo_backtrack(prob, x, d, -0.5, sigma=0.1, gamma=moprox.solver.GAMMA, keep=k)
-        assert len(k) == 4 and k[3] >= 2
-        assert k[2].tobytes() == (x + t * d).tobytes()
-        assert t == moprox.solver.GAMMA ** k[3]
-        assert k[1].tobytes() == eval_full(prob, k[2]).tobytes()
+        assert len(k) == 3 and k[2] >= 2
+        assert k[0].at.tobytes() == (x + t * d).tobytes()
+        assert t == moprox.solver.GAMMA ** k[2]
+        assert k[1].tobytes() == eval_full(prob, k[0].at).tobytes()
 
     def test_infeasible_trial_backtracks(self):
         box = NonsmoothTerm.box(np.array([0.0]), np.array([2.0]))
@@ -431,15 +432,22 @@ class TestOracleSweeps:
     def test_one_g_and_one_f_per_point(self, variant, max_outer, monkeypatch):
         # g is evaluated at x0, at the base point of each direction solve, at
         # each snap's x + d and at each Armijo trial; an accepted trial's F is
-        # the next iterate's, so no iterate after x0 evaluates g or F again.
-        # A run stopped by max_outer evaluates F once at its last point.
+        # the next iterate's, so no iterate after x0 evaluates g or F again,
+        # nor does the last record of a run stopped by max_outer. So
+        # eval_full runs once per trial: steps + halvings times
         real, calls = NonsmoothTerm.value, [0]
+        real_full, full_calls = moprox.problems.eval_full, [0]
 
         def counting(self, x):
             calls[0] += 1
             return real(self, x)
 
+        def counting_full(*args, **kwargs):
+            full_calls[0] += 1
+            return real_full(*args, **kwargs)
+
         monkeypatch.setattr(NonsmoothTerm, "value", counting)
+        monkeypatch.setattr(moprox.problems, "eval_full", counting_full)
         prob = generate_instance(InstanceSpec(family="quadratic_l1", n=10, m=2,
                                               cond=100.0, rho=0.1, seed=3))
         extra = {"ell": prob.lip_grad} if variant == "gradient" else {}
@@ -452,7 +460,8 @@ class TestOracleSweeps:
         directions = len(tr.records) - stopped
         trials = sum(r.halvings + 1 for r in tr.records if r.step > 0.0)
         assert len(tr.records) > 1 + stopped  # an iterate after x0
-        assert calls[0] == 1 + directions + tr.snaps + trials + stopped
+        assert calls[0] == 1 + directions + tr.snaps + trials
+        assert full_calls[0] == trials == tr.steps_taken + tr.halvings
         monkeypatch.undo()
         for r in tr.records:
             assert eval_full(prob, r.x).tobytes() == r.objectives.tobytes()
@@ -483,9 +492,40 @@ class TestOracleSweeps:
         assert np.isnan(last.gap) and np.all(np.isnan(last.weights))
 
     @pytest.mark.parametrize("variant", ["newton", "gradient"])
+    def test_minus_inf_value_at_a_trial_is_accepted_and_named_next(self, variant):
+        # f(x) = 0.5 x^2 with a value of -inf below x = 0.75: the first
+        # trial's F = -inf passes the decrease test, and the check of the
+        # iterate it becomes names the objective; the last record holds that F
+        def oracle(x):
+            value = 0.5 * float(x @ x) if x[0] >= 0.75 else -np.inf
+            return value, x.copy(), np.eye(1)
+
+        prob = ProblemInstance(n=1, m=1, smooth=(SmoothObjective(oracle),),
+                               nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+        extra = {"variant": "gradient", "ell": 2.0} if variant == "gradient" else {}
+        tr = solve(prob, SolverConfig(eps=1e-10, tol_gap=1e-12, **extra), np.array([1.0]))
+        assert tr.status is Status.SUBPROBLEM_FAILURE
+        assert tr.message == "smooth objective 0 returned non-finite output"
+        first, last = tr.records
+        assert first.step == 1.0 and first.halvings == 0
+        assert last.k == 1 and last.step == 0.0 and last.objectives.tolist() == [-np.inf]
+        assert last.x[0] == pytest.approx(0.5 if variant == "gradient" else 0.0, abs=1e-15)
+
+    def test_an_overflowing_trial_backtracks(self):
+        # the unit-step trial's smooth value overflows to inf, which fails
+        # the decrease test like an infeasible trial: t = 1/8 passes it
+        prob, config, x0, _, _ = _overflowing_trial()
+        tr = solve(prob, config, x0)
+        assert (tr.records[0].step, tr.records[0].halvings) == (0.125, 3)
+        with np.errstate(over="ignore"):  # the unit step's trial point, near -1.2e154
+            assert eval_full(prob, x0 + 8.0 * (tr.records[1].x - x0)).tolist() == [np.inf]
+        assert tr.status is Status.CRITICAL_REACHED
+
+    @pytest.mark.parametrize("variant", ["newton", "gradient"])
     def test_nonfinite_value_at_the_first_trial(self, variant):
-        # f(x) = 0.5 x^2 with a nan value away from the start x0 = 1: the
-        # first Armijo trial fails its check, and the run ends at k = 0
+        # f(x) = 0.5 x^2 with a nan value away from the start x0 = 1: every
+        # Armijo trial's F is nan and fails the decrease test, so the line
+        # search halves to its cap and the run ends at k = 0
         def oracle(x):
             value = 0.5 * float(x @ x) if x[0] == 1.0 else float("nan")
             return value, x.copy(), np.eye(1)
@@ -495,7 +535,8 @@ class TestOracleSweeps:
         extra = {"variant": "gradient", "ell": 2.0} if variant == "gradient" else {}
         tr = solve(prob, SolverConfig(eps=1e-10, tol_gap=1e-12, **extra), np.array([1.0]))
         assert tr.status is Status.SUBPROBLEM_FAILURE
-        assert tr.message == "smooth objective 0 returned non-finite value"
+        assert tr.message == (f"no step of the form gamma^j satisfied the decrease test "
+                              f"after {moprox.solver.MAX_HALVINGS} halvings")
         (last,) = tr.records
         assert last.k == 0 and last.step == 0.0 and last.halvings == 0
         assert last.x[0] == 1.0 and last.objectives[0] == 0.5
@@ -533,8 +574,8 @@ class TestOracleSweeps:
         assert last.k == 0 and last.objectives.tolist() == [np.inf]
 
     def test_nan_value_at_the_start_records_nan_objectives(self):
-        # the failed record's objectives come from eval_full, which raises
-        # on the nan value too; the record then holds a nan row
+        # the failed record's objectives come from eval_full, which returns
+        # the nan F as it is: the record holds F = [nan, 0.0]
         prob = ProblemInstance(
             n=2, m=2, smooth=(SmoothObjective(lambda x: (np.nan, np.zeros(2), np.eye(2))),
                               SmoothObjective(lambda x: (0.0, np.zeros(2), np.eye(2)))),
@@ -543,7 +584,8 @@ class TestOracleSweeps:
         assert tr.status is Status.SUBPROBLEM_FAILURE
         assert tr.message == "smooth objective 0 returned non-finite output"
         (last,) = tr.records
-        assert last.k == 0 and np.isnan(last.objectives).all() and last.objectives.size == 2
+        assert last.k == 0 and last.objectives.size == 2
+        np.testing.assert_array_equal(last.objectives, [np.nan, 0.0])
 
 
 def _pool_job(cell, family, n, m, variant, cond, rho=0.0):
@@ -601,9 +643,9 @@ class TestOneProofPerPoint:
         prob, config, x0 = _pool_job(*self.POOL_JOBS[0])
         start = x0.copy()
         tr = solve(prob, config, x0)
-        before = _trace_bytes(tr)
+        before = trace_bytes(tr)
         x0[:] = np.nan
-        assert _trace_bytes(tr) == before
+        assert trace_bytes(tr) == before
         assert tr.records[0].x.tobytes() == start.tobytes()
 
     def test_a_read_only_start_is_copied_too(self):
@@ -790,11 +832,14 @@ class TestFailuresEndTheTrace:
 
 def _overflowing_trial():
     # an iterate near 1e153 whose unit-step trial x + d overflows the
-    # smooth value: the sweep raises at t = 1 and the run ends there
+    # smooth value to inf: that trial fails the decrease test, t = 1/8
+    # passes it, and the run goes on to the precision limit
     prob = ProblemInstance(n=1, m=1, smooth=(quadratic_objective([[4.0]], [0.0]),),
                            nonsmooth=NonsmoothTerm.zero(), mu=4.0)
-    config = SolverConfig(eps=1e-9, tol_gap=1e-12, variant="gradient", ell=0.3)
-    return prob, config, np.array([1e153]), "smooth objective 0 returned non-finite value"
+    config = SolverConfig(eps=1e-9, tol_gap=1e-12, variant="gradient", ell=0.3,
+                          max_outer=2000)
+    return (prob, config, np.array([1e153]), Status.CRITICAL_REACHED,
+            "stopped at the precision limit")
 
 
 def _overflowing_forcing_bound():
@@ -803,22 +848,14 @@ def _overflowing_forcing_bound():
     smooth = tuple(quadratic_objective([[4.0]], [b]) for b in (1.0, -1.0))
     prob = ProblemInstance(n=1, m=2, smooth=smooth, nonsmooth=NonsmoothTerm.zero(), mu=4.0)
     config = SolverConfig(variant="gradient", ell=1e-150)
-    return prob, config, np.array([5.0]), "no step of the form gamma^j"
-
-
-def _trace_bytes(trace) -> list:
-    """Status, message and every record field of trace, as bytes."""
-    out = [trace.status.value.encode(), trace.message.encode()]
-    for r in trace.records:
-        for f in dataclasses.fields(r):
-            out.append(np.asarray(getattr(r, f.name)).tobytes())
-    return out
+    return (prob, config, np.array([5.0]), Status.SUBPROBLEM_FAILURE,
+            "no step of the form gamma^j")
 
 
 class TestWarningsFilter:
     @pytest.mark.parametrize("case", [_overflowing_trial, _overflowing_forcing_bound])
     def test_the_filter_does_not_change_the_trace(self, case):
-        prob, config, x0, message = case()
+        prob, config, x0, status, message = case()
         traces = []
         for action in ("error", "ignore"):
             with warnings.catch_warnings():
@@ -828,9 +865,9 @@ class TestWarningsFilter:
             warnings.simplefilter("always", RuntimeWarning)
             traces.append(solve(prob, config, x0))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        first = _trace_bytes(traces[0])
-        assert all(_trace_bytes(tr) == first for tr in traces[1:])
-        assert traces[0].status is Status.SUBPROBLEM_FAILURE
+        first = trace_bytes(traces[0])
+        assert all(trace_bytes(tr) == first for tr in traces[1:])
+        assert traces[0].status is status
         assert traces[0].message.startswith(message)
 
 

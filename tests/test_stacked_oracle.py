@@ -192,3 +192,24 @@ def test_stacked_oracle_with_wrong_shapes_rejected(bad):
     else:  # Hessians not asked for are not read, nor are they without keep
         assert eval_smooth(prob, x, hessians=False).hessians is None
         assert eval_full(prob, x).shape == (m,)
+
+
+@pytest.mark.parametrize("variant", ["newton", "gradient"])
+def test_stacked_oracle_of_nested_lists_solves(variant):
+    # f(x) = 0.5 ||x||^2 as the one row of a stacked oracle that returns
+    # nested lists of the documented shapes; the sweep takes them as arrays
+    def oracle(x, hessians):
+        hesses = [np.eye(2).tolist()] if hessians else None
+        return [0.5 * float(x @ x)], [x.tolist()], hesses
+
+    def row(x):
+        values, grads, hesses = oracle(x, True)
+        return values[0], grads[0], hesses[0]
+
+    prob = ProblemInstance(n=2, m=1, smooth=(SmoothObjective(row, stack=(oracle, 0, 1)),),
+                           nonsmooth=NonsmoothTerm.zero(), mu=1.0)
+    assert prob.oracle is oracle
+    extra = {"variant": "gradient", "ell": 1.0} if variant == "gradient" else {}
+    tr = solve(prob, SolverConfig(eps=1e-9, tol_gap=1e-12, **extra), np.array([1.0, -2.0]))
+    assert tr.status is Status.CRITICAL_REACHED, tr.message
+    assert tr.final_x.tolist() == [0.0, 0.0]
